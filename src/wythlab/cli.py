@@ -193,8 +193,10 @@ def _cmd_solve(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    del parser
-    items = run_suite(args.suite, ell=args.ell, k=args.k, bound=args.bound)
+    try:
+        items = run_suite(args.suite, ell=args.ell, k=args.k, bound=args.bound)
+    except (ValueError, ResourceLimitError) as exc:
+        parser.error(str(exc))
     width = max((len(it.name) for it in items), default=20) + 2
     failures = 0
     for it in items:

@@ -9,10 +9,11 @@ option is P" losing test into "at least k options are P".
 
 Every move strictly decreases the coordinate sum, so solving all positions
 in increasing-sum order is exact on the full box with no truncation at the
-boundary.  The solver keeps per-row, per-column and per-diagonal counts of
-already-classified P-positions; each anti-diagonal is then classified in a
-few array operations.  The same counting view of the final table drives the
-stability and absorption checks and the redundant-move witness search.
+boundary.  One counting sweep visits the anti-diagonals in that order and
+gives each cell's number of member options.  The solver takes members from
+the game rule; the stability and absorption checks read them from the
+candidate and compare with the rule, in O(bound) extra memory; and
+option_member_counts records the counts for the witness search.
 """
 from __future__ import annotations
 
@@ -143,71 +144,84 @@ def options(p: tuple[int, int]) -> list[tuple[int, int]]:
     return out
 
 
-def _scan(spec: GameSpec, bound: int, record_table: bool):
-    """Increasing-sum sweep; returns (table or None, sorted pair list).
+def _sweep(bound: int, member) -> None:
+    """Visit the anti-diagonals s = 0..2*bound of [0,bound]^2 in order.
 
-    The pair list follows the ppos_list convention: x <= y, terminals of K
-    excluded.  hP/vP/dP hold counts of P-positions already seen in each row,
-    column and difference-diagonal; all positions of one anti-diagonal have
-    pairwise distinct rows, columns and differences, so each diagonal is a
-    handful of strided slice operations.
+    hP/vP/dP count the members seen so far in each row, column and
+    difference-diagonal.  The cells (x, s-x), x0 <= x <= x1, of one
+    anti-diagonal have distinct rows, columns and differences, and all their
+    options lie on earlier anti-diagonals, so three strided slices give cnt,
+    the number of member options of each cell.  member(s, x0, cnt) returns
+    the diagonal's membership as a bool array, which is added to the counts.
     """
     if bound < 0:
         raise ValueError(f"negative bound {bound}")
+    B = bound
+    hP = np.zeros(B + 1, dtype=np.int32)
+    vP = np.zeros(B + 1, dtype=np.int32)
+    dP = np.zeros(2 * B + 1, dtype=np.int32)
+    for s in range(2 * B + 1):
+        x0 = max(0, s - B)
+        x1 = min(s, B)
+        rows = slice(x0, x1 + 1)
+        cols = slice(s - x1, s - x0 + 1)
+        d_hi = s - 2 * x1 + B - 1
+        diffs = slice(s - 2 * x0 + B, d_hi if d_hi >= 0 else None, -2)
+        cnt = hP[rows] + vP[cols][::-1] + dP[diffs]
+        upd = member(s, x0, cnt).view(np.int8)
+        hP[rows] += upd
+        vP[cols] += upd[::-1]
+        dP[diffs] += upd
+
+
+def _rule(spec: GameSpec, s: int, cnt: np.ndarray) -> np.ndarray:
+    """The game's P/N classification of anti-diagonal s from its P-option counts."""
+    if s <= spec.terminal_sum:
+        return np.ones(cnt.size, dtype=bool)
+    return cnt <= (spec.k - 1 if spec.variant == "W" else 0)
+
+
+def _antidiagonal(mask: np.ndarray, s: int) -> np.ndarray:
+    """Cells (x, s-x) of a square array in increasing x, as a bool view."""
+    return np.diagonal(mask[:, ::-1], mask.shape[1] - 1 - s).astype(bool, copy=False)
+
+
+def _p_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of every P-position of [0,bound]^2; there are O(bound)."""
     if bound > MAX_SOLVE_BOUND:
         raise ResourceLimitError(
             f"bound {bound} exceeds the solver cap {MAX_SOLVE_BOUND}; "
             "no partial table is produced"
         )
-    B = bound
-    ell = spec.terminal_sum
-    blocking = spec.k - 1 if spec.variant == "W" else 0
-    table = np.zeros((B + 1, B + 1), dtype=bool) if record_table else None
-    hP = np.zeros(B + 1, dtype=np.int32)
-    vP = np.zeros(B + 1, dtype=np.int32)
-    dP = np.zeros(2 * B + 1, dtype=np.int32)
-    xs_all = np.arange(B + 1)
-    chunks: list[np.ndarray] = []
-    for s in range(2 * B + 1):
-        x0 = max(0, s - B)
-        x1 = min(s, B)
-        if s <= ell:
-            is_p = np.ones(x1 - x0 + 1, dtype=bool)
-        else:
-            d_hi = s - 2 * x1 + B - 1
-            cnt = (
-                hP[x0 : x1 + 1]
-                + vP[s - x1 : s - x0 + 1][::-1]
-                + dP[s - 2 * x0 + B : (d_hi if d_hi >= 0 else None) : -2]
-            )
-            is_p = cnt <= blocking if spec.variant == "W" else cnt == 0
-        if record_table:
-            xs = xs_all[x0 : x1 + 1]
-            table[xs, s - xs] = is_p
-        if s > ell:
-            half = np.flatnonzero(is_p) + x0
-            half = half[2 * half <= s]
-            if half.size:
-                chunks.append(np.stack([half, s - half], axis=1))
-        upd = is_p.view(np.int8)
-        hP[x0 : x1 + 1] += upd
-        vP[s - x1 : s - x0 + 1] += upd[::-1]
-        d_hi = s - 2 * x1 + B - 1
-        dP[s - 2 * x0 + B : (d_hi if d_hi >= 0 else None) : -2] += upd
-    if chunks:
-        pts = np.concatenate(chunks)
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        pairs = [tuple(int(v) for v in row) for row in pts[order]]
-    else:
-        pairs = []
-    if record_table:
-        table.flags.writeable = False
-    return table, pairs
+    xs: list[np.ndarray] = []
+    ys: list[np.ndarray] = []
+
+    def classify(s, x0, cnt):
+        is_p = _rule(spec, s, cnt)
+        x = np.flatnonzero(is_p) + x0
+        if x.size:
+            xs.append(x)
+            ys.append(s - x)
+        return is_p
+
+    _sweep(bound, classify)
+    return np.concatenate(xs), np.concatenate(ys)  # (0, 0) is always P
+
+
+def _sorted_pairs(spec: GameSpec, xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """The ppos_list convention: x <= y, terminals of K excluded, sorted."""
+    keep = (xs <= ys) & (xs + ys > spec.terminal_sum)
+    xs, ys = xs[keep], ys[keep]
+    order = np.lexsort((ys, xs))
+    return tuple(zip(xs[order].tolist(), ys[order].tolist()))
 
 
 @lru_cache(maxsize=64)
 def _solve_cached(spec: GameSpec, bound: int) -> PNTable:
-    table, _ = _scan(spec, bound, record_table=True)
+    xs, ys = _p_cells(spec, bound)
+    table = np.zeros((bound + 1, bound + 1), dtype=bool)
+    table[xs, ys] = True
+    table.flags.writeable = False
     return PNTable(spec=spec, bound=bound, ppos=table)
 
 
@@ -225,8 +239,7 @@ def solve_pairs(spec: GameSpec, bound: int) -> list[tuple[int, int]]:
     Suited to bounds in the tens of thousands where the full byte mask would
     be the only memory consumer.
     """
-    _, pairs = _scan(spec, bound, record_table=False)
-    return pairs
+    return list(_sorted_pairs(spec, *_p_cells(spec, bound)))
 
 
 def ppos_list(table: PNTable, spec: GameSpec | None = None) -> PposSequence:
@@ -238,50 +251,38 @@ def ppos_list(table: PNTable, spec: GameSpec | None = None) -> PposSequence:
     spec = table.spec if spec is None else spec
     if spec != table.spec:
         raise ValueError(f"table solved for {table.spec}, not {spec}")
-    P = table.ppos
-    xs, ys = np.nonzero(P)
-    keep = (xs <= ys) & (xs + ys > spec.terminal_sum)
-    xs, ys = xs[keep], ys[keep]
-    order = np.lexsort((ys, xs))
-    pairs = tuple((int(x), int(y)) for x, y in zip(xs[order], ys[order]))
+    pairs = _sorted_pairs(spec, *np.nonzero(table.ppos))
     return PposSequence(ell=spec.ell, pairs=pairs)
 
 
 def option_member_counts(mask: np.ndarray) -> np.ndarray:
-    """cnt[x,y] = number of options of (x,y) that lie in the mask.
+    """cnt[x,y] = number of options of (x,y) that lie in the square mask.
 
-    Exclusive prefix sums along rows, columns and difference-diagonals; the
-    diagonal direction uses a sheared copy indexed by (x, y-x).
+    The counting sweep over the mask, writing each anti-diagonal's counts
+    into an int32 table.
     """
-    m = mask.astype(np.int32)
-    n = mask.shape[0]
-    row = np.cumsum(m, axis=1) - m
-    col = np.cumsum(m, axis=0) - m
-    xs, ys = np.indices(mask.shape)
-    sheared = np.zeros((n, 2 * n - 1), dtype=np.int32)
-    sheared[xs, ys - xs + n - 1] = m
-    sheared = np.cumsum(sheared, axis=0) - sheared
-    return row + col + sheared[xs, ys - xs + n - 1]
+    out = np.zeros(mask.shape, dtype=np.int32)
+
+    def record(s, x0, cnt):
+        xs = np.arange(x0, x0 + cnt.size)
+        out[xs, s - xs] = cnt
+        return _antidiagonal(mask, s)
+
+    _sweep(mask.shape[0] - 1, record)
+    return out
 
 
 def _candidate_mask(candidate, bound: int) -> np.ndarray:
     """Normalise a membership predicate to a boolean box mask."""
     if isinstance(candidate, PNTable):
-        if candidate.bound < bound:
-            raise ValueError(
-                f"candidate table bound {candidate.bound} below check bound {bound}"
-            )
-        return candidate.ppos[: bound + 1, : bound + 1]
+        candidate = candidate.ppos
     if isinstance(candidate, np.ndarray):
-        if candidate.shape[0] <= bound or candidate.shape[1] <= bound:
-            raise ValueError(f"candidate array too small for bound {bound}")
-        return candidate[: bound + 1, : bound + 1].astype(bool)
+        if min(candidate.shape) <= bound:
+            raise ValueError(f"candidate {candidate.shape} too small for bound {bound}")
+        return candidate[: bound + 1, : bound + 1].astype(bool, copy=False)
     if callable(candidate):
-        mask = np.zeros((bound + 1, bound + 1), dtype=bool)
-        for x in range(bound + 1):
-            for y in range(bound + 1):
-                mask[x, y] = bool(candidate(x, y))
-        return mask
+        box = range(bound + 1)
+        candidate = [(x, y) for x in box for y in box if candidate(x, y)]
     mask = np.zeros((bound + 1, bound + 1), dtype=bool)
     for x, y in candidate:
         if 0 <= x <= bound and 0 <= y <= bound:
@@ -289,23 +290,28 @@ def _candidate_mask(candidate, bound: int) -> np.ndarray:
     return mask
 
 
-def _first_true(mask: np.ndarray) -> tuple[int, int] | None:
-    """Row-major first True coordinate, or None."""
-    flat = np.flatnonzero(mask)
-    if flat.size == 0:
-        return None
-    n = mask.shape[1]
-    return int(flat[0]) // n, int(flat[0]) % n
+def _first_violation(candidate, spec: GameSpec, bound: int, stable: bool):
+    """Sweep the candidate against the game rule; return (mask, first).
 
+    A member the rule calls N breaks stability, a non-member it calls P
+    breaks absorption.  first is ((x, y), member-option count) of the
+    row-major first violation, the least x over all anti-diagonals, or None.
+    """
+    mask = _candidate_mask(candidate, bound)
+    first = None
 
-def _member_options(mask: np.ndarray, p: tuple[int, int], limit: int) -> list:
-    out = []
-    for q in options(p):
-        if mask[q]:
-            out.append(q)
-            if len(out) == limit:
-                break
-    return out
+    def read(s, x0, cnt):
+        nonlocal first
+        member = _antidiagonal(mask, s)
+        is_p = _rule(spec, s, cnt)
+        bad = np.flatnonzero(member & ~is_p if stable else is_p & ~member)
+        if bad.size and (first is None or x0 + bad[0] < first[0][0]):
+            x = x0 + int(bad[0])
+            first = (x, s - x), int(cnt[bad[0]])
+        return member
+
+    _sweep(bound, read)
+    return mask, first
 
 
 def check_stable(candidate, spec: GameSpec, bound: int) -> CheckResult:
@@ -317,60 +323,32 @@ def check_stable(candidate, spec: GameSpec, bound: int) -> CheckResult:
     (source, member option) for K and (source, tuple of k member options)
     for W.
     """
-    mask = _candidate_mask(candidate, bound)
-    cnt = option_member_counts(mask)
-    if spec.variant == "K":
-        sums = np.add.outer(np.arange(bound + 1), np.arange(bound + 1))
-        bad = mask & (sums > spec.terminal_sum) & (cnt >= 1)
-        src = _first_true(bad)
-        if src is None:
-            return CheckResult(True, f"stable on [0,{bound}]^2")
-        target = _member_options(mask, src, 1)[0]
-        return CheckResult(
-            False,
-            f"member {src} moves to member {target}",
-            (src, target),
-        )
-    bad = mask & (cnt >= spec.k)
-    src = _first_true(bad)
-    if src is None:
+    mask, first = _first_violation(candidate, spec, bound, stable=True)
+    if first is None:
         return CheckResult(True, f"stable on [0,{bound}]^2")
-    targets = tuple(_member_options(mask, src, spec.k))
-    return CheckResult(
-        False,
-        f"member {src} has {int(cnt[src])} member options (max {spec.k - 1})",
-        (src, targets),
-    )
+    src, count = first
+    members = [q for q in options(src) if mask[q]]
+    if spec.variant == "K":
+        return CheckResult(False, f"member {src} moves to member {members[0]}",
+                           (src, members[0]))
+    return CheckResult(False, f"member {src} has {count} member options "
+                       f"(max {spec.k - 1})", (src, tuple(members[: spec.k])))
 
 
-def check_absorbing(
-    candidate, spec: GameSpec, bound: int, safety_margin: int = 0
-) -> CheckResult:
+def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
     """Bounded absorption check of a candidate P-set.
 
     K variant: every non-member must have a member option; a non-member
     inside the terminal region has no moves at all and is reported directly.
-    W variant: every non-member needs at least k member options.  Options
-    never leave the box, so safety_margin 0 is always sufficient; the
-    parameter is accepted for interface symmetry.
+    W variant: every non-member needs at least k member options.
     """
-    del safety_margin  # options only decrease coordinates
-    mask = _candidate_mask(candidate, bound)
-    cnt = option_member_counts(mask)
-    if spec.variant == "K":
-        sums = np.add.outer(np.arange(bound + 1), np.arange(bound + 1))
-        bad = ~mask & ((sums <= spec.terminal_sum) | (cnt < 1))
-        need = 1
-    else:
-        bad = ~mask & (cnt < spec.k)
-        need = spec.k
-    pos = _first_true(bad)
-    if pos is None:
+    _, first = _first_violation(candidate, spec, bound, stable=False)
+    if first is None:
         return CheckResult(True, f"absorbing on [0,{bound}]^2")
+    pos, count = first
+    need = 1 if spec.variant == "K" else spec.k
     return CheckResult(
-        False,
-        f"non-member {pos} has {int(cnt[pos])} member options (needs {need})",
-        pos,
+        False, f"non-member {pos} has {count} member options (needs {need})", pos
     )
 
 
@@ -393,21 +371,25 @@ def non_redundant_witness(
     """
     _validate_move(move)
     dx, dy = move
-    table = solve(spec, bound)
-    P = table.ppos
-    cnt = _p_option_counts(spec, bound)
-    want = 1 if spec.variant == "K" else spec.k
-    witness = (~P) & (cnt == want)
-    reached = np.zeros_like(P)
-    reached[dx:, dy:] = P[: bound + 1 - dx, : bound + 1 - dy]
-    return _first_true(witness & reached)
+    if dx > bound or dy > bound:
+        return None
+    n = bound + 1
+    reached = solve(spec, bound).ppos[: n - dx, : n - dy]
+    hits = np.flatnonzero(_witness_mask(spec, bound)[dx:, dy:] & reached)
+    if not hits.size:
+        return None
+    x, y = divmod(int(hits[0]), n - dy)
+    return x + dx, y + dy
 
 
 @lru_cache(maxsize=64)
-def _p_option_counts(spec: GameSpec, bound: int) -> np.ndarray:
-    cnt = option_member_counts(solve(spec, bound).ppos)
-    cnt.flags.writeable = False
-    return cnt
+def _witness_mask(spec: GameSpec, bound: int) -> np.ndarray:
+    """N-positions with exactly as many P-options as a witness has."""
+    P = solve(spec, bound).ppos
+    want = 1 if spec.variant == "K" else spec.k
+    mask = ~P & (option_member_counts(P) == want)
+    mask.flags.writeable = False
+    return mask
 
 
 # ---------------------------------------------------------------------------

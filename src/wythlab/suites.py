@@ -85,6 +85,8 @@ def _mask_equality(got: np.ndarray, want: np.ndarray, what: str) -> CheckResult:
 
 
 def _k_closed_mask(ell: int, bound: int) -> np.ndarray:
+    if ell not in (1, 2, 3, 4):
+        raise ValueError(f"no closed form for K^{ell}; closed forms cover ell 1..4")
     if ell == 1:
         return ch.k1_closed_form_mask(bound)
     if ell == 2:
@@ -123,9 +125,9 @@ def suite_kernel(ell=None, k=None, bound=None) -> list[SuiteItem]:
     ells = range(5) if ell is None and k is None else ([ell] if ell is not None else [])
     ks = range(1, 4) if ell is None and k is None else ([k] if k is not None else [])
     for e in ells:
-        specs.append((kspec(e), bound or K_BOUND_DEFAULT))
+        specs.append((kspec(e), K_BOUND_DEFAULT if bound is None else bound))
     for kk in ks:
-        specs.append((wspec(kk), bound or W_BOUND_DEFAULT))
+        specs.append((wspec(kk), W_BOUND_DEFAULT if bound is None else bound))
     items = []
     for spec, B in specs:
         tag = spec.label().replace(" ", "-")
@@ -144,7 +146,7 @@ def suite_kernel(ell=None, k=None, bound=None) -> list[SuiteItem]:
 def suite_closed_forms(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Closed-form sets versus solver ground truth, plus their kernel checks."""
     del k
-    B = bound or K_BOUND_DEFAULT
+    B = K_BOUND_DEFAULT if bound is None else bound
     ells = [ell] if ell is not None else [1, 2, 3, 4]
     items = []
     for e in ells:
@@ -169,7 +171,7 @@ def suite_closed_forms(ell=None, k=None, bound=None) -> list[SuiteItem]:
 def suite_mex(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """The mex recursion versus the solver, partition, and counting."""
     del k
-    B = bound or K_BOUND_DEFAULT
+    B = K_BOUND_DEFAULT if bound is None else bound
     ells = [ell] if ell is not None else list(range(7))
     items = []
     for e in ells:
@@ -212,7 +214,7 @@ def suite_mex(ell=None, k=None, bound=None) -> list[SuiteItem]:
 def suite_blocking(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Explicit W^2/W^3 families versus the solver; W^1 equals K^0."""
     del ell
-    B = bound or W_BOUND_DEFAULT
+    B = W_BOUND_DEFAULT if bound is None else bound
     ks = [k] if k is not None else [2, 3]
     items = []
     for kk in ks:
@@ -248,7 +250,11 @@ def suite_blocking(ell=None, k=None, bound=None) -> list[SuiteItem]:
 def suite_discrepancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Certified discrepancy bounds and density along the a-sequence."""
     del k
-    N = bound or DISCREPANCY_HORIZON_DEFAULT
+    N = DISCREPANCY_HORIZON_DEFAULT if bound is None else bound
+    if ell is not None and ell < 1:
+        raise ValueError(f"the discrepancy bound is stated for ell >= 1, not {ell}")
+    if N < 1:
+        raise ValueError(f"discrepancy horizon must be positive, not {N}")
     ells = [ell] if ell is not None else list(range(1, 9))
     items = []
     for e in ells:
@@ -277,7 +283,7 @@ def _redundancy_moves(max_delta: int) -> list[tuple[int, int]]:
 
 def suite_redundancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Every elementary move admits a witness position that needs it."""
-    B = bound or REDUNDANCY_BOUND_DEFAULT
+    B = REDUNDANCY_BOUND_DEFAULT if bound is None else bound
     specs: list[GameSpec]
     if ell is not None:
         specs = [kspec(ell)]
@@ -305,7 +311,7 @@ def suite_redundancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
 def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Automatic-sequence machinery: oracles, automata, partition words."""
     del k
-    H = bound or MORPHIC_HORIZON_DEFAULT
+    H = MORPHIC_HORIZON_DEFAULT if bound is None else bound
     items = []
     if ell is None or ell == 2:
 

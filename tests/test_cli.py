@@ -142,6 +142,28 @@ class TestVerifyCommand:
             main(["verify", "nonsense"])
         assert ei.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["closed-forms", "--ell", "5"],
+        ["discrepancy", "--ell", "0"],
+        ["blocking", "--k", "4"],
+        ["kernel", "--k", "0"],
+        ["mex", "--bound", "-5"],
+    ])
+    def test_domain_error_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as ei:
+            main(["verify"] + argv)
+        captured = capsys.readouterr()
+        assert ei.value.code == 2
+        assert "error:" in captured.err
+        assert "FAIL" not in captured.out
+
+    def test_bound_zero_is_checked_at_zero(self, capsys):
+        code, out, _ = run(capsys, ["verify", "kernel", "--ell", "2",
+                                    "--bound", "0"])
+        assert code == 0
+        assert out.splitlines()[-1] == "2/2 checks passed"
+        assert "stable on [0,0]^2" in out and "absorbing on [0,0]^2" in out
+
 
 class TestInferCommand:
     def write_prefix(self, tmp_path, values):

@@ -1,5 +1,6 @@
 """Rule-sets, the retrograde solver, kernel checks, witnesses, caching."""
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,76 @@ class TestKernelChecks:
         assert CheckResult(True)
         assert not CheckResult(False, "no")
 
+    def test_negative_bound(self):
+        t = solve(kspec(1), 20)
+        for bound in (-1, -3):
+            for check in (check_stable, check_absorbing):
+                with pytest.raises(ValueError, match="negative bound"):
+                    check(t, kspec(1), bound)
+
+
+def scan_over_options(mask, spec: GameSpec, bound: int, stable: bool):
+    """Row-major scan that counts member options with options() directly."""
+    limit = spec.k - 1 if spec.variant == "W" else 0
+    for x in range(bound + 1):
+        for y in range(bound + 1):
+            p = (x, y)
+            members = [q for q in options(p) if mask[q]]
+            rule_p = x + y <= spec.terminal_sum or len(members) <= limit
+            if stable and mask[p] and not rule_p:
+                if spec.variant == "K":
+                    return CheckResult(
+                        False, f"member {p} moves to member {members[0]}",
+                        (p, members[0]))
+                return CheckResult(
+                    False,
+                    f"member {p} has {len(members)} member options (max {limit})",
+                    (p, tuple(members[:spec.k])))
+            if not stable and not mask[p] and rule_p:
+                return CheckResult(
+                    False,
+                    f"non-member {p} has {len(members)} member options "
+                    f"(needs {limit + 1})",
+                    p)
+    verdict = "stable" if stable else "absorbing"
+    return CheckResult(True, f"{verdict} on [0,{bound}]^2")
+
+
+class TestKernelChecksAgainstOptions:
+    @pytest.mark.parametrize("spec", [
+        kspec(0), kspec(1), kspec(2), wspec(2), wspec(3),
+    ])
+    @pytest.mark.parametrize("bound", [0, 1, 2, 29])
+    def test_verdicts_match_scan(self, spec, bound):
+        rng = np.random.default_rng(bound)
+        table = solve(spec, bound).ppos
+        candidates = [table]
+        for flips in (1, 2, 1, 2):
+            mask = table.copy()
+            for _ in range(flips):
+                x, y = rng.integers(0, bound + 1, size=2)
+                mask[x, y] = not mask[x, y]
+            candidates.append(mask)
+        for density in (0.05, 0.3):
+            candidates.append(rng.random(table.shape) < density)
+        for mask in candidates:
+            assert check_stable(mask, spec, bound) == scan_over_options(
+                mask, spec, bound, stable=True)
+            assert check_absorbing(mask, spec, bound) == scan_over_options(
+                mask, spec, bound, stable=False)
+
+    def test_checkers_stay_linear_in_memory(self):
+        spec, bound = kspec(2), 2000
+        table = solve(spec, bound)
+        tracemalloc.start()
+        try:
+            assert check_stable(table, spec, bound).ok
+            assert check_absorbing(table, spec, bound).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
 
 class TestWitnesses:
     def test_move_validation(self):
@@ -290,6 +361,10 @@ class TestWitnesses:
     def test_unreachable_move_returns_none(self):
         # bound 2 is too small for any witness of a length-30 slide
         assert non_redundant_witness(kspec(1), (30, 0), 2) is None
+
+    def test_move_longer_than_bound_returns_none(self):
+        for move in ((25, 0), (0, 21), (30, 30)):
+            assert non_redundant_witness(kspec(1), move, 20) is None
 
 
 class TestCache:
