@@ -1,8 +1,9 @@
 """Closed-form, recursive, morphic and asymptotic descriptions of the P-sets.
 
 Every rule-set the solver handles exactly also admits at least one compact
-description: a Zeckendorf pattern for K^1, Beatty floors perturbed by an
-automatic sequence for K^2, K^3 and K^4, a mex recursion for every K^ell,
+description: a Zeckendorf pattern for K^1, one table (CLOSED_FORMS) of
+Beatty floors perturbed by an automatic sequence for K^1..K^4, a mex
+recursion for every K^ell,
 explicit pair families for the blocking variants, and partition words whose
 n-th letters 'a' and 'b' locate the n-th pair.  This module implements all
 of them together with the finite checks that compare them to each other and
@@ -24,15 +25,22 @@ from .fibnum import (
     floor_phi2,
     floor_phi_range,
     rep_F,
-    shift,
     sqrt5_times_geq,
     sqrt5_times_leq,
 )
 from .games import CheckResult, PposSequence
-from .morphisms import Coding, Morphism, eval_dfao, fixed_point_prefix, k2_adjust, k2_adjust_prefix
+from .morphisms import (
+    Coding,
+    Morphism,
+    eval_dfao_range,
+    fixed_point_prefix,
+    k2_adjust_prefix,
+)
 
 __all__ = [
     "mex_sequence",
+    "CLOSED_FORMS",
+    "closed_form_mask",
     "closed_form_K1",
     "k1_remark_pair",
     "k1_closed_form_mask",
@@ -100,11 +108,57 @@ def mex_sequence(ell: int, count: int) -> PposSequence:
 
 
 # ---------------------------------------------------------------------------
-# K^1: Zeckendorf pattern and the one-floor pair formula
+# K^1..K^4: one table of Beatty floors plus an automatic adjustment
 # ---------------------------------------------------------------------------
 
+# Row ell holds (adjust, lag, alpha, beta): pair n of K^ell sits at Beatty
+# index m = n + 2 as
+#     (floor(m phi) + adj(m-lag) + alpha, floor(m phi^2) + adj(m-lag) + beta),
+# where adjust(count) returns adj(0..count-1) and None stands for adj = 0.
+CLOSED_FORMS = {
+    1: (None, 0, -1, -1),
+    2: (lambda count: np.asarray(k2_adjust_prefix(count)), 0, -1, 0),
+    3: (lambda count: eval_dfao_range(adjust_dfao(3), count - 1), 1, -1, 1),
+    4: (lambda count: eval_dfao_range(adjust_dfao(4), count - 1), 1, 0, 3),
+}
+
+
+def _closed_form_arrays(ell: int, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CLOSED_FORMS pairs of K^ell at Beatty indices first..stop-1."""
+    if ell not in CLOSED_FORMS:
+        raise ValueError(f"no closed form for K^{ell}; closed forms cover ell 1..4")
+    adjust, lag, alpha, beta = CLOSED_FORMS[ell]
+    fp = floor_phi_range(stop - 1)[first:]
+    adj = 0 if adjust is None else adjust(stop - lag)[first - lag :]
+    return fp + adj + alpha, fp + np.arange(first, stop) + adj + beta
+
+
+def _closed_form_pair(ell: int, m: int) -> tuple[int, int]:
+    a, b = _closed_form_arrays(ell, m, m + 1)
+    return int(a[0]), int(b[0])
+
+
+def closed_form_pairs(ell: int, count: int) -> PposSequence:
+    """First count non-terminal pairs of K^ell from its closed form."""
+    a, b = _closed_form_arrays(ell, 2, max(count, 0) + 2)
+    return PposSequence(ell=ell, pairs=tuple(zip(a.tolist(), b.tolist())))
+
+
+def closed_form_mask(ell: int, bound: int) -> np.ndarray:
+    """Box mask of the K^ell closed form plus the terminal triangle
+    x + y <= ell, both orientations."""
+    # adj >= 0 and alpha >= -1 give a > m phi - 2, so every pair with
+    # a <= bound has m < (bound + 2) / phi, below this stop
+    a, b = _closed_form_arrays(ell, 2, bound * 2 // 3 + 8)
+    mask = np.zeros((bound + 1, bound + 1), dtype=bool)
+    t = np.arange(min(ell, bound) + 1)
+    mask[: t.size, : t.size] = t[:, None] + t <= ell
+    _mark_pairs(mask, a, b, bound)
+    return mask
+
+
 def closed_form_K1(a: int, b: int) -> bool:
-    """Membership test for K^1 pairs with a <= b.
+    """Membership test for K^1 pairs with a <= b, independent of the table.
 
     True on the terminal pairs (a+b <= 1) and when the representation of b
     is the representation of a, ending in 0, with a 1 appended.
@@ -122,117 +176,61 @@ def k1_remark_pair(n: int) -> tuple[int, int]:
 
     Evaluates (floor((n+1) phi) - 1, floor((n+1) phi^2) - 1) exactly.
     """
-    return floor_phi(n + 1) - 1, floor_phi2(n + 1) - 1
+    return _closed_form_pair(1, n + 1)
 
 
 def k1_closed_form_mask(bound: int) -> np.ndarray:
-    """Boolean box mask of the K^1 membership test, both orientations."""
-    mask = np.zeros((bound + 1, bound + 1), dtype=bool)
-    mask[0, 0] = True
-    if bound >= 1:
-        mask[0, 1] = mask[1, 0] = True
-    # values whose representation ends in 0 are exactly the shifts of m >= 1
-    m = 1
-    while True:
-        a = shift(m)
-        if a > bound:
-            break
-        b = shift(a) + 1
-        if b <= bound:
-            mask[a, b] = mask[b, a] = True
-        m += 1
-    return mask
+    """Box mask of the K^1 closed form, both orientations."""
+    return closed_form_mask(1, bound)
 
-
-# ---------------------------------------------------------------------------
-# K^2, K^3, K^4: Beatty floors plus a two- or three-valued adjustment
-# ---------------------------------------------------------------------------
 
 def closed_form_K2(n: int) -> tuple[int, int]:
     """Pair n of the K^2 algebraic family (indices 0 and 1 fall in the
     terminal region; the family is meant as a set)."""
-    g = k2_adjust(n)
-    return floor_phi(n) + g - 1, floor_phi2(n) + g
+    return _closed_form_pair(2, n)
 
 
 def k2_closed_form_mask(bound: int) -> np.ndarray:
     """Box mask of the K^2 family plus the terminal region x+y <= 2."""
-    mask = np.zeros((bound + 1, bound + 1), dtype=bool)
-    for x in range(min(2, bound) + 1):
-        for y in range(min(2 - x, bound - x) + 1):
-            mask[x, y] = True
-    count = bound * 2 // 3 + 8
-    g = np.asarray(k2_adjust_prefix(count), np.int64)
-    fp = floor_phi_range(count - 1)
-    a = fp + g - 1
-    b = fp + np.arange(count) + g
-    keep = (a <= bound) & (b <= bound)
-    mask[a[keep], b[keep]] = True
-    mask[b[keep], a[keep]] = True
-    return mask
-
-
-def _adjust_value(ell: int, m: int) -> int:
-    return eval_dfao(adjust_dfao(ell), m)
+    return closed_form_mask(2, bound)
 
 
 def closed_form_K3(n: int) -> tuple[int, int]:
     """n-th non-terminal pair of K^3; the adjustment enters at index n+1."""
-    adj = _adjust_value(3, n + 1)
-    return floor_phi(n + 2) + adj - 1, floor_phi2(n + 2) + adj + 1
+    return _closed_form_pair(3, n + 2)
 
 
 def closed_form_K4(n: int) -> tuple[int, int]:
     """n-th non-terminal pair of K^4; the adjustment enters at index n+1."""
-    adj = _adjust_value(4, n + 1)
-    return floor_phi(n + 2) + adj, floor_phi2(n + 2) + adj + 3
+    return _closed_form_pair(4, n + 2)
 
 
-def closed_form_pairs(ell: int, count: int) -> PposSequence:
-    """First count non-terminal pairs of K^ell from its closed form."""
-    if ell == 1:
-        pairs = tuple(k1_remark_pair(n + 1) for n in range(count))
-    elif ell == 2:
-        pairs = tuple(closed_form_K2(n + 2) for n in range(count))
-    elif ell == 3:
-        pairs = tuple(closed_form_K3(n) for n in range(count))
-    elif ell == 4:
-        pairs = tuple(closed_form_K4(n) for n in range(count))
-    else:
-        raise ValueError(f"no closed form implemented for ell={ell}")
-    return PposSequence(ell=ell, pairs=pairs)
+def _adjust_from_mex(ell: int, count: int) -> tuple[int, ...]:
+    """First count adjustment values of K^ell read back from the mex recursion.
+
+    Inverts the CLOSED_FORMS row: adj(m) = a_{m-2+lag} - floor((m+lag) phi)
+    - alpha.  For the lag-1 rows (ell 3 and 4) index 0 lies under no pair and
+    takes the sequence's defined initial value 1.
+    """
+    if count <= 0:
+        return ()
+    _, lag, alpha, _ = CLOSED_FORMS[ell]
+    head = 2 - lag
+    a, _ = _mex_arrays(ell, max(count - head, 0))
+    fp = floor_phi_range(count - 1 + lag)
+    out = np.ones(count, np.int64)
+    out[head:] = a - fp[head + lag :] - alpha
+    return tuple(out.tolist())
 
 
 def k3_adjust_prefix_bruteforce(count: int) -> tuple[int, ...]:
-    """K^3 adjustment values recovered from the pair recursion.
-
-    Index 0 is not constrained by any pair and takes the sequence's defined
-    initial value 1; index m >= 1 is a_{m-1} - floor((m+1) phi) + 1.
-    """
-    if count <= 0:
-        return ()
-    a, _ = _mex_arrays(3, count - 1)
-    fp = floor_phi_range(count)
-    out = np.empty(count, np.int64)
-    out[0] = 1
-    out[1:] = a - fp[2 : count + 1] + 1
-    return tuple(int(v) for v in out)
+    """K^3 adjustment values recovered from the pair recursion."""
+    return _adjust_from_mex(3, count)
 
 
 def k4_adjust_prefix_bruteforce(count: int) -> tuple[int, ...]:
-    """K^4 adjustment values recovered from the pair recursion.
-
-    Index m >= 1 is a_{m-1} - floor((m+1) phi); index 0 is the defined
-    initial value 1.
-    """
-    if count <= 0:
-        return ()
-    a, _ = _mex_arrays(4, count - 1)
-    fp = floor_phi_range(count)
-    out = np.empty(count, np.int64)
-    out[0] = 1
-    out[1:] = a - fp[2 : count + 1]
-    return tuple(int(v) for v in out)
+    """K^4 adjustment values recovered from the pair recursion."""
+    return _adjust_from_mex(4, count)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +334,16 @@ def discrepancy_profile(ell: int, horizon: int) -> DiscrepancyProfile:
     return DiscrepancyProfile(ell=ell, a=a, b=b, S=S, eps=eps, lam=lam)
 
 
+# Largest |x| with 5 x^2 < 2^63 and largest |z| with z^2 < 2^63.
+_SQRT5_X_MAX, _SQRT5_Z_MAX = 1_358_187_913, 3_037_000_499
+
+
 def _sqrt5_leq_vec(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Elementwise truth of sqrt(5)*x <= z on int64 arrays."""
+    """Elementwise truth of sqrt(5)*x <= z on int64 arrays; ValueError when
+    a magnitude is too large to square exactly."""
+    if ((x < -_SQRT5_X_MAX) | (x > _SQRT5_X_MAX)
+            | (z < -_SQRT5_Z_MAX) | (z > _SQRT5_Z_MAX)).any():
+        raise ValueError("sqrt(5) certificate operands exceed the exact int64 range")
     x2 = 5 * x * x
     z2 = z * z
     return np.where(x >= 0, (z >= 0) & (x2 <= z2), (z >= 0) | (z2 <= x2))
@@ -353,7 +359,8 @@ def check_discrepancy(profile: DiscrepancyProfile) -> CheckResult:
     Checks, for every index: the base values and monotonicity of S; the
     defect eps equal to ell-n below index ell-1 and in {0,1} from ell-1 on;
     the certificate for |S_n - n/phi| <= phi ell; and the certificate for
-    |lam_n| <= sqrt(5) ell + 2.
+    |lam_n| <= sqrt(5) ell + 2.  Values too large for the exact int64
+    certificates raise ValueError instead of giving a verdict.
     """
     ell = profile.ell
     S, eps, lam = profile.S, profile.eps, profile.lam
@@ -384,10 +391,8 @@ def check_discrepancy(profile: DiscrepancyProfile) -> CheckResult:
     if not ok_d.all():
         k = int(np.flatnonzero(~ok_d)[0])
         return CheckResult(False, f"discrepancy bound fails at n={k}", k)
-    y1 = lam - 2
-    y2 = -lam - 2
-    bound5 = 5 * ell * ell
-    ok_lam = ((y1 <= 0) | (y1 * y1 <= bound5)) & ((y2 <= 0) | (y2 * y2 <= bound5))
+    ell_n = np.full_like(lam, ell)
+    ok_lam = _sqrt5_geq_vec(ell_n, lam - 2) & _sqrt5_geq_vec(ell_n, -lam - 2)
     if not ok_lam.all():
         k = int(np.flatnonzero(~ok_lam)[0])
         return CheckResult(False, f"|lam| <= sqrt(5) ell + 2 fails at n={k}", k)

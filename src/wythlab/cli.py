@@ -27,6 +27,7 @@ from .morphisms import (
     InferenceError,
     InferenceResult,
     eval_dfao,
+    eval_dfao_range,
     infer_morphism,
     infer_morphism_auto,
     promote,
@@ -294,14 +295,15 @@ def _load_dfao(parser, name: str) -> DFAO:
 
 def _cmd_eval_dfao(parser, args) -> int:
     d = _load_dfao(parser, args.automaton)
-    if args.n is not None:
-        if args.n < 0:
-            parser.error("--n must be a natural")
-        print(eval_dfao(d, args.n))
-        return EXIT_OK
-    if args.upto < 0:
-        parser.error("--upto must be a natural")
-    print(" ".join(str(eval_dfao(d, n)) for n in range(args.upto + 1)))
+    flag, n = ("--n", args.n) if args.n is not None else ("--upto", args.upto)
+    if n < 0:
+        parser.error(f"{flag} must be a natural")
+    try:
+        values = [eval_dfao(d, n)] if flag == "--n" else eval_dfao_range(d, n).tolist()
+    except ValueError as exc:
+        print(f"error: {args.automaton}: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    print(" ".join(map(str, values)))
     return EXIT_OK
 
 

@@ -5,8 +5,9 @@ every natural has a unique representation with digits in {0,1}, no two
 adjacent 1s, and no leading zero.  Left-shifting a representation (appending
 a 0) multiplies by the golden ratio up to bounded error, which yields exact
 formulas for the Beatty floors floor(n*phi) and floor(n*phi^2) without any
-floating point.  The module also provides the Hofstadter G-sequence, mex,
-and integer certificates for comparisons against multiples of sqrt(5).
+floating point.  `zeckendorf_digits` and `floor_phi_range` cover a whole
+range 0..N at once.  The module also provides the Hofstadter G-sequence,
+mex, and integer certificates for comparisons against multiples of sqrt(5).
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import numpy as np
 __all__ = [
     "fib",
     "rep_F",
+    "zeckendorf_digits",
     "val_F",
     "is_canonical",
     "shift",
@@ -66,6 +68,24 @@ def rep_F(n: int) -> str:
         else:
             digits.append("0")
     return "".join(digits)
+
+
+def zeckendorf_digits(n_max: int) -> np.ndarray:
+    """(n_max+1, L) uint8 matrix whose row n is rep_F(n), msd first, zero-padded.
+
+    Filled greedily over all rows at once, one weight at a time.
+    """
+    if n_max < 0:
+        raise ValueError(f"negative argument {n_max}")
+    fs = _fibs_through(n_max)
+    width = bisect_right(fs, n_max)
+    rest = np.arange(n_max + 1)
+    digits = np.zeros((n_max + 1, width), dtype=np.uint8)
+    for col, weight in enumerate(reversed(fs[:width])):
+        take = rest >= weight
+        digits[:, col] = take
+        rest[take] -= weight
+    return digits
 
 
 def val_F(word: str | Sequence[int]) -> int:

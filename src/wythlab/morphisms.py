@@ -7,6 +7,9 @@ DFAO.  The inference heuristic runs the other way, recovering a candidate
 substitution and coding from a sequence prefix by grouping positions whose
 iterated image blocks agree.
 
+`eval_dfao_range` runs the automaton on all of 0..N at once over the
+Zeckendorf digit matrix; like `eval_dfao` it never reads the substitution.
+
 Positions and image blocks are connected through the numeration system:
 appending i zeros to rep_F(n) gives the first position of the i-th iterated
 image of the letter at position n, and rep_F(n+1) followed by i zeros is one
@@ -17,7 +20,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .fibnum import floor_phi, floor_phi2, rep_F, val_F
+import numpy as np
+
+from .fibnum import floor_phi_range, rep_F, val_F, zeckendorf_digits
 
 __all__ = [
     "Morphism",
@@ -26,6 +31,7 @@ __all__ = [
     "fixed_point_prefix",
     "promote",
     "eval_dfao",
+    "eval_dfao_range",
     "block_span",
     "InferenceError",
     "InferenceResult",
@@ -33,7 +39,6 @@ __all__ = [
     "infer_morphism_auto",
     "k2_adjust",
     "k2_adjust_prefix",
-    "k2_adjust_by_recurrence",
     "k2_adjust_prefix_by_recurrence",
 ]
 
@@ -140,9 +145,32 @@ def eval_dfao(d: DFAO, n: int):
     for digit in rep_F(n):
         nxt = d.transitions[state][int(digit)]
         if nxt is None:
-            raise ValueError(f"undefined transition from state {state} on {digit}")
+            raise ValueError(
+                f"undefined transition from state {state} on {digit} at n={n}"
+            )
         state = nxt
     return d.outputs[state]
+
+
+def eval_dfao_range(d: DFAO, n_max: int) -> np.ndarray:
+    """Array of eval_dfao(d, n) for n = 0..n_max, one digit column at a time.
+
+    Leading zeros are not fed.  A missing transition raises the ValueError
+    eval_dfao gives for the least such n.
+    """
+    digits = zeckendorf_digits(n_max)
+    sink = d.state_count  # absorbs every missing transition
+    table = np.array([[sink if t is None else t for t in edges]
+                      for edges in d.transitions] + [[sink, sink]])
+    state = np.full(n_max + 1, d.initial)
+    fed = np.zeros(n_max + 1, dtype=bool)
+    for col in digits.T:
+        fed |= col.astype(bool)
+        state = np.where(fed, table[state, col], state)
+    stuck = np.flatnonzero(state == sink)
+    if stuck.size:
+        eval_dfao(d, int(stuck[0]))  # raises the scalar error for that n
+    return np.asarray(d.outputs)[state]
 
 
 def block_span(i: int, n: int) -> tuple[int, int]:
@@ -281,19 +309,25 @@ def infer_morphism_auto(
 def k2_adjust_prefix(count: int) -> tuple[int, ...]:
     """First `count` values from the primary definition, by exact search.
 
-    A two-pointer sweep exploits that both Beatty floors increase, keeping
-    the whole prefix linear-time; every candidate m is checked exactly.
+    All targets floor(n phi) - 1 are looked up among floor(m phi^2) at once.
+    A match has m < n, so blocks of increasing n read only settled values.
     """
-    out: list[int] = []
-    m = 0
-    fm = floor_phi2(0)
-    for n in range(count):
-        target = floor_phi(n) - 1
-        while fm < target:
-            m += 1
-            fm = floor_phi2(m)
-        out.append(1 - out[m] if fm == target and target >= 0 else 1)
-    return tuple(out)
+    if count <= 0:
+        return ()
+    fp = floor_phi_range(count)
+    fp2 = fp + np.arange(count + 1)
+    target = fp[:count] - 1
+    m = np.searchsorted(fp2, target)
+    hit = fp2[m] == target
+    out = np.ones(count, dtype=np.int64)
+    lo = 0
+    while lo < count:
+        # m is nondecreasing, so n < hi has every match m below lo
+        hi = max(lo + 1, int(np.searchsorted(m, lo)))
+        sel = lo + np.flatnonzero(hit[lo:hi])
+        out[sel] = 1 - out[m[sel]]
+        lo = hi
+    return tuple(out.tolist())
 
 
 def k2_adjust(n: int) -> int:
@@ -317,8 +351,3 @@ def k2_adjust_prefix_by_recurrence(count: int) -> tuple[int, ...]:
     for n in range(2, count):
         out[n] = 1 - out[h[n - 1]] if h[n - 2] < h[n - 1] else 1
     return tuple(out)
-
-
-def k2_adjust_by_recurrence(n: int) -> int:
-    """Value at n from the Hofstadter-recurrence form."""
-    return k2_adjust_prefix_by_recurrence(n + 1)[n]

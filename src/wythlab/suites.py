@@ -26,12 +26,10 @@ from .games import (
     wspec,
 )
 from .morphisms import (
-    Coding,
-    eval_dfao,
+    eval_dfao_range,
     fixed_point_prefix,
     k2_adjust_prefix,
     k2_adjust_prefix_by_recurrence,
-    promote,
 )
 
 __all__ = [
@@ -84,29 +82,6 @@ def _mask_equality(got: np.ndarray, want: np.ndarray, what: str) -> CheckResult:
     )
 
 
-def _k_closed_mask(ell: int, bound: int) -> np.ndarray:
-    if ell not in (1, 2, 3, 4):
-        raise ValueError(f"no closed form for K^{ell}; closed forms cover ell 1..4")
-    if ell == 1:
-        return ch.k1_closed_form_mask(bound)
-    if ell == 2:
-        return ch.k2_closed_form_mask(bound)
-    closed = ch.closed_form_K3 if ell == 3 else ch.closed_form_K4
-    mask = np.zeros((bound + 1, bound + 1), dtype=bool)
-    for s in range(min(ell, bound) + 1):
-        for x in range(s + 1):
-            mask[x, s - x] = True
-    n = 0
-    while True:
-        a, b = closed(n)
-        if a > bound:
-            break
-        if b <= bound:
-            mask[a, b] = mask[b, a] = True
-        n += 1
-    return mask
-
-
 def _w_closed_mask(k: int, bound: int) -> np.ndarray:
     if k == 2:
         return ch.w2_closed_form_mask(bound)
@@ -151,7 +126,7 @@ def suite_closed_forms(ell=None, k=None, bound=None) -> list[SuiteItem]:
     items = []
     for e in ells:
         spec = kspec(e)
-        mask = _k_closed_mask(e, B)
+        mask = ch.closed_form_mask(e, B)
         table = solve(spec, B)
         items.append(
             _timed(f"closed-forms/K{e}/set-equality", spec.label(), B,
@@ -330,14 +305,14 @@ def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
         morphism, coding = ADJUST_SYSTEMS[e]
 
         def dfao_vs_word(e=e, morphism=morphism, coding=coding, H=H):
-            word = coding.map(fixed_point_prefix(morphism, 0, H))
-            d = adjust_dfao(e)
-            for n in range(H):
-                got = eval_dfao(d, n)
-                if got != word[n]:
-                    return CheckResult(
-                        False, f"automaton says {got}, word says {word[n]} at n={n}", n
-                    )
+            word = np.asarray(coding.map(fixed_point_prefix(morphism, 0, H)))
+            got = eval_dfao_range(adjust_dfao(e), H - 1)
+            bad = np.flatnonzero(got != word)
+            if bad.size:
+                n = int(bad[0])
+                return CheckResult(
+                    False, f"automaton says {got[n]}, word says {word[n]} at n={n}", n
+                )
             return CheckResult(True, f"{H} values agree")
 
         items.append(_timed(f"morphic/k{e}-adjust/dfao-vs-word",

@@ -7,11 +7,13 @@ import pytest
 from wythlab.catalog import ADJUST_SYSTEMS, PARTITION_SYSTEMS
 from wythlab.characterizations import (
     DiscrepancyProfile,
+    _sqrt5_leq_vec,
     check_discrepancy,
     closed_form_K1,
     closed_form_K2,
     closed_form_K3,
     closed_form_K4,
+    closed_form_mask,
     closed_form_pairs,
     counting_check,
     density_certificate,
@@ -29,7 +31,7 @@ from wythlab.characterizations import (
     w2_closed_form_mask,
     w3_closed_form_mask,
 )
-from wythlab.fibnum import rep_F
+from wythlab.fibnum import rep_F, sqrt5_times_leq
 from wythlab.games import kspec, ppos_list, solve, wspec
 from wythlab.morphisms import fixed_point_prefix
 
@@ -112,6 +114,10 @@ class TestClosedFormK2ToK4:
         assert closed_form_K3(16) == (29, 49)
         assert closed_form_K4(5) == (11, 21)
 
+    def test_k2_terminal_indices(self):
+        assert closed_form_K2(0) == (0, 1)
+        assert closed_form_K2(1) == (0, 2)
+
     def test_k2_mask_equals_solver(self):
         assert np.array_equal(k2_closed_form_mask(300), solve(kspec(2), 300).ppos)
 
@@ -122,9 +128,23 @@ class TestClosedFormK2ToK4:
         got = closed_form_pairs(ell, len(want)).pairs
         assert got == want
 
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4])
+    def test_pairs_match_mex_recursion(self, ell):
+        assert closed_form_pairs(ell, 3000).pairs == mex_sequence(ell, 3000).pairs
+
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4])
+    def test_masks_match_solver_at_small_bounds(self, ell):
+        # below bound ell the box cuts the terminal triangle
+        for bound in range(9):
+            assert np.array_equal(closed_form_mask(ell, bound),
+                                  solve(kspec(ell), bound).ppos), bound
+
     def test_unsupported_ell(self):
         with pytest.raises(ValueError):
             closed_form_pairs(5, 10)
+        for ell in (0, 5):
+            with pytest.raises(ValueError):
+                closed_form_mask(ell, 10)
 
     @pytest.mark.parametrize("ell,brute", [
         (3, k3_adjust_prefix_bruteforce),
@@ -236,6 +256,23 @@ class TestDiscrepancy:
         res = check_discrepancy(bad)
         assert not res.ok
         assert res.counterexample == 50
+
+    def test_sqrt5_certificate_overflow_raises(self):
+        # 5 x^2 wraps in int64 here; the exact answer is False
+        assert not sqrt5_times_leq(1_400_000_000, 3_000_000_000)
+        with pytest.raises(ValueError):
+            _sqrt5_leq_vec(np.array([1_400_000_000]), np.array([3_000_000_000]))
+
+    @pytest.mark.parametrize("field", ["S", "lam"])
+    def test_out_of_range_profile_raises(self, field):
+        prof = discrepancy_profile(2, 300)
+        fields = {"S": prof.S, "lam": prof.lam}
+        doctored = fields[field].copy()
+        doctored[-1] = 4_000_000_000
+        fields[field] = doctored
+        bad = DiscrepancyProfile(ell=2, a=prof.a, b=prof.b, eps=prof.eps, **fields)
+        with pytest.raises(ValueError):
+            check_discrepancy(bad)
 
 
 class TestDensity:

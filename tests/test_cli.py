@@ -7,10 +7,11 @@ import subprocess
 import numpy as np
 import pytest
 
-from wythlab.catalog import adjust_dfao, builtin_dfaos
+from wythlab import suites
+from wythlab.catalog import ADJUST_SYSTEMS, adjust_dfao, builtin_dfaos
 from wythlab.cli import main, pairs_to_json, read_pairs_csv, write_pairs_csv
 from wythlab.games import kspec, ppos_list, read_table_cache, solve
-from wythlab.morphisms import eval_dfao, k2_adjust_prefix
+from wythlab.morphisms import Coding, eval_dfao, k2_adjust_prefix
 from wythlab.walnut import from_walnut
 
 TABLE1_G = (1, 0, 1, 1, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1)
@@ -164,6 +165,21 @@ class TestVerifyCommand:
         assert out.splitlines()[-1] == "2/2 checks passed"
         assert "stable on [0,0]^2" in out and "absorbing on [0,0]^2" in out
 
+    def test_closed_forms_below_terminal_threshold(self, capsys):
+        code, out, _ = run(capsys, ["verify", "closed-forms", "--ell", "3",
+                                    "--bound", "1"])
+        assert code == 0
+        assert out.splitlines()[-1] == "3/3 checks passed"
+
+    def test_dfao_vs_word_names_first_mismatch(self, capsys, monkeypatch):
+        morphism, coding = ADJUST_SYSTEMS[2]
+        doctored = Coding((0,) + coding.outputs[1:])  # letter 0 starts the word
+        monkeypatch.setattr(suites, "ADJUST_SYSTEMS", {2: (morphism, doctored)})
+        code, out, _ = run(capsys, ["verify", "morphic", "--ell", "2",
+                                    "--bound", "50"])
+        assert code == 1
+        assert "automaton says 1, word says 0 at n=0" in out
+
 
 class TestInferCommand:
     def write_prefix(self, tmp_path, values):
@@ -297,6 +313,17 @@ class TestEvalDfaoCommand:
         with pytest.raises(SystemExit) as ei:
             main(["eval-dfao", str(path), "--n", "0"])
         assert ei.value.code == 1
+
+    @pytest.mark.parametrize("mode", [["--n", "3"], ["--upto", "6"]])
+    def test_undefined_transition(self, capsys, tmp_path, mode):
+        # state 0 has no 0-edge, so rep_F(3) = "100" gets stuck
+        path = tmp_path / "partial.txt"
+        path.write_text("msd_fib\n0 1\n1 -> 1\n\n1 2\n0 -> 0\n")
+        code, out, err = run(capsys, ["eval-dfao", str(path)] + mode)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: undefined transition")
+        assert "at n=3" in err
 
 
 class TestExportCommand:

@@ -19,6 +19,7 @@ from wythlab.fibnum import (
     sqrt5_times_geq,
     sqrt5_times_leq,
     val_F,
+    zeckendorf_digits,
 )
 
 
@@ -124,6 +125,21 @@ class TestBeattyFloors:
             assert is_floor_phi(n, m)
             assert not is_floor_phi(n, m - 1)
             assert not is_floor_phi(n, m + 1)
+
+
+class TestDigitMatrix:
+    @given(st.integers(min_value=0, max_value=600))
+    def test_rows_are_representations(self, n_max):
+        digits = zeckendorf_digits(n_max)
+        assert digits.dtype == np.uint8
+        assert digits.shape == (n_max + 1, len(rep_F(n_max)))
+        for n, row in enumerate(digits):
+            assert "".join(map(str, row)).lstrip("0") == rep_F(n)
+
+    def test_zero_and_negative(self):
+        assert zeckendorf_digits(0).shape == (1, 0)
+        with pytest.raises(ValueError):
+            zeckendorf_digits(-1)
 
 
 class TestHofstadter:

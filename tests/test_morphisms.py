@@ -24,6 +24,7 @@ from wythlab.morphisms import (
     Morphism,
     block_span,
     eval_dfao,
+    eval_dfao_range,
     fixed_point_prefix,
     infer_morphism,
     infer_morphism_auto,
@@ -122,6 +123,20 @@ class TestPromoteAndEval:
         with pytest.raises(ValueError):
             eval_dfao(d, 1)
 
+    def test_range_matches_scalar(self):
+        for name, d in builtin_dfaos().items():
+            got = eval_dfao_range(d, 3000).tolist()
+            assert got == [eval_dfao(d, n) for n in range(3001)], name
+
+    def test_range_skips_leading_zeros(self):
+        # state 0 has no 0-edge: feeding a leading zero would get stuck
+        d = DFAO(transitions=((None, 1), (0, None)), outputs=(1, 2))
+        assert eval_dfao_range(d, 2).tolist() == [1, 2, 1]
+        with pytest.raises(ValueError, match="at n=3"):
+            eval_dfao_range(d, 6)
+        with pytest.raises(ValueError, match="at n=3"):
+            eval_dfao(d, 3)
+
     def test_eval_feeds_msd_first(self):
         # reading rep_F(4) = "101" from the start state
         d = adjust_dfao(2)
@@ -139,6 +154,9 @@ class TestK2Adjust:
 
     def test_definition_matches_recurrence(self):
         assert k2_adjust_prefix(5000) == k2_adjust_prefix_by_recurrence(5000)
+
+    def test_definition_matches_recurrence_at_scale(self):
+        assert k2_adjust_prefix(10**5) == k2_adjust_prefix_by_recurrence(10**5)
 
     def test_scalar_matches_prefix(self):
         pref = k2_adjust_prefix(300)
