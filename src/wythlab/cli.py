@@ -198,7 +198,9 @@ def _cmd_verify(parser, args) -> int:
         items = run_suite(args.suite, ell=args.ell, k=args.k, bound=args.bound)
     except (ValueError, ResourceLimitError) as exc:
         parser.error(str(exc))
-    width = max((len(it.name) for it in items), default=20) + 2
+    if not items:  # only --ell can select nothing (suite morphic)
+        parser.error(f"suite {args.suite!r} has no checks for --ell {args.ell}")
+    width = max(len(it.name) for it in items) + 2
     failures = 0
     for it in items:
         status = "PASS" if it.result.ok else "FAIL"
@@ -251,7 +253,9 @@ def _cmd_infer(parser, args) -> int:
             try:
                 t = int(args.types)
             except ValueError:
-                parser.error(f"--types must be 'auto' or an integer: {args.types!r}")
+                t = 0  # rejected below with the out-of-range depths
+            if t < 1:
+                parser.error(f"--types must be 'auto' or a depth >= 1: {args.types!r}")
             result = infer_morphism(prefix, t)
     except InferenceError as exc:
         print(f"inference failed: {exc}", file=sys.stderr)

@@ -5,9 +5,11 @@ every natural has a unique representation with digits in {0,1}, no two
 adjacent 1s, and no leading zero.  Left-shifting a representation (appending
 a 0) multiplies by the golden ratio up to bounded error, which yields exact
 formulas for the Beatty floors floor(n*phi) and floor(n*phi^2) without any
-floating point.  `zeckendorf_digits` and `floor_phi_range` cover a whole
-range 0..N at once.  The module also provides the Hofstadter G-sequence,
-mex, and integer certificates for comparisons against multiples of sqrt(5).
+floating point.  Whole ranges 0..N share one greedy digit pass over all
+rows: `zeckendorf_digits`, `shift_range` (the array twin of `shift`),
+`floor_phi_range` and `morphisms.eval_dfao_range` read its columns.  The
+module also provides the Hofstadter G-sequence, mex, and integer
+certificates for comparisons against multiples of sqrt(5).
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ __all__ = [
     "val_F",
     "is_canonical",
     "shift",
+    "shift_range",
     "floor_phi",
     "floor_phi2",
     "floor_phi_range",
@@ -36,9 +39,9 @@ __all__ = [
 _FIBS: list[int] = [1, 2]
 
 
-def _fibs_through(n: int) -> list[int]:
-    """Extend the weight table until it covers n and return it."""
-    while _FIBS[-1] <= n:
+def _fibs_through(n: int, i: int = 0) -> list[int]:
+    """Extend the weight table until it holds fib(i) and a weight above n."""
+    while len(_FIBS) <= i or _FIBS[-1] <= n:
         _FIBS.append(_FIBS[-1] + _FIBS[-2])
     return _FIBS
 
@@ -47,9 +50,7 @@ def fib(i: int) -> int:
     """The i-th numeration weight: fib(0)=1, fib(1)=2, fib(2)=3, ..."""
     if i < 0:
         raise ValueError(f"negative index {i}")
-    while len(_FIBS) <= i:
-        _FIBS.append(_FIBS[-1] + _FIBS[-2])
-    return _FIBS[i]
+    return _fibs_through(0, i)[i]
 
 
 def rep_F(n: int) -> str:
@@ -70,22 +71,23 @@ def rep_F(n: int) -> str:
     return "".join(digits)
 
 
-def zeckendorf_digits(n_max: int) -> np.ndarray:
-    """(n_max+1, L) uint8 matrix whose row n is rep_F(n), msd first, zero-padded.
+def _digit_columns(n_max: int):
+    """Yield (j, bool digits of weight fib(j) in rep_F(0..n_max)), msd first,
+    zero-padded: one greedy pass over all rows at once."""
+    fs = _fibs_through(n_max)
+    rest = np.arange(n_max + 1)
+    for j in range(bisect_right(fs, n_max) - 1, -1, -1):
+        take = rest >= fs[j]
+        np.subtract(rest, fs[j], out=rest, where=take)
+        yield j, take
 
-    Filled greedily over all rows at once, one weight at a time.
-    """
+
+def zeckendorf_digits(n_max: int) -> np.ndarray:
+    """(n_max+1, L) uint8 matrix whose row n is rep_F(n), msd first, zero-padded."""
     if n_max < 0:
         raise ValueError(f"negative argument {n_max}")
-    fs = _fibs_through(n_max)
-    width = bisect_right(fs, n_max)
-    rest = np.arange(n_max + 1)
-    digits = np.zeros((n_max + 1, width), dtype=np.uint8)
-    for col, weight in enumerate(reversed(fs[:width])):
-        take = rest >= weight
-        digits[:, col] = take
-        rest[take] -= weight
-    return digits
+    cols = [take for _, take in _digit_columns(n_max)]
+    return np.array(cols, dtype=np.uint8).reshape(len(cols), n_max + 1).T
 
 
 def val_F(word: str | Sequence[int]) -> int:
@@ -114,6 +116,18 @@ def shift(n: int) -> int:
     return val_F(rep_F(n) + "0")
 
 
+def shift_range(n_max: int, i: int = 1) -> np.ndarray:
+    """Array of val_F(rep_F(n) + "0" * i) for n = 0..n_max; i=1 gives shift."""
+    if min(n_max, i) < 0:
+        raise ValueError(f"negative argument {min(n_max, i)}")
+    out = np.zeros(n_max + 1, dtype=np.int64)
+    for j, take in _digit_columns(n_max):
+        if fib(j + i + 1) > np.iinfo(np.int64).max:  # bounds every sum
+            raise ValueError(f"shift_range({n_max}, {i}) overflows int64")
+        np.add(out, fib(j + i), out=out, where=take)
+    return out
+
+
 def floor_phi(n: int) -> int:
     """floor(n * phi), exactly, via the shift identity."""
     if n < 0:
@@ -129,25 +143,8 @@ def floor_phi2(n: int) -> int:
 
 
 def floor_phi_range(n_max: int) -> np.ndarray:
-    """Array of floor(n*phi) for n = 0..n_max.
-
-    The per-step difference floor(n*phi) - floor((n-1)*phi) is 2 exactly when
-    n-1 lies in the lower Wythoff sequence, i.e. when letter n-1 (1-indexed)
-    of the infinite Fibonacci word is 'a'.  Expanding that word costs O(n_max)
-    integer work, so large sweeps avoid n_max separate shift computations.
-    """
-    if n_max < 0:
-        raise ValueError(f"negative argument {n_max}")
-    w = bytearray((0, 1))  # 0 = 'a', 1 = 'b'
-    i = 1
-    while len(w) < n_max:  # need letters 1..n_max-1 (1-indexed)
-        w.extend((0, 1) if w[i] == 0 else (0,))
-        i += 1
-    d = np.ones(n_max + 1, dtype=np.int64)
-    d[0] = 0
-    if n_max >= 2:
-        d[2:] = 2 - np.frombuffer(bytes(w[: n_max - 1]), dtype=np.uint8)
-    return np.cumsum(d)
+    """Array of floor(n*phi) for n = 0..n_max, by the shift identity of floor_phi."""
+    return np.concatenate(([0], shift_range(n_max)[:-1] + 1))
 
 
 def is_floor_phi(n: int, m: int) -> bool:

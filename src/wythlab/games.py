@@ -369,6 +369,8 @@ def non_redundant_witness(
     (blocking the other k-1 would leave only it).  None means no witness in
     the box, which is inconclusive, never a redundancy proof.
     """
+    if bound < 0:
+        raise ValueError(f"negative bound {bound}")
     _validate_move(move)
     dx, dy = move
     if dx > bound or dy > bound:

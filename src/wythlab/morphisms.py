@@ -7,13 +7,13 @@ DFAO.  The inference heuristic runs the other way, recovering a candidate
 substitution and coding from a sequence prefix by grouping positions whose
 iterated image blocks agree.
 
-`eval_dfao_range` runs the automaton on all of 0..N at once over the
-Zeckendorf digit matrix; like `eval_dfao` it never reads the substitution.
+`eval_dfao_range` steps all of 0..N at once on the greedy digit columns of
+`fibnum`; like `eval_dfao` it never reads the substitution.
 
 Positions and image blocks are connected through the numeration system:
 appending i zeros to rep_F(n) gives the first position of the i-th iterated
 image of the letter at position n, and rep_F(n+1) followed by i zeros is one
-past its last position.
+past its last position; `shift_range(L, i)` lists them for every n.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fibnum import floor_phi_range, rep_F, val_F, zeckendorf_digits
+from .fibnum import _digit_columns, fib, floor_phi_range, rep_F, shift_range, val_F
 
 __all__ = [
     "Morphism",
@@ -158,15 +158,16 @@ def eval_dfao_range(d: DFAO, n_max: int) -> np.ndarray:
     Leading zeros are not fed.  A missing transition raises the ValueError
     eval_dfao gives for the least such n.
     """
-    digits = zeckendorf_digits(n_max)
+    if n_max < 0:
+        raise ValueError(f"negative argument {n_max}")
     sink = d.state_count  # absorbs every missing transition
     table = np.array([[sink if t is None else t for t in edges]
                       for edges in d.transitions] + [[sink, sink]])
     state = np.full(n_max + 1, d.initial)
     fed = np.zeros(n_max + 1, dtype=bool)
-    for col in digits.T:
-        fed |= col.astype(bool)
-        state = np.where(fed, table[state, col], state)
+    for _, col in _digit_columns(n_max):
+        fed |= col
+        state = np.where(fed, table[state, col.view(np.uint8)], state)
     stuck = np.flatnonzero(state == sink)
     if stuck.size:
         eval_dfao(d, int(stuck[0]))  # raises the scalar error for that n
@@ -220,28 +221,24 @@ def infer_morphism(prefix: Sequence, t: int) -> InferenceResult:
         raise ValueError(f"t must be >= 1, got {t}")
     seq = tuple(prefix)
     L = len(seq)
-    type_index: dict[tuple, int] = {}
-    letter_of: list[int] = []
-    n = 0
-    while True:
-        spans = [block_span(i, n) for i in range(1, t + 1)]
-        if spans[-1][1] >= L:
-            break
-        tup = (seq[n],) + tuple(seq[a : b + 1] for a, b in spans)
-        letter_of.append(type_index.setdefault(tup, len(type_index)))
-        n += 1
-    n_typed = n
-    if n_typed < 2:
+    if fib(t + 1) > L:  # the depth-t block of position 1 ends at fib(t+1) - 1
         raise InferenceError(
             f"prefix of length {L} types no positions at depth t={t}; "
             "provide a longer prefix"
         )
-    images: dict[int, Word] = {}
+    # typed n: depth-t block inside seq; starts[i-1][n]: start of its depth-i block
+    n_typed = int(np.searchsorted(shift_range(L, t)[1:], L, side="right"))
+    starts = [shift_range(n_typed, i).tolist() for i in range(1, t + 1)]
+    type_index: dict[tuple, int] = {}
+    letter_of: list[int] = []
     for n in range(n_typed):
-        a, b = block_span(1, n)
-        if b >= n_typed:
+        tup = (seq[n],) + tuple(seq[s[n] : s[n + 1]] for s in starts)
+        letter_of.append(type_index.setdefault(tup, len(type_index)))
+    images: dict[int, Word] = {}
+    for n, (a, b) in enumerate(zip(starts[0], starts[0][1:])):
+        if b > n_typed:
             continue
-        img = tuple(letter_of[j] for j in range(a, b + 1))
+        img = tuple(letter_of[a:b])
         letter = letter_of[n]
         known = images.setdefault(letter, img)
         if known != img:

@@ -152,6 +152,8 @@ class TestVerifyCommand:
         ["blocking", "--k", "4"],
         ["kernel", "--k", "0"],
         ["mex", "--bound", "-5"],
+        ["redundancy", "--bound", "-1"],
+        ["morphic", "--ell", "7"],
     ])
     def test_domain_error_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as ei:
@@ -262,11 +264,12 @@ class TestInferCommand:
             main(["infer", str(path)])
         assert ei.value.code == 2
 
-    def test_bad_types_value(self, tmp_path):
+    @pytest.mark.parametrize("types", ["soon", "0", "-2"])
+    def test_bad_types_value(self, tmp_path, types):
         path = tmp_path / "prefix.txt"
         path.write_text("1 0 1")
         with pytest.raises(SystemExit) as ei:
-            main(["infer", str(path), "--types", "soon"])
+            main(["infer", str(path), "--types", types])
         assert ei.value.code == 2
 
 
@@ -361,6 +364,7 @@ class TestConsoleScript:
             capture_output=True, text=True, timeout=120,
         )
         assert install.returncode == 0, install.stderr
+        assert (tmp_path / "wythlab-0.1.0.dist-info").is_dir()
         proc = subprocess.run(
             [str(tmp_path / "bin" / "wythlab"), "eval-dfao", "k2-adjust",
              "--upto", "10"],

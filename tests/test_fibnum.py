@@ -16,6 +16,7 @@ from wythlab.fibnum import (
     mex,
     rep_F,
     shift,
+    shift_range,
     sqrt5_times_geq,
     sqrt5_times_leq,
     val_F,
@@ -118,6 +119,8 @@ class TestBeattyFloors:
 
     def test_range_empty_and_single(self):
         assert floor_phi_range(0).tolist() == [0]
+        assert floor_phi_range(1).tolist() == [0, 1]
+        assert floor_phi_range(2).tolist() == [0, 1, 3]
 
     def test_is_floor_phi(self):
         for n in range(1, 500):
@@ -140,6 +143,30 @@ class TestDigitMatrix:
         assert zeckendorf_digits(0).shape == (1, 0)
         with pytest.raises(ValueError):
             zeckendorf_digits(-1)
+
+
+class TestShiftRange:
+    def test_matches_scalar_shift(self):
+        for i in range(5):
+            got = shift_range(3000, i).tolist()
+            assert got == [val_F(rep_F(n) + "0" * i) for n in range(3001)]
+
+    @given(st.integers(min_value=0, max_value=2 * 10**5),
+           st.integers(min_value=0, max_value=8))
+    def test_last_value_and_order(self, n_max, i):
+        got = shift_range(n_max, i)
+        assert got.shape == (n_max + 1,)
+        assert got[-1] == val_F(rep_F(n_max) + "0" * i)
+        assert (got[1:] > got[:-1]).all()
+
+    def test_bad_arguments(self):
+        for n_max, i in ((-1, 1), (5, -1), (0, -1)):
+            with pytest.raises(ValueError, match="negative"):
+                shift_range(n_max, i)
+        # rep_F(10) = 10010: at i=86 the weights fit in int64, their sum not
+        assert shift_range(10, 85)[-1] == val_F(rep_F(10) + "0" * 85)
+        with pytest.raises(ValueError, match="overflows"):
+            shift_range(10, 86)
 
 
 class TestHofstadter:

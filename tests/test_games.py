@@ -366,6 +366,11 @@ class TestWitnesses:
         for move in ((25, 0), (0, 21), (30, 30)):
             assert non_redundant_witness(kspec(1), move, 20) is None
 
+    def test_negative_bound(self):
+        for move in ((1, 0), (0, 3), (2, 2)):
+            with pytest.raises(ValueError, match="negative bound"):
+                non_redundant_witness(kspec(1), move, -1)
+
 
 class TestCache:
     def test_round_trip(self, tmp_path):

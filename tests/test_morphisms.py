@@ -127,6 +127,11 @@ class TestPromoteAndEval:
         for name, d in builtin_dfaos().items():
             got = eval_dfao_range(d, 3000).tolist()
             assert got == [eval_dfao(d, n) for n in range(3001)], name
+        d = adjust_dfao(2)
+        assert eval_dfao_range(d, 0).tolist() == [eval_dfao(d, 0)]
+        for n_max in (-1, -5):
+            with pytest.raises(ValueError, match="negative argument"):
+                eval_dfao_range(d, n_max)
 
     def test_range_skips_leading_zeros(self):
         # state 0 has no 0-edge: feeding a leading zero would get stuck
@@ -231,6 +236,40 @@ class TestInference:
     def test_short_prefix_rejected(self):
         with pytest.raises(InferenceError):
             infer_morphism(k2_adjust_prefix(10), 3)
+
+    def test_untyped_prefix_boundary(self):
+        """The no-typed-positions error fires exactly when the scalar block
+        spans type fewer than two positions."""
+        word = k2_adjust_prefix(40)
+        for t in range(1, 5):
+            for length in range(41):
+                typed = 0
+                while block_span(t, typed)[1] < length:
+                    typed += 1
+                try:
+                    infer_morphism(word[:length], t)
+                    untyped = False
+                except InferenceError as exc:
+                    untyped = "types no positions" in str(exc)
+                assert untyped == (typed < 2), (t, length)
+
+    def test_image_block_ending_at_last_typed_position(self):
+        # the depth-1 block of position 1 is position 2, the last typed one
+        result = infer_morphism(k2_adjust_prefix(5), 1)
+        assert result.typed_positions == 3
+        assert result.morphism == FIBONACCI_MORPHISM
+
+    @pytest.mark.parametrize("ell,t", [(3, 5), (4, 4)])
+    @pytest.mark.parametrize("length", [800, 3001])
+    def test_typed_positions_match_block_span(self, ell, t, length):
+        morphism, coding = ADJUST_SYSTEMS[ell]
+        prefix = coding.map(fixed_point_prefix(morphism, 0, length))
+        result = infer_morphism(prefix, t)
+        assert (result.morphism, result.coding) == ADJUST_SYSTEMS[ell]
+        typed = 0
+        while block_span(t, typed)[1] < length:
+            typed += 1
+        assert result.typed_positions == typed
 
     def test_constant_sequence(self):
         result = infer_morphism_auto([1] * 60)
