@@ -144,7 +144,10 @@ def floor_phi2(n: int) -> int:
 
 def floor_phi_range(n_max: int) -> np.ndarray:
     """Array of floor(n*phi) for n = 0..n_max, by the shift identity of floor_phi."""
-    return np.concatenate(([0], shift_range(n_max)[:-1] + 1))
+    out = shift_range(n_max)
+    out[1:] = out[:-1] + 1
+    out[0] = 0
+    return out
 
 
 def is_floor_phi(n: int, m: int) -> bool:

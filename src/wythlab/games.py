@@ -147,31 +147,35 @@ def options(p: tuple[int, int]) -> list[tuple[int, int]]:
 def _sweep(bound: int, member) -> None:
     """Visit the anti-diagonals s = 0..2*bound of [0,bound]^2 in order.
 
-    hP/vP/dP count the members seen so far in each row, column and
-    difference-diagonal.  The cells (x, s-x), x0 <= x <= x1, of one
-    anti-diagonal have distinct rows, columns and differences, and all their
-    options lie on earlier anti-diagonals, so three strided slices give cnt,
-    the number of member options of each cell.  member(s, x0, cnt) returns
-    the diagonal's membership as a bool array, which is added to the counts.
+    cnt, the number of member options of cell (x, s-x), sums the members
+    seen so far in its row, column and difference e = x-y+B = 2x+c, c = B-s:
+    all its options lie on earlier anti-diagonals, and the cells of one
+    anti-diagonal have distinct rows, columns and differences.  The counts
+    are stored as h[x], v[B-y] and, by parity, d[e & 1][e // 2], so cells
+    x0..x1 read forward unit-stride slices from x0 at offsets 0, c and c // 2
+    (floor division, also for c < 0).  cnt is a view of one int32 buffer,
+    valid only during member(s, x0, cnt), which returns the distinct int
+    offsets of the members; the sweep adds 1 at each: O(members) writes.
     """
     if bound < 0:
         raise ValueError(f"negative bound {bound}")
     B = bound
-    hP = np.zeros(B + 1, dtype=np.int32)
-    vP = np.zeros(B + 1, dtype=np.int32)
-    dP = np.zeros(2 * B + 1, dtype=np.int32)
+    h, v, *d = np.zeros((4, B + 1), dtype=np.int32)
+    buf = np.empty(B + 1, dtype=np.int32)
     for s in range(2 * B + 1):
         x0 = max(0, s - B)
         x1 = min(s, B)
-        rows = slice(x0, x1 + 1)
-        cols = slice(s - x1, s - x0 + 1)
-        d_hi = s - 2 * x1 + B - 1
-        diffs = slice(s - 2 * x0 + B, d_hi if d_hi >= 0 else None, -2)
-        cnt = hP[rows] + vP[cols][::-1] + dP[diffs]
-        upd = member(s, x0, cnt).view(np.int8)
-        hP[rows] += upd
-        vP[cols] += upd[::-1]
-        dP[diffs] += upd
+        c = B - s
+        rows = h[x0 : x1 + 1]
+        cols = v[x0 + c : x1 + c + 1]
+        diffs = d[c & 1][x0 + c // 2 : x1 + c // 2 + 1]
+        cnt = np.add(rows, cols, out=buf[: x1 - x0 + 1])
+        cnt += diffs
+        at = member(s, x0, cnt)
+        if at.size:
+            rows[at] += 1
+            cols[at] += 1
+            diffs[at] += 1
 
 
 def _rule(spec: GameSpec, s: int, cnt: np.ndarray) -> np.ndarray:
@@ -197,12 +201,11 @@ def _p_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
     ys: list[np.ndarray] = []
 
     def classify(s, x0, cnt):
-        is_p = _rule(spec, s, cnt)
-        x = np.flatnonzero(is_p) + x0
-        if x.size:
-            xs.append(x)
-            ys.append(s - x)
-        return is_p
+        at = _rule(spec, s, cnt).nonzero()[0]
+        if at.size:
+            xs.append(at + x0)
+            ys.append(s - x0 - at)
+        return at
 
     _sweep(bound, classify)
     return np.concatenate(xs), np.concatenate(ys)  # (0, 0) is always P
@@ -266,7 +269,7 @@ def option_member_counts(mask: np.ndarray) -> np.ndarray:
     def record(s, x0, cnt):
         xs = np.arange(x0, x0 + cnt.size)
         out[xs, s - xs] = cnt
-        return _antidiagonal(mask, s)
+        return _antidiagonal(mask, s).nonzero()[0]
 
     _sweep(mask.shape[0] - 1, record)
     return out
@@ -308,7 +311,7 @@ def _first_violation(candidate, spec: GameSpec, bound: int, stable: bool):
         if bad.size and (first is None or x0 + bad[0] < first[0][0]):
             x = x0 + int(bad[0])
             first = (x, s - x), int(cnt[bad[0]])
-        return member
+        return member.nonzero()[0]
 
     _sweep(bound, read)
     return mask, first
@@ -430,8 +433,10 @@ def read_table_cache(path) -> PNTable:
     header, payload, digest = blob[:head_len], blob[head_len:-32], blob[-32:]
     if hashlib.sha256(header + payload).digest() != digest:
         raise CacheError(f"{path}: checksum mismatch")
-    variant = variant.decode()
-    spec = kspec(param) if variant == "K" else wspec(param)
+    try:
+        spec = {b"K": kspec, b"W": wspec}[variant](param)
+    except (KeyError, ValueError) as exc:
+        raise CacheError(f"{path}: bad rule-set {variant!r} {param}") from exc
     n = bound + 1
     expect = (n * n + 7) // 8
     if len(payload) != expect:

@@ -82,6 +82,13 @@ def _mask_equality(got: np.ndarray, want: np.ndarray, what: str) -> CheckResult:
     )
 
 
+def _reject_unread(suite: str, **unread) -> None:
+    """Refuse an argument the suite ignores: its PASS would not cover it."""
+    for flag, value in unread.items():
+        if value is not None:
+            raise ValueError(f"suite {suite!r} does not read --{flag}")
+
+
 def _w_closed_mask(k: int, bound: int) -> np.ndarray:
     if k == 2:
         return ch.w2_closed_form_mask(bound)
@@ -120,7 +127,7 @@ def suite_kernel(ell=None, k=None, bound=None) -> list[SuiteItem]:
 
 def suite_closed_forms(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Closed-form sets versus solver ground truth, plus their kernel checks."""
-    del k
+    _reject_unread("closed-forms", k=k)
     B = K_BOUND_DEFAULT if bound is None else bound
     ells = [ell] if ell is not None else [1, 2, 3, 4]
     items = []
@@ -145,7 +152,7 @@ def suite_closed_forms(ell=None, k=None, bound=None) -> list[SuiteItem]:
 
 def suite_mex(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """The mex recursion versus the solver, partition, and counting."""
-    del k
+    _reject_unread("mex", k=k)
     B = K_BOUND_DEFAULT if bound is None else bound
     ells = [ell] if ell is not None else list(range(7))
     items = []
@@ -188,7 +195,7 @@ def suite_mex(ell=None, k=None, bound=None) -> list[SuiteItem]:
 
 def suite_blocking(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Explicit W^2/W^3 families versus the solver; W^1 equals K^0."""
-    del ell
+    _reject_unread("blocking", ell=ell)
     B = W_BOUND_DEFAULT if bound is None else bound
     ks = [k] if k is not None else [2, 3]
     items = []
@@ -224,7 +231,7 @@ def suite_blocking(ell=None, k=None, bound=None) -> list[SuiteItem]:
 
 def suite_discrepancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Certified discrepancy bounds and density along the a-sequence."""
-    del k
+    _reject_unread("discrepancy", k=k)
     N = DISCREPANCY_HORIZON_DEFAULT if bound is None else bound
     if ell is not None and ell < 1:
         raise ValueError(f"the discrepancy bound is stated for ell >= 1, not {ell}")
@@ -285,7 +292,7 @@ def suite_redundancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
 
 def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Automatic-sequence machinery: oracles, automata, partition words."""
-    del k
+    _reject_unread("morphic", k=k)
     H = MORPHIC_HORIZON_DEFAULT if bound is None else bound
     items = []
     if ell is None or ell == 2:
@@ -345,6 +352,7 @@ SUITES = {
 def run_suite(name: str, ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Run one named suite, or every suite for name 'all'."""
     if name == "all":
+        _reject_unread("all", ell=ell, k=k)  # each is ignored by some suite
         items = []
         for key in sorted(SUITES):
             items += SUITES[key](ell=ell, k=k, bound=bound)

@@ -163,6 +163,23 @@ class TestVerifyCommand:
         assert "error:" in captured.err
         assert "FAIL" not in captured.out
 
+    @pytest.mark.parametrize("suite,flag", [
+        ("closed-forms", "--k"),
+        ("mex", "--k"),
+        ("discrepancy", "--k"),
+        ("morphic", "--k"),
+        ("blocking", "--ell"),
+        ("all", "--k"),
+        ("all", "--ell"),
+    ])
+    def test_unread_argument_is_usage_error(self, capsys, suite, flag):
+        with pytest.raises(SystemExit) as ei:
+            main(["verify", suite, flag, "2"])
+        captured = capsys.readouterr()
+        assert ei.value.code == 2
+        assert f"suite {suite!r} does not read {flag}" in captured.err
+        assert captured.out == ""
+
     def test_bound_zero_is_checked_at_zero(self, capsys):
         code, out, _ = run(capsys, ["verify", "kernel", "--ell", "2",
                                     "--bound", "0"])

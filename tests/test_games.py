@@ -1,9 +1,12 @@
 """Rule-sets, the retrograde solver, kernel checks, witnesses, caching."""
 import functools
+import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wythlab.games import (
     CacheError,
@@ -105,9 +108,11 @@ class TestSolve:
         wspec(1), wspec(2), wspec(3),
     ])
     def test_matches_brute_force(self, spec):
-        want = brute_force(spec, 12)
-        got = solve(spec, 12).ppos
-        assert np.array_equal(got, want)
+        # odd and even bounds read different parity arrays of the sweep
+        want = brute_force(spec, 40)
+        for bound in (0, 1, 12, 13, 40):
+            got = solve(spec, bound).ppos
+            assert np.array_equal(got, want[: bound + 1, : bound + 1]), bound
 
     def test_terminal_region_all_p(self):
         t = solve(kspec(4), 30).ppos
@@ -165,6 +170,16 @@ class TestPairExtraction:
     def test_solve_pairs_streams_same_list(self, spec, bound):
         assert tuple(solve_pairs(spec, bound)) == ppos_list(solve(spec, bound)).pairs
 
+    def test_solve_pairs_stays_linear_in_memory(self):
+        tracemalloc.start()
+        try:
+            pairs = solve_pairs(kspec(2), 4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 1527
+        assert peak < 2 * 2**20
+
     def test_sequence_container(self):
         pp = ppos_list(solve(kspec(1), 60))
         assert len(pp) == len(pp.pairs)
@@ -177,12 +192,14 @@ class TestPairExtraction:
 class TestOptionCounts:
     def test_against_direct_count(self):
         rng = np.random.default_rng(7)
-        mask = rng.random((25, 25)) < 0.3
-        cnt = option_member_counts(mask)
-        for x in range(25):
-            for y in range(25):
-                want = sum(1 for q in options((x, y)) if mask[q])
-                assert cnt[x, y] == want, (x, y)
+        for size in (1, 2, 25, 26):
+            for density in (0.3, 0.9, 1.0):  # 1.0: every cell a member
+                mask = rng.random((size, size)) < density
+                cnt = option_member_counts(mask)
+                for x in range(size):
+                    for y in range(size):
+                        want = sum(1 for q in options((x, y)) if mask[q])
+                        assert cnt[x, y] == want, (size, density, x, y)
 
     def test_empty_mask(self):
         assert option_member_counts(np.zeros((5, 5), bool)).sum() == 0
@@ -412,3 +429,87 @@ class TestCache:
         back = read_table_cache(path)
         with pytest.raises(ValueError):
             back.ppos[0, 0] = False
+
+
+def resealed(blob: bytes) -> bytes:
+    """The cache file blob with its sha256 trailer recomputed."""
+    body = blob[:-32]
+    return body + hashlib.sha256(body).digest()
+
+
+def fresh(path):
+    """path with any old file removed: rewriting in place is slow on some filesystems."""
+    path.unlink(missing_ok=True)
+    return path
+
+
+def cache_blob(tmp_path) -> bytes:
+    path = fresh(tmp_path / "valid.pn")
+    write_table_cache(solve(kspec(1), 20), path)
+    return path.read_bytes()
+
+
+def read_blob(tmp_path, blob: bytes):
+    """read_table_cache on blob, with the tracemalloc peak of the read."""
+    path = fresh(tmp_path / "crafted.pn")
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        try:
+            return read_table_cache(path), tracemalloc.get_traced_memory()[1]
+        except CacheError:
+            return None, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Header: magic (4 bytes), version, variant, param (uint32), bound (uint32).
+VARIANT_AT, PARAM_AT, BOUND_AT = 5, 6, 10
+
+
+class TestCacheHeaders:
+    @pytest.mark.parametrize("variant,param", [
+        (b"Z", 1), (b"\xff", 1), (b"k", 1), (b"W", 0),
+    ])
+    def test_bad_rule_set_with_valid_checksum(self, tmp_path, variant, param):
+        blob = bytearray(cache_blob(tmp_path))
+        blob[VARIANT_AT:VARIANT_AT + 1] = variant
+        blob[PARAM_AT:PARAM_AT + 4] = struct.pack("<I", param)
+        path = fresh(tmp_path / "crafted.pn")
+        path.write_bytes(resealed(bytes(blob)))
+        with pytest.raises(CacheError, match="bad rule-set"):
+            read_table_cache(path)
+
+    @pytest.mark.parametrize("bound", [21, 20000, 2**32 - 1])
+    def test_oversized_bound_allocates_nothing(self, tmp_path, bound):
+        blob = bytearray(cache_blob(tmp_path))
+        blob[BOUND_AT:BOUND_AT + 4] = struct.pack("<I", bound)
+        table, peak = read_blob(tmp_path, resealed(bytes(blob)))
+        assert table is None
+        assert peak < 2**16
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_mutated_files_raise_only_cache_error(self, tmp_path, data):
+        blob = bytearray(cache_blob(tmp_path))
+        kind = data.draw(st.sampled_from(["flip", "truncate", "bound"]))
+        if kind == "flip":
+            bits = st.one_of(st.integers(0, 8 * BOUND_AT + 31),  # the header
+                             st.integers(0, 8 * len(blob) - 1))
+            for at in data.draw(st.lists(bits, min_size=1, max_size=4)):
+                blob[at // 8] ^= 1 << (at % 8)
+        elif kind == "truncate":
+            del blob[data.draw(st.integers(0, len(blob) - 1)):]
+        else:
+            blob[BOUND_AT:BOUND_AT + 4] = struct.pack(
+                "<I", data.draw(st.integers(0, 2**32 - 1)))
+        if len(blob) >= 32 and data.draw(st.booleans()):
+            blob = resealed(bytes(blob))
+        table, peak = read_blob(tmp_path, bytes(blob))
+        if table is not None:
+            assert table.spec.variant.encode() == blob[VARIANT_AT:VARIANT_AT + 1]
+            n = table.bound + 1
+            assert table.ppos.shape == (n, n)
+            assert (n * n + 7) // 8 <= len(blob)
+        assert peak < 2**16
