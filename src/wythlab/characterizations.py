@@ -3,11 +3,13 @@
 Every rule-set the solver handles exactly also admits at least one compact
 description: a Zeckendorf pattern for K^1, one table (CLOSED_FORMS) of
 Beatty floors perturbed by an automatic sequence for K^1..K^4, a mex
-recursion for every K^ell,
-explicit pair families for the blocking variants, and partition words whose
-n-th letters 'a' and 'b' locate the n-th pair.  This module implements all
-of them together with the finite checks that compare them to each other and
-to solver ground truth, plus discrepancy and counting quantities.
+recursion for every K^ell, explicit pair families for the blocking variants,
+and partition words whose n-th letters 'a' and 'b' locate the n-th pair.
+closed_form_table turns the K^1..K^4 and W^2/W^3 forms into the P-cells of a
+box, the shape the solver's tables and the kernel checks use.  This module
+implements all of them together with the finite checks that compare them to
+each other and to solver ground truth, plus discrepancy and counting
+quantities.
 
 Comparisons against irrational thresholds (multiples of the golden ratio)
 are decided by integer certificates, never by floating point.
@@ -28,7 +30,7 @@ from .fibnum import (
     sqrt5_times_geq,
     sqrt5_times_leq,
 )
-from .games import CheckResult, PposSequence
+from .games import CheckResult, GameSpec, PNTable, PposSequence, kspec, wspec
 from .morphisms import (
     Coding,
     Morphism,
@@ -40,6 +42,7 @@ from .morphisms import (
 __all__ = [
     "mex_sequence",
     "CLOSED_FORMS",
+    "closed_form_table",
     "closed_form_mask",
     "closed_form_K1",
     "k1_remark_pair",
@@ -144,17 +147,35 @@ def closed_form_pairs(ell: int, count: int) -> PposSequence:
     return PposSequence(ell=ell, pairs=tuple(zip(a.tolist(), b.tolist())))
 
 
+def closed_form_table(spec: GameSpec, bound: int) -> PNTable:
+    """The closed-form P-set of K^1..K^4 or W^2/W^3 on [0,bound]^2, as cells.
+
+    K^ell: the CLOSED_FORMS pairs plus the terminal triangle x + y <= ell.
+    W^k: the explicit pair families plus (0, 0).  Both orientations.
+    """
+    if bound < 0:
+        raise ValueError(f"negative bound {bound}")
+    if spec.variant == "K":
+        # adj >= 0 and alpha >= -1 give a > m phi - 2, so every pair with
+        # a <= bound has m < (bound + 2) / phi, below this stop
+        a, b = _closed_form_arrays(spec.ell, 2, bound * 2 // 3 + 8)
+        t = np.arange(spec.ell + 1)
+        tx, ty = np.nonzero(t[:, None] + t <= spec.ell)
+        u, v = np.r_[a, tx], np.r_[b, ty]
+    elif spec.k in (2, 3):  # {n, 2n+1} plus, for W^2, the all-even pairs
+        n = np.arange(bound // 2 + 2)
+        fp = floor_phi_range(bound // 2 + 1)
+        a, b = (2 * fp + 2, 2 * (fp + n) + 2) if spec.k == 2 else (n, 2 * n + 2)
+        u, v = np.r_[0, n, a], np.r_[0, 2 * n + 1, b]
+    else:
+        raise ValueError(f"no closed form for W^{spec.k}")
+    return PNTable.from_cells(spec, bound, np.r_[u, v], np.r_[v, u])
+
+
 def closed_form_mask(ell: int, bound: int) -> np.ndarray:
     """Box mask of the K^ell closed form plus the terminal triangle
     x + y <= ell, both orientations."""
-    # adj >= 0 and alpha >= -1 give a > m phi - 2, so every pair with
-    # a <= bound has m < (bound + 2) / phi, below this stop
-    a, b = _closed_form_arrays(ell, 2, bound * 2 // 3 + 8)
-    mask = np.zeros((bound + 1, bound + 1), dtype=bool)
-    t = np.arange(min(ell, bound) + 1)
-    mask[: t.size, : t.size] = t[:, None] + t <= ell
-    _mark_pairs(mask, a, b, bound)
-    return mask
+    return closed_form_table(kspec(ell), bound).ppos
 
 
 def closed_form_K1(a: int, b: int) -> bool:
@@ -181,7 +202,7 @@ def k1_remark_pair(n: int) -> tuple[int, int]:
 
 def k1_closed_form_mask(bound: int) -> np.ndarray:
     """Box mask of the K^1 closed form, both orientations."""
-    return closed_form_mask(1, bound)
+    return closed_form_table(kspec(1), bound).ppos
 
 
 def closed_form_K2(n: int) -> tuple[int, int]:
@@ -192,7 +213,7 @@ def closed_form_K2(n: int) -> tuple[int, int]:
 
 def k2_closed_form_mask(bound: int) -> np.ndarray:
     """Box mask of the K^2 family plus the terminal region x+y <= 2."""
-    return closed_form_mask(2, bound)
+    return closed_form_table(kspec(2), bound).ppos
 
 
 def closed_form_K3(n: int) -> tuple[int, int]:
@@ -268,32 +289,14 @@ def ppos_W3(x: int, y: int) -> bool:
     return v == 2 * u + 1 or v == 2 * u + 2
 
 
-def _mark_pairs(mask: np.ndarray, u: np.ndarray, v: np.ndarray, bound: int) -> None:
-    keep = (u <= bound) & (v <= bound)
-    mask[u[keep], v[keep]] = True
-    mask[v[keep], u[keep]] = True
-
-
 def w2_closed_form_mask(bound: int) -> np.ndarray:
     """Box mask of the W^2 family, both orientations."""
-    mask = np.zeros((bound + 1, bound + 1), dtype=bool)
-    mask[0, 0] = True
-    n = np.arange(bound // 2 + 1)
-    _mark_pairs(mask, n, 2 * n + 1, bound)
-    fp = floor_phi_range(bound // 2 + 1)
-    n = np.arange(len(fp))
-    _mark_pairs(mask, 2 * fp + 2, 2 * (fp + n) + 2, bound)
-    return mask
+    return closed_form_table(wspec(2), bound).ppos
 
 
 def w3_closed_form_mask(bound: int) -> np.ndarray:
     """Box mask of the W^3 family, both orientations."""
-    mask = np.zeros((bound + 1, bound + 1), dtype=bool)
-    mask[0, 0] = True
-    n = np.arange(bound // 2 + 1)
-    _mark_pairs(mask, n, 2 * n + 1, bound)
-    _mark_pairs(mask, n, 2 * n + 2, bound)
-    return mask
+    return closed_form_table(wspec(3), bound).ppos
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,8 @@ def _cmd_infer(parser, args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        parser.error(f"{args.input}: {exc}")
     if not prefix:
         parser.error(f"{args.input}: empty sequence")
     try:
@@ -292,7 +294,7 @@ def _load_dfao(parser, name: str) -> DFAO:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO) from None
-    except WalnutFormatError as exc:
+    except (WalnutFormatError, UnicodeDecodeError) as exc:
         print(f"error: {name}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CHECK_FAILED) from None
 

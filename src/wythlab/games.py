@@ -12,8 +12,10 @@ in increasing-sum order is exact on the full box with no truncation at the
 boundary.  One counting sweep visits the anti-diagonals in that order and
 gives each cell's number of member options.  The solver takes members from
 the game rule; the stability and absorption checks read them from the
-candidate and compare with the rule, in O(bound) extra memory; and
-option_member_counts records the counts for the witness search.
+candidate and compare with the rule; and option_member_counts records the
+counts.  A P-set is kept as its O(bound) cells, never as a box mask: the
+solver memoises cells, every candidate form becomes cells, and the witness
+search counts a cell's P-options by binary search over the P-cells.
 """
 from __future__ import annotations
 
@@ -95,11 +97,43 @@ def wspec(k: int) -> GameSpec:
 
 @dataclass(frozen=True, eq=False)
 class PNTable:
-    """P/N classification of the full box [0,B]^2; ppos[x,y] is True for P."""
+    """P/N classification of the full box [0,B]^2, kept as its P-cells.
+
+    xs, ys are read-only and list each P-position once, ordered by x + y and
+    then by x.  ppos builds the box mask on each read; ppos[x,y] is True for P.
+    """
 
     spec: GameSpec
     bound: int
-    ppos: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.xs.flags.writeable = self.ys.flags.writeable = False
+
+    @classmethod
+    def from_cells(cls, spec: GameSpec, bound: int, xs, ys) -> PNTable:
+        """The table whose P-set is the cells (xs[i], ys[i]) inside the box."""
+        return cls(spec, bound, *_canonical(xs, ys, bound))
+
+    @property
+    def ppos(self) -> np.ndarray:
+        mask = np.zeros((self.bound + 1, self.bound + 1), dtype=bool)
+        mask[self.xs, self.ys] = True
+        mask.flags.writeable = False
+        return mask
+
+
+def _canonical(xs, ys, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct cells of (xs, ys) inside [0,bound]^2, by x + y, then x."""
+    if bound < 0:
+        raise ValueError(f"negative bound {bound}")
+    xs, ys = np.asarray(xs, np.int64), np.asarray(ys, np.int64)
+    keep = (xs >= 0) & (xs <= bound) & (ys >= 0) & (ys <= bound)
+    n = bound + 1
+    key = np.unique((xs[keep] + ys[keep]) * n + xs[keep])
+    xs = key % n
+    return xs, key // n - xs
 
 
 @dataclass(frozen=True)
@@ -185,11 +219,6 @@ def _rule(spec: GameSpec, s: int, cnt: np.ndarray) -> np.ndarray:
     return cnt <= (spec.k - 1 if spec.variant == "W" else 0)
 
 
-def _antidiagonal(mask: np.ndarray, s: int) -> np.ndarray:
-    """Cells (x, s-x) of a square array in increasing x, as a bool view."""
-    return np.diagonal(mask[:, ::-1], mask.shape[1] - 1 - s).astype(bool, copy=False)
-
-
 def _p_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates of every P-position of [0,bound]^2; there are O(bound)."""
     if bound > MAX_SOLVE_BOUND:
@@ -221,27 +250,17 @@ def _sorted_pairs(spec: GameSpec, xs: np.ndarray, ys: np.ndarray) -> tuple:
 
 @lru_cache(maxsize=64)
 def _solve_cached(spec: GameSpec, bound: int) -> PNTable:
-    xs, ys = _p_cells(spec, bound)
-    table = np.zeros((bound + 1, bound + 1), dtype=bool)
-    table[xs, ys] = True
-    table.flags.writeable = False
-    return PNTable(spec=spec, bound=bound, ppos=table)
+    return PNTable(spec, bound, *_p_cells(spec, bound))
 
 
 def solve(spec: GameSpec, bound: int) -> PNTable:
-    """Exact classification of the full box [0,bound]^2.
-
-    Results are memoised; the returned table is immutable and safe to share.
-    """
+    """Exact classification of the full box [0,bound]^2, memoised as P-cells;
+    the table is immutable and safe to share."""
     return _solve_cached(spec, bound)
 
 
 def solve_pairs(spec: GameSpec, bound: int) -> list[tuple[int, int]]:
-    """Sorted non-terminal P-pairs of the box without materialising a table.
-
-    Suited to bounds in the tens of thousands where the full byte mask would
-    be the only memory consumer.
-    """
+    """Sorted non-terminal P-pairs of the box, computed afresh, not memoised."""
     return list(_sorted_pairs(spec, *_p_cells(spec, bound)))
 
 
@@ -254,67 +273,80 @@ def ppos_list(table: PNTable, spec: GameSpec | None = None) -> PposSequence:
     spec = table.spec if spec is None else spec
     if spec != table.spec:
         raise ValueError(f"table solved for {table.spec}, not {spec}")
-    pairs = _sorted_pairs(spec, *np.nonzero(table.ppos))
-    return PposSequence(ell=spec.ell, pairs=pairs)
+    return PposSequence(ell=spec.ell, pairs=_sorted_pairs(spec, table.xs, table.ys))
+
+
+def _candidate_cells(candidate, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """A candidate P-set as its cells of [0,bound]^2, in PNTable order.
+
+    The candidate is a PNTable, a boolean array at least (bound+1)^2, a
+    predicate f(x, y), or an iterable of (x, y) pairs.
+    """
+    if isinstance(candidate, PNTable):
+        if candidate.bound < bound:
+            raise ValueError(f"candidate bound {candidate.bound} below {bound}")
+        xs, ys = candidate.xs, candidate.ys
+    elif isinstance(candidate, np.ndarray):
+        if min(candidate.shape) <= bound:
+            raise ValueError(f"candidate {candidate.shape} too small for bound {bound}")
+        xs, ys = np.nonzero(candidate[: bound + 1, : bound + 1])
+    else:
+        if callable(candidate):
+            box = range(bound + 1)
+            candidate = [(x, y) for x in box for y in box if candidate(x, y)]
+        xs, ys = np.asarray(list(candidate), np.int64).reshape(-1, 2).T
+    return _canonical(xs, ys, bound)
+
+
+def _members(xs: np.ndarray, ys: np.ndarray, bound: int):
+    """member(s, x0): offsets from x0 of the cells on anti-diagonal s."""
+    starts = np.searchsorted(xs + ys, np.arange(2 * bound + 2))
+    return lambda s, x0: xs[starts[s] : starts[s + 1]] - x0
 
 
 def option_member_counts(mask: np.ndarray) -> np.ndarray:
     """cnt[x,y] = number of options of (x,y) that lie in the square mask.
 
-    The counting sweep over the mask, writing each anti-diagonal's counts
-    into an int32 table.
+    The counting sweep over the mask's cells, writing each anti-diagonal's
+    counts into an int32 table.
     """
+    bound = mask.shape[0] - 1
+    member = _members(*_candidate_cells(mask, bound), bound)
     out = np.zeros(mask.shape, dtype=np.int32)
 
     def record(s, x0, cnt):
         xs = np.arange(x0, x0 + cnt.size)
         out[xs, s - xs] = cnt
-        return _antidiagonal(mask, s).nonzero()[0]
+        return member(s, x0)
 
-    _sweep(mask.shape[0] - 1, record)
+    _sweep(bound, record)
     return out
 
 
-def _candidate_mask(candidate, bound: int) -> np.ndarray:
-    """Normalise a membership predicate to a boolean box mask."""
-    if isinstance(candidate, PNTable):
-        candidate = candidate.ppos
-    if isinstance(candidate, np.ndarray):
-        if min(candidate.shape) <= bound:
-            raise ValueError(f"candidate {candidate.shape} too small for bound {bound}")
-        return candidate[: bound + 1, : bound + 1].astype(bool, copy=False)
-    if callable(candidate):
-        box = range(bound + 1)
-        candidate = [(x, y) for x in box for y in box if candidate(x, y)]
-    mask = np.zeros((bound + 1, bound + 1), dtype=bool)
-    for x, y in candidate:
-        if 0 <= x <= bound and 0 <= y <= bound:
-            mask[x, y] = True
-    return mask
-
-
 def _first_violation(candidate, spec: GameSpec, bound: int, stable: bool):
-    """Sweep the candidate against the game rule; return (mask, first).
+    """Sweep the candidate against the game rule; return (cells, first).
 
     A member the rule calls N breaks stability, a non-member it calls P
     breaks absorption.  first is ((x, y), member-option count) of the
     row-major first violation, the least x over all anti-diagonals, or None.
     """
-    mask = _candidate_mask(candidate, bound)
+    cells = _candidate_cells(candidate, bound)
+    member = _members(*cells, bound)
     first = None
 
     def read(s, x0, cnt):
         nonlocal first
-        member = _antidiagonal(mask, s)
-        is_p = _rule(spec, s, cnt)
-        bad = np.flatnonzero(member & ~is_p if stable else is_p & ~member)
+        at = member(s, x0)
+        is_p, is_member = _rule(spec, s, cnt), np.zeros(cnt.size, dtype=bool)
+        is_member[at] = True
+        bad = np.flatnonzero(is_member & ~is_p if stable else is_p & ~is_member)
         if bad.size and (first is None or x0 + bad[0] < first[0][0]):
             x = x0 + int(bad[0])
             first = (x, s - x), int(cnt[bad[0]])
-        return member.nonzero()[0]
+        return at
 
     _sweep(bound, read)
-    return mask, first
+    return cells, first
 
 
 def check_stable(candidate, spec: GameSpec, bound: int) -> CheckResult:
@@ -326,11 +358,12 @@ def check_stable(candidate, spec: GameSpec, bound: int) -> CheckResult:
     (source, member option) for K and (source, tuple of k member options)
     for W.
     """
-    mask, first = _first_violation(candidate, spec, bound, stable=True)
+    (xs, ys), first = _first_violation(candidate, spec, bound, stable=True)
     if first is None:
         return CheckResult(True, f"stable on [0,{bound}]^2")
     src, count = first
-    members = [q for q in options(src) if mask[q]]
+    cells = set(zip(xs.tolist(), ys.tolist()))
+    members = [q for q in options(src) if q in cells]
     if spec.variant == "K":
         return CheckResult(False, f"member {src} moves to member {members[0]}",
                            (src, members[0]))
@@ -355,13 +388,6 @@ def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
     )
 
 
-def _validate_move(move: tuple[int, int]) -> None:
-    dx, dy = move
-    ok = (dx > 0 and dy == 0) or (dx == 0 and dy > 0) or (dx == dy and dx > 0)
-    if not ok:
-        raise ValueError(f"move {move} is not of Wythoff shape")
-
-
 def non_redundant_witness(
     spec: GameSpec, move: tuple[int, int], bound: int
 ) -> tuple[int, int] | None:
@@ -370,31 +396,36 @@ def non_redundant_witness(
     K variant: a witness has exactly one P-option, reached by this move.
     W variant: a witness has exactly k P-options, one reached by this move
     (blocking the other k-1 would leave only it).  None means no witness in
-    the box, which is inconclusive, never a redundancy proof.
+    the box, which is inconclusive, never a redundancy proof.  The answer is
+    the row-major first witness.
     """
     if bound < 0:
         raise ValueError(f"negative bound {bound}")
-    _validate_move(move)
     dx, dy = move
+    if not ((dx > 0 and dy in (0, dx)) or (dx == 0 and dy > 0)):
+        raise ValueError(f"move {move} is not of Wythoff shape")
     if dx > bound or dy > bound:
         return None
+    P = solve(spec, bound)
     n = bound + 1
-    reached = solve(spec, bound).ppos[: n - dx, : n - dy]
-    hits = np.flatnonzero(_witness_mask(spec, bound)[dx:, dy:] & reached)
-    if not hits.size:
-        return None
-    x, y = divmod(int(hits[0]), n - dy)
-    return x + dx, y + dy
-
-
-@lru_cache(maxsize=64)
-def _witness_mask(spec: GameSpec, bound: int) -> np.ndarray:
-    """N-positions with exactly as many P-options as a witness has."""
-    P = solve(spec, bound).ppos
+    inside = (P.xs <= bound - dx) & (P.ys <= bound - dy)
+    x, y = P.xs[inside] + dx, P.ys[inside] + dy  # the move takes (x, y) to a P-cell
+    # the P-options of a cell are the P-cells before it on its row, column
+    # and difference x - y: binary search over their keys line * n + at
+    count = 0
+    for line, at, cell_line, cell_at in (
+        (P.xs, P.ys, x, y),
+        (P.ys, P.xs, y, x),
+        (P.xs - P.ys + bound, P.xs, x - y + bound, x),
+    ):
+        keys = np.sort(line * n + at)
+        starts = np.searchsorted(keys, np.arange(2 * n) * n)
+        count += np.searchsorted(keys, cell_line * n + cell_at) - starts[cell_line]
     want = 1 if spec.variant == "K" else spec.k
-    mask = ~P & (option_member_counts(P) == want)
-    mask.flags.writeable = False
-    return mask
+    # count == want leaves out every P-cell but the terminals of K: the
+    # solver gives other P-cells no P-option in K and at most k - 1 in W
+    hits = (x * n + y)[(count == want) & (x + y > spec.terminal_sum)]
+    return divmod(int(hits.min()), n) if hits.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +473,4 @@ def read_table_cache(path) -> PNTable:
     if len(payload) != expect:
         raise CacheError(f"{path}: payload length {len(payload)} != {expect}")
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n * n)
-    ppos = bits.astype(bool).reshape(n, n)
-    ppos.flags.writeable = False
-    return PNTable(spec=spec, bound=bound, ppos=ppos)
+    return PNTable.from_cells(spec, bound, *np.nonzero(bits.reshape(n, n)))

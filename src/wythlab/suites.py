@@ -17,6 +17,7 @@ from .catalog import ADJUST_SYSTEMS, PARTITION_SYSTEMS, adjust_dfao
 from .games import (
     CheckResult,
     GameSpec,
+    PNTable,
     check_absorbing,
     check_stable,
     kspec,
@@ -68,18 +69,17 @@ def _timed(name: str, spec_label: str, bound: int, fn) -> SuiteItem:
     return SuiteItem(name, spec_label, bound, result, time.perf_counter() - t0)
 
 
-def _mask_equality(got: np.ndarray, want: np.ndarray, what: str) -> CheckResult:
-    diff = got ^ want
-    if not diff.any():
+def _set_equality(got: PNTable, want: PNTable, what: str) -> CheckResult:
+    """Compare the P-cells of two tables of one box, reporting the row-major
+    first cell in exactly one of them."""
+    n = want.bound + 1
+    g, w = got.xs * n + got.ys, want.xs * n + want.ys
+    diff = np.setxor1d(g, w)
+    if not diff.size:
         return CheckResult(True, f"{what}: sets identical")
-    flat = int(np.flatnonzero(diff)[0])
-    x, y = divmod(flat, diff.shape[1])
-    return CheckResult(
-        False,
-        f"{what}: first difference at ({x},{y}); "
-        f"closed form says {bool(got[x, y])}, solver says {bool(want[x, y])}",
-        (x, y),
-    )
+    x, y = divmod(int(diff[0]), n)
+    return CheckResult(False, f"{what}: first difference at ({x},{y}); closed form "
+                       f"says {diff[0] in g}, solver says {diff[0] in w}", (x, y))
 
 
 def _reject_unread(suite: str, **unread) -> None:
@@ -89,12 +89,19 @@ def _reject_unread(suite: str, **unread) -> None:
             raise ValueError(f"suite {suite!r} does not read --{flag}")
 
 
-def _w_closed_mask(k: int, bound: int) -> np.ndarray:
-    if k == 2:
-        return ch.w2_closed_form_mask(bound)
-    if k == 3:
-        return ch.w3_closed_form_mask(bound)
-    raise ValueError(f"no closed form for W^{k}")
+def _kernel_items(name: str, table: PNTable, spec: GameSpec, B: int) -> list[SuiteItem]:
+    """Stability and absorption of a candidate P-set, one item each."""
+    checks = (("stable", check_stable), ("absorbing", check_absorbing))
+    return [_timed(f"{name}/{what}", spec.label(), B, lambda c=check: c(table, spec, B))
+            for what, check in checks]
+
+
+def _closed_form_items(name: str, spec: GameSpec, what: str, B: int) -> list[SuiteItem]:
+    """Set equality with the solver, stability and absorption of a closed form."""
+    cells, table = ch.closed_form_table(spec, B), solve(spec, B)
+    equality = _timed(f"{name}/set-equality", spec.label(), B,
+                      lambda: _set_equality(cells, table, what))
+    return [equality] + _kernel_items(name, cells, spec, B)
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +120,7 @@ def suite_kernel(ell=None, k=None, bound=None) -> list[SuiteItem]:
     items = []
     for spec, B in specs:
         tag = spec.label().replace(" ", "-")
-        table = solve(spec, B)
-        items.append(
-            _timed(f"kernel/{tag}/stable", spec.label(), B,
-                   lambda t=table, s=spec, b=B: check_stable(t, s, b))
-        )
-        items.append(
-            _timed(f"kernel/{tag}/absorbing", spec.label(), B,
-                   lambda t=table, s=spec, b=B: check_absorbing(t, s, b))
-        )
+        items += _kernel_items(f"kernel/{tag}", solve(spec, B), spec, B)
     return sorted(items, key=lambda it: it.name)
 
 
@@ -132,21 +131,7 @@ def suite_closed_forms(ell=None, k=None, bound=None) -> list[SuiteItem]:
     ells = [ell] if ell is not None else [1, 2, 3, 4]
     items = []
     for e in ells:
-        spec = kspec(e)
-        mask = ch.closed_form_mask(e, B)
-        table = solve(spec, B)
-        items.append(
-            _timed(f"closed-forms/K{e}/set-equality", spec.label(), B,
-                   lambda m=mask, t=table, e=e: _mask_equality(m, t.ppos, f"K^{e}"))
-        )
-        items.append(
-            _timed(f"closed-forms/K{e}/stable", spec.label(), B,
-                   lambda m=mask, s=spec: check_stable(m, s, B))
-        )
-        items.append(
-            _timed(f"closed-forms/K{e}/absorbing", spec.label(), B,
-                   lambda m=mask, s=spec: check_absorbing(m, s, B))
-        )
+        items += _closed_form_items(f"closed-forms/K{e}", kspec(e), f"K^{e}", B)
     return sorted(items, key=lambda it: it.name)
 
 
@@ -202,28 +187,12 @@ def suite_blocking(ell=None, k=None, bound=None) -> list[SuiteItem]:
     for kk in ks:
         if kk == 1:
             continue
-        spec = wspec(kk)
-        mask = _w_closed_mask(kk, B)
-        table = solve(spec, B)
-        items.append(
-            _timed(f"blocking/W{kk}/set-equality", spec.label(), B,
-                   lambda m=mask, t=table, kk=kk: _mask_equality(m, t.ppos, f"W^{kk}"))
-        )
-        items.append(
-            _timed(f"blocking/W{kk}/stable", spec.label(), B,
-                   lambda m=mask, s=spec: check_stable(m, s, B))
-        )
-        items.append(
-            _timed(f"blocking/W{kk}/absorbing", spec.label(), B,
-                   lambda m=mask, s=spec: check_absorbing(m, s, B))
-        )
+        items += _closed_form_items(f"blocking/W{kk}", wspec(kk), f"W^{kk}", B)
     if k is None or k == 1:
         B1 = min(B, W1_CROSS_BOUND_DEFAULT) if bound is None else B
 
         def w1_equals_k0(B1=B1):
-            got = solve(wspec(1), B1).ppos
-            want = solve(kspec(0), B1).ppos
-            return _mask_equality(got, want, "W^1 vs K^0")
+            return _set_equality(solve(wspec(1), B1), solve(kspec(0), B1), "W^1 vs K^0")
 
         items.append(_timed("blocking/W1-equals-K0", "W k=1", B1, w1_equals_k0))
     return sorted(items, key=lambda it: it.name)
@@ -256,16 +225,12 @@ def suite_discrepancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
     return sorted(items, key=lambda it: it.name)
 
 
-def _redundancy_moves(max_delta: int) -> list[tuple[int, int]]:
-    moves = []
-    for i in range(1, max_delta + 1):
-        moves += [(i, 0), (0, i), (i, i)]
-    return moves
-
-
 def suite_redundancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Every elementary move admits a witness position that needs it."""
     B = REDUNDANCY_BOUND_DEFAULT if bound is None else bound
+    if B < REDUNDANCY_MAX_DELTA:  # a move longer than the box has no witness in it
+        raise ValueError(f"suite 'redundancy' needs --bound >= {REDUNDANCY_MAX_DELTA}, "
+                         f"the longest move checked, not {B}")
     specs: list[GameSpec]
     if ell is not None:
         specs = [kspec(ell)]
@@ -273,7 +238,8 @@ def suite_redundancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
         specs = [wspec(k)]
     else:
         specs = [kspec(e) for e in (1, 2, 3, 4)] + [wspec(2), wspec(3)]
-    moves = _redundancy_moves(REDUNDANCY_MAX_DELTA)
+    moves = [m for i in range(1, REDUNDANCY_MAX_DELTA + 1)
+             for m in ((i, 0), (0, i), (i, i))]
     items = []
     for spec in specs:
         tag = spec.label().replace(" ", "-")

@@ -6,13 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wythlab import suites
 from wythlab.catalog import ADJUST_SYSTEMS, adjust_dfao, builtin_dfaos
 from wythlab.cli import main, pairs_to_json, read_pairs_csv, write_pairs_csv
-from wythlab.games import kspec, ppos_list, read_table_cache, solve
+from wythlab.games import PNTable, kspec, ppos_list, read_table_cache, solve
 from wythlab.morphisms import Coding, eval_dfao, k2_adjust_prefix
 from wythlab.walnut import from_walnut
 
@@ -24,6 +28,18 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exit_code(argv):
+    """(exit code, stderr) of main(argv) with its output captured; any
+    other exception propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
 
 
 class TestSolveCommand:
@@ -154,6 +170,7 @@ class TestVerifyCommand:
         ["mex", "--bound", "-5"],
         ["redundancy", "--bound", "-1"],
         ["morphic", "--ell", "7"],
+        ["blocking", "--bound", "-1"],
     ])
     def test_domain_error_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as ei:
@@ -180,6 +197,37 @@ class TestVerifyCommand:
         assert f"suite {suite!r} does not read {flag}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("bound", [0, 1, 29])
+    def test_redundancy_box_shorter_than_a_move(self, capsys, bound):
+        with pytest.raises(SystemExit) as ei:
+            main(["verify", "redundancy", "--bound", str(bound)])
+        captured = capsys.readouterr()
+        assert ei.value.code == 2
+        assert "needs --bound >= 30" in captured.err
+        assert captured.out == ""
+
+    def test_redundancy_at_the_longest_move_still_runs(self, capsys):
+        code, out, _ = run(capsys, ["verify", "redundancy", "--ell", "1",
+                                    "--bound", "30"])
+        assert code == 1
+        assert "no witness for move" in out
+
+    def test_blocking_negative_bound_message(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["verify", "blocking", "--bound", "-1"])
+        assert ei.value.code == 2
+        assert "negative bound -1" in capsys.readouterr().err
+
+    def test_closed_forms_stay_linear_in_memory(self):
+        tracemalloc.start()
+        try:
+            items = suites.suite_closed_forms(ell=2, bound=4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [it.result.ok for it in items] == [True] * 3
+        assert peak < 4 * 2**20
+
     def test_bound_zero_is_checked_at_zero(self, capsys):
         code, out, _ = run(capsys, ["verify", "kernel", "--ell", "2",
                                     "--bound", "0"])
@@ -192,6 +240,28 @@ class TestVerifyCommand:
                                     "--bound", "1"])
         assert code == 0
         assert out.splitlines()[-1] == "3/3 checks passed"
+
+    @pytest.mark.parametrize("cell,closed,solver", [
+        ((3, 6), False, True),   # a P-pair dropped from the closed form
+        ((2, 9), True, False),   # an N-cell added, row-major before (3, 6)
+    ])
+    def test_set_equality_names_first_difference(self, capsys, monkeypatch,
+                                                 cell, closed, solver):
+        real = suites.ch.closed_form_table
+
+        def doctored(spec, bound):
+            table = real(spec, bound)
+            cells = set(zip(table.xs.tolist(), table.ys.tolist())) ^ {cell}
+            return PNTable.from_cells(spec, bound, *zip(*cells))
+
+        monkeypatch.setattr(suites.ch, "closed_form_table", doctored)
+        code, out, _ = run(capsys, ["verify", "closed-forms", "--ell", "2",
+                                    "--bound", "40"])
+        assert code == 1
+        x, y = cell
+        assert (f"K^2: first difference at ({x},{y}); closed form says {closed}, "
+                f"solver says {solver}") in out
+        assert f"counterexample: {cell}" in out
 
     def test_dfao_vs_word_names_first_mismatch(self, capsys, monkeypatch):
         morphism, coding = ADJUST_SYSTEMS[2]
@@ -281,6 +351,14 @@ class TestInferCommand:
             main(["infer", str(path)])
         assert ei.value.code == 2
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "prefix.txt"
+        path.write_bytes(b"1 0 1 \xff 1 0")
+        with pytest.raises(SystemExit) as ei:
+            main(["infer", str(path)])
+        assert ei.value.code == 2
+        assert f"error: {path}:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("types", ["soon", "0", "-2"])
     def test_bad_types_value(self, tmp_path, types):
         path = tmp_path / "prefix.txt"
@@ -337,6 +415,14 @@ class TestEvalDfaoCommand:
             main(["eval-dfao", str(path), "--n", "0"])
         assert ei.value.code == 1
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"msd_fib\n0 1\xff\n")
+        with pytest.raises(SystemExit) as ei:
+            main(["eval-dfao", str(path), "--n", "3"])
+        assert ei.value.code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     @pytest.mark.parametrize("mode", [["--n", "3"], ["--upto", "6"]])
     def test_undefined_transition(self, capsys, tmp_path, mode):
         # state 0 has no 0-edge, so rep_F(3) = "100" gets stuck
@@ -368,6 +454,45 @@ class TestExportCommand:
                                     "--out", str(tmp_path / "no" / "x.txt")])
         assert code == 3
         assert "error:" in err
+
+
+class TestFuzzedInputs:
+    """Every input ends in an exit code with a message, never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(suite=st.sampled_from(sorted(suites.SUITES) + ["all"]),
+           ell=st.none() | st.integers(-2, 9),
+           k=st.none() | st.integers(-1, 5),
+           bound=st.integers(-3, 40))
+    def test_verify_arguments(self, suite, ell, k, bound):
+        argv = ["verify", suite, "--bound", str(bound)]
+        argv += [] if ell is None else ["--ell", str(ell)]
+        argv += [] if k is None else ["--k", str(k)]
+        code, err = exit_code(argv)
+        assert code in (0, 1, 2)
+        assert code != 2 or "error:" in err
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_eval_dfao_on_mutated_export(self, tmp_path, data):
+        name = data.draw(st.sampled_from(sorted(builtin_dfaos())))
+        path = tmp_path / "automaton.txt"
+        path.unlink(missing_ok=True)
+        assert exit_code(["export", "--automaton", name, "--out", str(path)])[0] == 0
+        blob = bytearray(path.read_bytes())
+        if data.draw(st.booleans()):
+            bits = st.integers(0, 8 * len(blob) - 1)
+            for at in data.draw(st.lists(bits, min_size=1, max_size=4)):
+                blob[at // 8] ^= 1 << (at % 8)
+        else:
+            del blob[data.draw(st.integers(0, len(blob) - 1)):]
+        path.unlink()
+        path.write_bytes(bytes(blob))
+        mode = data.draw(st.sampled_from(["--n", "--upto"]))
+        code, _ = exit_code(["eval-dfao", str(path), mode,
+                             str(data.draw(st.integers(0, 60)))])
+        assert code in (0, 1, 2, 3)
 
 
 class TestConsoleScript:

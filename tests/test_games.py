@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wythlab.games import (
+    _solve_cached,
     CacheError,
     CheckResult,
     GameSpec,
@@ -180,6 +181,17 @@ class TestPairExtraction:
         assert len(pairs) == 1527
         assert peak < 2 * 2**20
 
+    def test_solve_stays_linear_in_memory(self):
+        _solve_cached.cache_clear()  # measure the sweep, not a memo hit
+        tracemalloc.start()
+        try:
+            table = solve(kspec(2), 4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.xs.size == 2 * 1527 + 6  # both orientations, 6 terminals
+        assert peak < 4 * 2**20
+
     def test_sequence_container(self):
         pp = ppos_list(solve(kspec(1), 60))
         assert len(pp) == len(pp.pairs)
@@ -280,6 +292,15 @@ class TestKernelChecks:
     def test_candidate_too_small(self):
         with pytest.raises(ValueError):
             check_stable(np.zeros((10, 10), bool), kspec(1), 20)
+        with pytest.raises(ValueError):
+            check_stable(solve(kspec(1), 20), kspec(1), 21)
+
+    def test_cells_are_distinct_in_box_and_ordered(self):
+        xs, ys = [3, 0, 3, 1, 5, -1, 2], [0, 2, 0, 1, 0, 1, 4]  # a repeat, two outside
+        t = PNTable.from_cells(kspec(1), 4, xs, ys)
+        assert t.xs.tolist() == [0, 1, 3, 2] and t.ys.tolist() == [2, 1, 0, 4]
+        with pytest.raises(ValueError):
+            t.xs[0] = 1
 
     def test_result_truthiness(self):
         assert CheckResult(True)
@@ -375,6 +396,34 @@ class TestWitnesses:
             assert cnt[x, y] == want
             assert table[x - move[0], y - move[1]]
 
+    @pytest.mark.parametrize("spec", [kspec(e) for e in range(5)]
+                             + [wspec(k) for k in (1, 2, 3)], ids=GameSpec.label)
+    def test_witness_is_row_major_first(self, spec):
+        want = 1 if spec.variant == "K" else spec.k
+        moves = [m for i in range(1, 13) for m in ((i, 0), (0, i), (i, i))]
+        for bound in range(41):
+            table = solve(spec, bound).ppos
+            needs = ~table & (option_member_counts(table) == want)
+            n = bound + 1
+            for dx, dy in moves:
+                got = non_redundant_witness(spec, (dx, dy), bound)
+                if dx > bound or dy > bound:
+                    assert got is None
+                    continue
+                hits = np.argwhere(needs[dx:, dy:] & table[: n - dx, : n - dy])
+                first = (int(hits[0, 0]) + dx, int(hits[0, 1]) + dy) if hits.size else None
+                assert got == first, (bound, (dx, dy))
+
+    def test_witness_stays_linear_in_memory(self):
+        tracemalloc.start()
+        try:
+            witness = non_redundant_witness(kspec(2), (1, 0), 4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert witness is not None
+        assert peak < 4 * 2**20
+
     def test_unreachable_move_returns_none(self):
         # bound 2 is too small for any witness of a length-30 slide
         assert non_redundant_witness(kspec(1), (30, 0), 2) is None
@@ -399,6 +448,13 @@ class TestCache:
             assert back.spec == spec
             assert back.bound == 37
             assert np.array_equal(back.ppos, t.ppos)
+
+    def test_round_trip_keeps_orientation(self, tmp_path):
+        t = PNTable.from_cells(kspec(1), 6, [0, 5, 2], [0, 1, 6])
+        path = tmp_path / "table.pn"
+        write_table_cache(t, path)
+        back = read_table_cache(path)
+        assert back.xs.tolist() == [0, 5, 2] and back.ys.tolist() == [0, 1, 6]
 
     def test_checksum_detects_corruption(self, tmp_path):
         t = solve(kspec(1), 30)
