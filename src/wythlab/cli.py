@@ -32,7 +32,7 @@ from .morphisms import (
     infer_morphism_auto,
     promote,
 )
-from .suites import SUITES, run_suite
+from .suites import K_BOUND_DEFAULT, SUITES, W_BOUND_DEFAULT, run_suite
 from .walnut import WalnutFormatError, from_walnut, to_walnut
 
 __all__ = [
@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="solve a board and export the P-positions")
     _add_spec_args(sp)
     sp.add_argument("--bound", type=int, default=None,
-                    help="board bound (default 800 for K, 400 for W)")
+                    help=f"board bound (default {K_BOUND_DEFAULT} for K, "
+                    f"{W_BOUND_DEFAULT} for W)")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--format", choices=("csv", "json", "cache"), default="csv")
 
@@ -167,7 +168,7 @@ def _cmd_solve(parser, args) -> int:
     spec = _spec_from_args(parser, args)
     bound = args.bound
     if bound is None:
-        bound = 800 if spec.variant == "K" else 400
+        bound = K_BOUND_DEFAULT if spec.variant == "K" else W_BOUND_DEFAULT
     if bound < 0:
         parser.error(f"negative bound {bound}")
     try:
@@ -198,8 +199,6 @@ def _cmd_verify(parser, args) -> int:
         items = run_suite(args.suite, ell=args.ell, k=args.k, bound=args.bound)
     except (ValueError, ResourceLimitError) as exc:
         parser.error(str(exc))
-    if not items:  # only --ell can select nothing (suite morphic)
-        parser.error(f"suite {args.suite!r} has no checks for --ell {args.ell}")
     width = max(len(it.name) for it in items) + 2
     failures = 0
     for it in items:

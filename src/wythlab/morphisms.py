@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fibnum import _digit_columns, fib, floor_phi_range, rep_F, shift_range, val_F
+from .fibnum import _digit_columns, floor_phi_range, rep_F, shift_range, val_F
 
 __all__ = [
     "Morphism",
@@ -221,7 +221,9 @@ def infer_morphism(prefix: Sequence, t: int) -> InferenceResult:
         raise ValueError(f"t must be >= 1, got {t}")
     seq = tuple(prefix)
     L = len(seq)
-    if fib(t + 1) > L:  # the depth-t block of position 1 ends at fib(t+1) - 1
+    # the depth-t block of position 1 ends at fib(t+1) - 1; fib(t+1) > L is read
+    # off the digit count of L, which builds no weights beyond L
+    if t + 1 >= len(rep_F(L)):
         raise InferenceError(
             f"prefix of length {L} types no positions at depth t={t}; "
             "provide a longer prefix"

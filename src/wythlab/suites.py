@@ -2,13 +2,14 @@
 
 Each suite runs a family of bounded checks and returns items carrying the
 check name, the rule-set label, the bound, the verdict with any
-counterexample, and the wall time.  Ordering of the returned list is by
-item name so reports are deterministic.
+counterexample, and the wall time.  run_suite orders the items by name, so
+reports are deterministic.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -45,7 +46,6 @@ __all__ = [
 
 K_BOUND_DEFAULT = 800
 W_BOUND_DEFAULT = 400
-W1_CROSS_BOUND_DEFAULT = 300
 DISCREPANCY_HORIZON_DEFAULT = 10**5
 MORPHIC_HORIZON_DEFAULT = 10**4
 REDUNDANCY_BOUND_DEFAULT = 400
@@ -82,17 +82,22 @@ def _set_equality(got: PNTable, want: PNTable, what: str) -> CheckResult:
                        f"says {diff[0] in g}, solver says {diff[0] in w}", (x, y))
 
 
-def _reject_unread(suite: str, **unread) -> None:
-    """Refuse an argument the suite ignores: its PASS would not cover it."""
-    for flag, value in unread.items():
-        if value is not None:
+def _select(suite: str, ell, k, ells=(), ks=()) -> tuple[list[int], list[int]]:
+    """The ell and k values named by --ell and --k, or the suite's defaults
+    ells and ks when neither is given.  A flag without defaults is refused:
+    the suite does not read it, so its PASS would not cover it."""
+    for flag, value, defaults in (("ell", ell, ells), ("k", k, ks)):
+        if value is not None and not defaults:
             raise ValueError(f"suite {suite!r} does not read --{flag}")
+    if ell is None and k is None:
+        return list(ells), list(ks)
+    return [ell] if ell is not None else [], [k] if k is not None else []
 
 
 def _kernel_items(name: str, table: PNTable, spec: GameSpec, B: int) -> list[SuiteItem]:
     """Stability and absorption of a candidate P-set, one item each."""
     checks = (("stable", check_stable), ("absorbing", check_absorbing))
-    return [_timed(f"{name}/{what}", spec.label(), B, lambda c=check: c(table, spec, B))
+    return [_timed(f"{name}/{what}", spec.label(), B, lambda: check(table, spec, B))
             for what, check in checks]
 
 
@@ -110,43 +115,38 @@ def _closed_form_items(name: str, spec: GameSpec, what: str, B: int) -> list[Sui
 
 def suite_kernel(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Stability and absorption of the solver's own output."""
-    specs: list[tuple[GameSpec, int]] = []
-    ells = range(5) if ell is None and k is None else ([ell] if ell is not None else [])
-    ks = range(1, 4) if ell is None and k is None else ([k] if k is not None else [])
-    for e in ells:
-        specs.append((kspec(e), K_BOUND_DEFAULT if bound is None else bound))
-    for kk in ks:
-        specs.append((wspec(kk), W_BOUND_DEFAULT if bound is None else bound))
+    ells, ks = _select("kernel", ell, k, ells=range(5), ks=range(1, 4))
+    specs = ([(kspec(e), K_BOUND_DEFAULT) for e in ells]
+             + [(wspec(kk), W_BOUND_DEFAULT) for kk in ks])
     items = []
     for spec, B in specs:
+        B = B if bound is None else bound
         tag = spec.label().replace(" ", "-")
         items += _kernel_items(f"kernel/{tag}", solve(spec, B), spec, B)
-    return sorted(items, key=lambda it: it.name)
+    return items
 
 
 def suite_closed_forms(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Closed-form sets versus solver ground truth, plus their kernel checks."""
-    _reject_unread("closed-forms", k=k)
+    ells, _ = _select("closed-forms", ell, k, ells=range(1, 5))
     B = K_BOUND_DEFAULT if bound is None else bound
-    ells = [ell] if ell is not None else [1, 2, 3, 4]
     items = []
     for e in ells:
         items += _closed_form_items(f"closed-forms/K{e}", kspec(e), f"K^{e}", B)
-    return sorted(items, key=lambda it: it.name)
+    return items
 
 
 def suite_mex(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """The mex recursion versus the solver, partition, and counting."""
-    _reject_unread("mex", k=k)
+    ells, _ = _select("mex", ell, k, ells=range(7))
     B = K_BOUND_DEFAULT if bound is None else bound
-    ells = [ell] if ell is not None else list(range(7))
     items = []
     for e in ells:
         spec = kspec(e)
         count = B * 2 // 3 + 2 * e + 8
         pp = ch.mex_sequence(e, count)
 
-        def equality(e=e, spec=spec, pp=pp):
+        def equality():
             got = [p for p in pp.pairs if p[1] <= B]
             want = list(ppos_list(solve(spec, B)).pairs)
             if got == want:
@@ -155,7 +155,7 @@ def suite_mex(ell=None, k=None, bound=None) -> list[SuiteItem]:
             n = next((i for i in range(short) if got[i] != want[i]), short)
             return CheckResult(False, f"first difference at pair {n}", n)
 
-        def partition(e=e, pp=pp):
+        def partition():
             a, b = pp.arrays()
             horizon = int(a[-1])
             both = np.concatenate([a, b])
@@ -169,60 +169,57 @@ def suite_mex(ell=None, k=None, bound=None) -> list[SuiteItem]:
             missing = int(np.setdiff1d(want, both)[0])
             return CheckResult(False, f"value {missing} in neither sequence", missing)
 
-        items.append(_timed(f"mex/K{e}/solver-equality", spec.label(), B, equality))
-        items.append(_timed(f"mex/K{e}/partition", spec.label(), B, partition))
-        items.append(
-            _timed(f"mex/K{e}/counting", spec.label(), B,
-                   lambda pp=pp: ch.counting_check(pp, B))
-        )
-    return sorted(items, key=lambda it: it.name)
+        for what, check in (("solver-equality", equality), ("partition", partition),
+                            ("counting", lambda: ch.counting_check(pp, B))):
+            items.append(_timed(f"mex/K{e}/{what}", spec.label(), B, check))
+    return items
 
 
 def suite_blocking(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Explicit W^2/W^3 families versus the solver; W^1 equals K^0."""
-    _reject_unread("blocking", ell=ell)
+    _, ks = _select("blocking", ell, k, ks=(1, 2, 3))
     B = W_BOUND_DEFAULT if bound is None else bound
-    ks = [k] if k is not None else [2, 3]
     items = []
     for kk in ks:
         if kk == 1:
-            continue
-        items += _closed_form_items(f"blocking/W{kk}", wspec(kk), f"W^{kk}", B)
-    if k is None or k == 1:
-        B1 = min(B, W1_CROSS_BOUND_DEFAULT) if bound is None else B
-
-        def w1_equals_k0(B1=B1):
-            return _set_equality(solve(wspec(1), B1), solve(kspec(0), B1), "W^1 vs K^0")
-
-        items.append(_timed("blocking/W1-equals-K0", "W k=1", B1, w1_equals_k0))
-    return sorted(items, key=lambda it: it.name)
+            def w1_equals_k0():
+                return _set_equality(solve(wspec(1), B), solve(kspec(0), B), "W^1 vs K^0")
+            items.append(_timed("blocking/W1-equals-K0", "W k=1", B, w1_equals_k0))
+        else:
+            items += _closed_form_items(f"blocking/W{kk}", wspec(kk), f"W^{kk}", B)
+    return items
 
 
 def suite_discrepancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Certified discrepancy bounds and density along the a-sequence."""
-    _reject_unread("discrepancy", k=k)
+    ells, _ = _select("discrepancy", ell, k, ells=range(1, 9))
     N = DISCREPANCY_HORIZON_DEFAULT if bound is None else bound
     if ell is not None and ell < 1:
         raise ValueError(f"the discrepancy bound is stated for ell >= 1, not {ell}")
-    if N < 1:
-        raise ValueError(f"discrepancy horizon must be positive, not {N}")
-    ells = [ell] if ell is not None else list(range(1, 9))
+    # The profile item certifies |a_N - floor((N + ell) phi)| <= sqrt5 ell + 2,
+    # so |a_N - N phi| <= ell (sqrt5 + phi) + 2, which is <= N/100 once
+    # N >= 150 sqrt5 ell + 50 ell + 200.  Below that a density FAIL is not a
+    # counterexample.  150 sqrt5 ell is irrational, so the least N rounds up.
+    least = 50 * max(ells) + 201 + isqrt(5 * (150 * max(ells)) ** 2)
+    if N < least:
+        raise ValueError(f"suite 'discrepancy' needs --bound >= {least} for ell "
+                         f"{max(ells)}, where the density is within 1/100, not {N}")
     items = []
     for e in ells:
         profile = ch.discrepancy_profile(e, N)
         items.append(
             _timed(f"discrepancy/K{e}/profile", f"K ell={e}", N,
-                   lambda p=profile: ch.check_discrepancy(p))
+                   lambda: ch.check_discrepancy(profile))
         )
 
-        def density(profile=profile, N=N):
+        def density():
             a_N = int(profile.a[N])
             ok = ch.density_certificate(a_N, N, 1, 100)
             detail = f"|a_n/n - phi| {'<=' if ok else '>'} 1/100 at n={N} (a_n={a_N})"
             return CheckResult(ok, detail, None if ok else (N, a_N))
 
         items.append(_timed(f"discrepancy/K{e}/density", f"K ell={e}", N, density))
-    return sorted(items, key=lambda it: it.name)
+    return items
 
 
 def suite_redundancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
@@ -231,20 +228,15 @@ def suite_redundancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
     if B < REDUNDANCY_MAX_DELTA:  # a move longer than the box has no witness in it
         raise ValueError(f"suite 'redundancy' needs --bound >= {REDUNDANCY_MAX_DELTA}, "
                          f"the longest move checked, not {B}")
-    specs: list[GameSpec]
-    if ell is not None:
-        specs = [kspec(ell)]
-    elif k is not None:
-        specs = [wspec(k)]
-    else:
-        specs = [kspec(e) for e in (1, 2, 3, 4)] + [wspec(2), wspec(3)]
+    ells, ks = _select("redundancy", ell, k, ells=(1, 2, 3, 4), ks=(2, 3))
+    specs = [kspec(e) for e in ells] + [wspec(kk) for kk in ks]
     moves = [m for i in range(1, REDUNDANCY_MAX_DELTA + 1)
              for m in ((i, 0), (0, i), (i, i))]
     items = []
     for spec in specs:
         tag = spec.label().replace(" ", "-")
 
-        def all_moves(spec=spec):
+        def all_moves():
             for move in moves:
                 if non_redundant_witness(spec, move, B) is None:
                     return CheckResult(
@@ -253,17 +245,18 @@ def suite_redundancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
             return CheckResult(True, f"witnesses for all {len(moves)} moves")
 
         items.append(_timed(f"redundancy/{tag}", spec.label(), B, all_moves))
-    return sorted(items, key=lambda it: it.name)
+    return items
 
 
 def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Automatic-sequence machinery: oracles, automata, partition words."""
-    _reject_unread("morphic", k=k)
+    ells, _ = _select("morphic", ell, k,
+                      ells={2, *ADJUST_SYSTEMS, *PARTITION_SYSTEMS})
     H = MORPHIC_HORIZON_DEFAULT if bound is None else bound
     items = []
-    if ell is None or ell == 2:
+    if 2 in ells:
 
-        def k2_oracles(H=H):
+        def k2_oracles():
             direct = k2_adjust_prefix(H)
             rec = k2_adjust_prefix_by_recurrence(H)
             if direct == rec:
@@ -273,11 +266,10 @@ def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
 
         items.append(_timed("morphic/k2-adjust/definition-vs-recurrence",
                             "K ell=2", H, k2_oracles))
-    adj_ells = [e for e in ADJUST_SYSTEMS if ell is None or e == ell]
-    for e in adj_ells:
+    for e in (e for e in ADJUST_SYSTEMS if e in ells):
         morphism, coding = ADJUST_SYSTEMS[e]
 
-        def dfao_vs_word(e=e, morphism=morphism, coding=coding, H=H):
+        def dfao_vs_word():
             word = np.asarray(coding.map(fixed_point_prefix(morphism, 0, H)))
             got = eval_dfao_range(adjust_dfao(e), H - 1)
             bad = np.flatnonzero(got != word)
@@ -290,18 +282,19 @@ def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
 
         items.append(_timed(f"morphic/k{e}-adjust/dfao-vs-word",
                             f"K ell={e}", H, dfao_vs_word))
-    part_ells = [e for e in PARTITION_SYSTEMS if ell is None or e == ell]
-    for e in part_ells:
+    for e in (e for e in PARTITION_SYSTEMS if e in ells):
         part = PARTITION_SYSTEMS[e]
 
-        def word_vs_pairs(e=e, part=part, H=H):
+        def word_vs_pairs():
             pp = ch.mex_sequence(e, H * 2 // 3 + 8)
             return ch.morphic_coding_check(part.morphism, part.coding,
                                            part.offset, pp, H)
 
         items.append(_timed(f"morphic/partition-word/K{e}",
                             f"K ell={e}", H, word_vs_pairs))
-    return sorted(items, key=lambda it: it.name)
+    if not items:
+        raise ValueError(f"suite 'morphic' has no checks for --ell {ell}")
+    return items
 
 
 SUITES = {
@@ -316,13 +309,14 @@ SUITES = {
 
 
 def run_suite(name: str, ell=None, k=None, bound=None) -> list[SuiteItem]:
-    """Run one named suite, or every suite for name 'all'."""
+    """Run one named suite, or every suite for name 'all'; the items are
+    ordered by name."""
     if name == "all":
-        _reject_unread("all", ell=ell, k=k)  # each is ignored by some suite
-        items = []
-        for key in sorted(SUITES):
-            items += SUITES[key](ell=ell, k=k, bound=bound)
-        return sorted(items, key=lambda it: it.name)
-    if name not in SUITES:
+        _select("all", ell, k)  # each flag is ignored by some suite
+        names = sorted(SUITES)
+    elif name in SUITES:
+        names = [name]
+    else:
         raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name](ell=ell, k=k, bound=bound)
+    items = [it for key in names for it in SUITES[key](ell=ell, k=k, bound=bound)]
+    return sorted(items, key=lambda it: it.name)

@@ -58,27 +58,27 @@ def from_walnut(text: str) -> DFAO:
     transitions: list[list[int | None]] = []
     current: list[int | None] | None = None
     for ln in lines[1:]:
-        m = _STATE_RE.match(ln)
-        if m:
-            state, out = int(m.group(1)), int(m.group(2))
-            if state != len(outputs):
+        m = _STATE_RE.match(ln) or _EDGE_RE.match(ln)
+        if not m:
+            raise WalnutFormatError(f"unparseable line: {ln!r}")
+        try:
+            key, value = map(int, m.groups())  # state and output, or digit and target
+        except ValueError:  # more digits than int() converts
+            raise WalnutFormatError(f"number too long in line {ln[:30]!r}...") from None
+        if m.re is _STATE_RE:
+            if key != len(outputs):
                 raise WalnutFormatError(
-                    f"state {state} out of order (expected {len(outputs)})"
+                    f"state {key} out of order (expected {len(outputs)})"
                 )
-            outputs.append(out)
+            outputs.append(value)
             current = [None, None]
             transitions.append(current)
-            continue
-        m = _EDGE_RE.match(ln)
-        if m:
-            if current is None:
-                raise WalnutFormatError(f"transition before any state: {ln!r}")
-            digit, target = int(m.group(1)), int(m.group(2))
-            if current[digit] is not None:
-                raise WalnutFormatError(f"duplicate digit {digit} transition")
-            current[digit] = target
-            continue
-        raise WalnutFormatError(f"unparseable line: {ln!r}")
+        elif current is None:
+            raise WalnutFormatError(f"transition before any state: {ln!r}")
+        elif current[key] is not None:
+            raise WalnutFormatError(f"duplicate digit {key} transition")
+        else:
+            current[key] = value
     if not outputs:
         raise WalnutFormatError("automaton has no states")
     n = len(outputs)

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from wythlab import suites
 from wythlab.catalog import ADJUST_SYSTEMS, adjust_dfao, builtin_dfaos
 from wythlab.cli import main, pairs_to_json, read_pairs_csv, write_pairs_csv
+from wythlab.fibnum import sqrt5_times_leq
 from wythlab.games import PNTable, kspec, ppos_list, read_table_cache, solve
 from wythlab.morphisms import Coding, eval_dfao, k2_adjust_prefix
 from wythlab.walnut import from_walnut
@@ -143,6 +144,97 @@ class TestPairSerialization:
         assert pairs_to_json(kspec(2), 40, pp).endswith("\n")
 
 
+# (name, rule-set) of every item of `verify all` at its default bounds.
+VERIFY_ALL_ITEMS = [
+    ("blocking/W1-equals-K0", "W k=1"),
+    ("blocking/W2/absorbing", "W k=2"),
+    ("blocking/W2/set-equality", "W k=2"),
+    ("blocking/W2/stable", "W k=2"),
+    ("blocking/W3/absorbing", "W k=3"),
+    ("blocking/W3/set-equality", "W k=3"),
+    ("blocking/W3/stable", "W k=3"),
+    ("closed-forms/K1/absorbing", "K ell=1"),
+    ("closed-forms/K1/set-equality", "K ell=1"),
+    ("closed-forms/K1/stable", "K ell=1"),
+    ("closed-forms/K2/absorbing", "K ell=2"),
+    ("closed-forms/K2/set-equality", "K ell=2"),
+    ("closed-forms/K2/stable", "K ell=2"),
+    ("closed-forms/K3/absorbing", "K ell=3"),
+    ("closed-forms/K3/set-equality", "K ell=3"),
+    ("closed-forms/K3/stable", "K ell=3"),
+    ("closed-forms/K4/absorbing", "K ell=4"),
+    ("closed-forms/K4/set-equality", "K ell=4"),
+    ("closed-forms/K4/stable", "K ell=4"),
+    ("discrepancy/K1/density", "K ell=1"),
+    ("discrepancy/K1/profile", "K ell=1"),
+    ("discrepancy/K2/density", "K ell=2"),
+    ("discrepancy/K2/profile", "K ell=2"),
+    ("discrepancy/K3/density", "K ell=3"),
+    ("discrepancy/K3/profile", "K ell=3"),
+    ("discrepancy/K4/density", "K ell=4"),
+    ("discrepancy/K4/profile", "K ell=4"),
+    ("discrepancy/K5/density", "K ell=5"),
+    ("discrepancy/K5/profile", "K ell=5"),
+    ("discrepancy/K6/density", "K ell=6"),
+    ("discrepancy/K6/profile", "K ell=6"),
+    ("discrepancy/K7/density", "K ell=7"),
+    ("discrepancy/K7/profile", "K ell=7"),
+    ("discrepancy/K8/density", "K ell=8"),
+    ("discrepancy/K8/profile", "K ell=8"),
+    ("kernel/K-ell=0/absorbing", "K ell=0"),
+    ("kernel/K-ell=0/stable", "K ell=0"),
+    ("kernel/K-ell=1/absorbing", "K ell=1"),
+    ("kernel/K-ell=1/stable", "K ell=1"),
+    ("kernel/K-ell=2/absorbing", "K ell=2"),
+    ("kernel/K-ell=2/stable", "K ell=2"),
+    ("kernel/K-ell=3/absorbing", "K ell=3"),
+    ("kernel/K-ell=3/stable", "K ell=3"),
+    ("kernel/K-ell=4/absorbing", "K ell=4"),
+    ("kernel/K-ell=4/stable", "K ell=4"),
+    ("kernel/W-k=1/absorbing", "W k=1"),
+    ("kernel/W-k=1/stable", "W k=1"),
+    ("kernel/W-k=2/absorbing", "W k=2"),
+    ("kernel/W-k=2/stable", "W k=2"),
+    ("kernel/W-k=3/absorbing", "W k=3"),
+    ("kernel/W-k=3/stable", "W k=3"),
+    ("mex/K0/counting", "K ell=0"),
+    ("mex/K0/partition", "K ell=0"),
+    ("mex/K0/solver-equality", "K ell=0"),
+    ("mex/K1/counting", "K ell=1"),
+    ("mex/K1/partition", "K ell=1"),
+    ("mex/K1/solver-equality", "K ell=1"),
+    ("mex/K2/counting", "K ell=2"),
+    ("mex/K2/partition", "K ell=2"),
+    ("mex/K2/solver-equality", "K ell=2"),
+    ("mex/K3/counting", "K ell=3"),
+    ("mex/K3/partition", "K ell=3"),
+    ("mex/K3/solver-equality", "K ell=3"),
+    ("mex/K4/counting", "K ell=4"),
+    ("mex/K4/partition", "K ell=4"),
+    ("mex/K4/solver-equality", "K ell=4"),
+    ("mex/K5/counting", "K ell=5"),
+    ("mex/K5/partition", "K ell=5"),
+    ("mex/K5/solver-equality", "K ell=5"),
+    ("mex/K6/counting", "K ell=6"),
+    ("mex/K6/partition", "K ell=6"),
+    ("mex/K6/solver-equality", "K ell=6"),
+    ("morphic/k2-adjust/definition-vs-recurrence", "K ell=2"),
+    ("morphic/k2-adjust/dfao-vs-word", "K ell=2"),
+    ("morphic/k3-adjust/dfao-vs-word", "K ell=3"),
+    ("morphic/k4-adjust/dfao-vs-word", "K ell=4"),
+    ("morphic/partition-word/K0", "K ell=0"),
+    ("morphic/partition-word/K1", "K ell=1"),
+    ("morphic/partition-word/K2", "K ell=2"),
+    ("morphic/partition-word/K3", "K ell=3"),
+    ("redundancy/K-ell=1", "K ell=1"),
+    ("redundancy/K-ell=2", "K ell=2"),
+    ("redundancy/K-ell=3", "K ell=3"),
+    ("redundancy/K-ell=4", "K ell=4"),
+    ("redundancy/W-k=2", "W k=2"),
+    ("redundancy/W-k=3", "W k=3"),
+]
+
+
 class TestVerifyCommand:
     def test_blocking_suite_passes(self, capsys):
         code, out, _ = run(capsys, ["verify", "blocking", "--bound", "60"])
@@ -156,6 +248,23 @@ class TestVerifyCommand:
         assert code == 0
         names = [ln.split()[0] for ln in out.splitlines()[:-1]]
         assert all("ell=1" in n or "k=" in n for n in names)
+
+    def test_all_item_set(self):
+        items = suites.run_suite("all")
+        assert [(it.name, it.spec) for it in items] == VERIFY_ALL_ITEMS
+        bounds = {it.name: it.bound for it in items}
+        assert bounds["blocking/W1-equals-K0"] == suites.W_BOUND_DEFAULT == 400
+
+    @pytest.mark.parametrize("suite,names", [
+        ("kernel", ["kernel/K-ell=2/absorbing", "kernel/K-ell=2/stable",
+                    "kernel/W-k=3/absorbing", "kernel/W-k=3/stable"]),
+        ("redundancy", ["redundancy/K-ell=2", "redundancy/W-k=3"]),
+    ])
+    def test_ell_and_k_select_both_rule_sets(self, capsys, suite, names):
+        code, out, _ = run(capsys, ["verify", suite, "--ell", "2", "--k", "3"])
+        assert code == 0
+        assert [ln.split()[0] for ln in out.splitlines()[:-1]] == names
+        assert out.splitlines()[-1] == f"{len(names)}/{len(names)} checks passed"
 
     def test_unknown_suite(self):
         with pytest.raises(SystemExit) as ei:
@@ -217,6 +326,23 @@ class TestVerifyCommand:
             main(["verify", "blocking", "--bound", "-1"])
         assert ei.value.code == 2
         assert "negative bound -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ell,failing,least", [(1, 210, 586), (8, 648, 3284)])
+    def test_discrepancy_below_its_horizon_domain(self, capsys, ell, failing, least):
+        # least is the first horizon N with sqrt5 * 150 ell <= N - 50 ell - 200
+        assert not sqrt5_times_leq(150 * ell, least - 1 - 50 * ell - 200)
+        assert sqrt5_times_leq(150 * ell, least - 50 * ell - 200)
+        argv = ["verify", "discrepancy", "--ell", str(ell), "--bound"]
+        for bound in (failing, least - 1):
+            with pytest.raises(SystemExit) as ei:
+                main(argv + [str(bound)])
+            captured = capsys.readouterr()
+            assert ei.value.code == 2
+            assert f"needs --bound >= {least} for ell {ell}" in captured.err
+            assert captured.out == ""
+        code, out, _ = run(capsys, argv + [str(least)])
+        assert code == 0
+        assert out.splitlines()[-1] == "2/2 checks passed"
 
     def test_closed_forms_stay_linear_in_memory(self):
         tracemalloc.start()
@@ -493,6 +619,20 @@ class TestFuzzedInputs:
         code, _ = exit_code(["eval-dfao", str(path), mode,
                              str(data.draw(st.integers(0, 60)))])
         assert code in (0, 1, 2, 3)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(["state", "output", "target"]),
+           digits=st.integers(sys.get_int_max_str_digits() + 1, 6000))
+    def test_eval_dfao_on_oversized_numbers(self, tmp_path, field, digits):
+        big = "9" * digits  # more digits than int() converts
+        lines = {"state": [f"{big} 1"], "output": [f"0 -{big}"],
+                 "target": ["0 1", f"0 -> {big}"]}[field]
+        path = tmp_path / "automaton.txt"
+        path.write_text("\n".join(["msd_fib", *lines, ""]))
+        code, err = exit_code(["eval-dfao", str(path), "--upto", "3"])
+        assert code == 1
+        assert err.startswith(f"error: {path}: number too long")
 
 
 class TestConsoleScript:

@@ -1,4 +1,6 @@
 """Substitution systems, automata, block structure, and inference."""
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -252,6 +254,17 @@ class TestInference:
                 except InferenceError as exc:
                     untyped = "types no positions" in str(exc)
                 assert untyped == (typed < 2), (t, length)
+
+    def test_deep_types_rejected_in_constant_memory(self):
+        # the depth test must not build numeration weights up to index t + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(InferenceError, match="types no positions"):
+                infer_morphism(k2_adjust_prefix(250), 20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_image_block_ending_at_last_typed_position(self):
         # the depth-1 block of position 1 is position 2, the last typed one
