@@ -16,6 +16,7 @@ are decided by integer certificates, never by floating point.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,15 +77,13 @@ def _mex_arrays(ell: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """First count pairs of the recursion as int64 arrays (a, b)."""
     if ell < 0 or count < 0:
         raise ValueError(f"ell and count must be naturals: {ell}, {count}")
-    if count == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
     # b_n < phi^2 n + 2 ell + 2, so this sieve never truncates a used value
     size = 3 * count + 2 * ell + 16
     used = bytearray(size)
     for v in range(ell + 1):
         used[v] = 1
-    a_out = [0] * count
-    b_out = [0] * count
+    a_out = array("q", [0]) * count
+    b_out = array("q", [0]) * count
     cand = 0
     for n in range(count):
         while used[cand]:
@@ -96,7 +95,7 @@ def _mex_arrays(ell: int, count: int) -> tuple[np.ndarray, np.ndarray]:
             used[b] = 1
         a_out[n] = a
         b_out[n] = b
-    return np.asarray(a_out, np.int64), np.asarray(b_out, np.int64)
+    return np.frombuffer(a_out, np.int64), np.frombuffer(b_out, np.int64)
 
 
 def mex_sequence(ell: int, count: int) -> PposSequence:
@@ -106,8 +105,7 @@ def mex_sequence(ell: int, count: int) -> PposSequence:
     sequence, and b_n = a_n + n + ell + 1; the first pair is
     (ell+1, 2 ell+2).
     """
-    a, b = _mex_arrays(ell, count)
-    return PposSequence(ell=ell, pairs=tuple(zip(a.tolist(), b.tolist())))
+    return PposSequence(ell, np.column_stack(_mex_arrays(ell, count)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +134,19 @@ def _closed_form_arrays(ell: int, first: int, stop: int) -> tuple[np.ndarray, np
     return fp + adj + alpha, fp + np.arange(first, stop) + adj + beta
 
 
-def _closed_form_pair(ell: int, m: int) -> tuple[int, int]:
-    a, b = _closed_form_arrays(ell, m, m + 1)
+def _closed_form_pair(ell: int, n: int, shift: int) -> tuple[int, int]:
+    """Pair n of a K^ell family that starts at Beatty index shift."""
+    if n < 0:
+        raise ValueError(f"negative pair index {n}")
+    a, b = _closed_form_arrays(ell, n + shift, n + shift + 1)
     return int(a[0]), int(b[0])
 
 
 def closed_form_pairs(ell: int, count: int) -> PposSequence:
     """First count non-terminal pairs of K^ell from its closed form."""
-    a, b = _closed_form_arrays(ell, 2, max(count, 0) + 2)
-    return PposSequence(ell=ell, pairs=tuple(zip(a.tolist(), b.tolist())))
+    if count < 0:
+        raise ValueError(f"negative pair count {count}")
+    return PposSequence(ell, np.column_stack(_closed_form_arrays(ell, 2, count + 2)))
 
 
 def closed_form_table(spec: GameSpec, bound: int) -> PNTable:
@@ -159,17 +161,14 @@ def closed_form_table(spec: GameSpec, bound: int) -> PNTable:
         # adj >= 0 and alpha >= -1 give a > m phi - 2, so every pair with
         # a <= bound has m < (bound + 2) / phi, below this stop
         a, b = _closed_form_arrays(spec.ell, 2, bound * 2 // 3 + 8)
-        t = np.arange(spec.ell + 1)
-        tx, ty = np.nonzero(t[:, None] + t <= spec.ell)
-        u, v = np.r_[a, tx], np.r_[b, ty]
     elif spec.k in (2, 3):  # {n, 2n+1} plus, for W^2, the all-even pairs
         n = np.arange(bound // 2 + 2)
         fp = floor_phi_range(bound // 2 + 1)
         a, b = (2 * fp + 2, 2 * (fp + n) + 2) if spec.k == 2 else (n, 2 * n + 2)
-        u, v = np.r_[0, n, a], np.r_[0, 2 * n + 1, b]
+        a, b = np.r_[0, n, a], np.r_[0, 2 * n + 1, b]
     else:
         raise ValueError(f"no closed form for W^{spec.k}")
-    return PNTable.from_cells(spec, bound, np.r_[u, v], np.r_[v, u])
+    return PNTable.from_pairs(spec, bound, a, b)
 
 
 def closed_form_mask(ell: int, bound: int) -> np.ndarray:
@@ -197,7 +196,7 @@ def k1_remark_pair(n: int) -> tuple[int, int]:
 
     Evaluates (floor((n+1) phi) - 1, floor((n+1) phi^2) - 1) exactly.
     """
-    return _closed_form_pair(1, n + 1)
+    return _closed_form_pair(1, n, 1)
 
 
 def k1_closed_form_mask(bound: int) -> np.ndarray:
@@ -208,7 +207,7 @@ def k1_closed_form_mask(bound: int) -> np.ndarray:
 def closed_form_K2(n: int) -> tuple[int, int]:
     """Pair n of the K^2 algebraic family (indices 0 and 1 fall in the
     terminal region; the family is meant as a set)."""
-    return _closed_form_pair(2, n)
+    return _closed_form_pair(2, n, 0)
 
 
 def k2_closed_form_mask(bound: int) -> np.ndarray:
@@ -218,12 +217,12 @@ def k2_closed_form_mask(bound: int) -> np.ndarray:
 
 def closed_form_K3(n: int) -> tuple[int, int]:
     """n-th non-terminal pair of K^3; the adjustment enters at index n+1."""
-    return _closed_form_pair(3, n + 2)
+    return _closed_form_pair(3, n, 2)
 
 
 def closed_form_K4(n: int) -> tuple[int, int]:
     """n-th non-terminal pair of K^4; the adjustment enters at index n+1."""
-    return _closed_form_pair(4, n + 2)
+    return _closed_form_pair(4, n, 2)
 
 
 def _adjust_from_mex(ell: int, count: int) -> tuple[int, ...]:
@@ -456,32 +455,30 @@ def morphic_coding_check(
     """Compare a coded fixed point against a pair list, value by value.
 
     Position j of the coded word describes the value j + offset: the letter
-    must be 'a' when the value is some a_n and 'b' when it is some b_n.
-    Raises ValueError when the pair list leaves a value below the horizon
-    unclaimed, which signals a truncated list rather than a mismatch.
+    must be 'a' when the value is some a_n and 'b' when it is some b_n.  A
+    value that both sequences claim agrees with no letter; the pairs say
+    'ab' for it.  Raises ValueError when the pair list leaves a value below
+    the horizon unclaimed, which signals a truncated list rather than a
+    mismatch.
     """
     if horizon < offset:
         raise ValueError(f"horizon {horizon} below offset {offset}")
     length = horizon - offset + 1
-    expected: list[str | None] = [None] * length
-    for a_val, b_val in pp.pairs:
-        if offset <= a_val <= horizon:
-            expected[a_val - offset] = "a"
-        if offset <= b_val <= horizon:
-            expected[b_val - offset] = "b"
-    for j, e in enumerate(expected):
-        if e is None:
-            raise ValueError(
-                f"pair list does not classify value {j + offset}; extend the list"
-            )
-    coded = c.map(fixed_point_prefix(m, 0, length))
-    for j, (got, want) in enumerate(zip(coded, expected)):
-        if got != want:
-            return CheckResult(
-                False,
-                f"value {j + offset}: word says {got!r}, pairs say {want!r}",
-                (j + offset, got, want),
-            )
+    a, b = pp.arrays()
+    want = np.zeros(length, np.int8)  # bit 1: some a_n, bit 2: some b_n
+    want[a[(a >= offset) & (a <= horizon)] - offset] = 1
+    want[b[(b >= offset) & (b <= horizon)] - offset] |= 2
+    if not want.all():
+        raise ValueError(f"pair list does not classify value "
+                         f"{int(np.argmin(want)) + offset}; extend the list")
+    word = np.asarray(fixed_point_prefix(m, 0, length))
+    code = np.array([1 if o == "a" else 2 if o == "b" else 0 for o in c.outputs], np.int8)
+    bad = np.flatnonzero(code[word] != want)
+    if bad.size:
+        j = int(bad[0])
+        got, said = c(word[j]), ("", "a", "b", "ab")[want[j]]
+        return CheckResult(False, f"value {j + offset}: word says {got!r}, "
+                           f"pairs say {said!r}", (j + offset, got, said))
     return CheckResult(True, f"values {offset}..{horizon} all agree")
 
 

@@ -15,7 +15,9 @@ the game rule; the stability and absorption checks read them from the
 candidate and compare with the rule; and option_member_counts records the
 counts.  A P-set is kept as its O(bound) cells, never as a box mask: the
 solver memoises cells, every candidate form becomes cells, and the witness
-search counts a cell's P-options by binary search over the P-cells.
+search counts a cell's P-options by binary search over the P-cells.  A
+sequence of P-pairs (a_n, b_n) is kept as two int64 arrays; ppos_list turns
+cells into pairs and PNTable.from_pairs turns pairs back into cells.
 """
 from __future__ import annotations
 
@@ -81,6 +83,11 @@ class GameSpec:
         """Largest coordinate sum of a terminal position (-1 when none)."""
         return self.ell if self.variant == "K" else -1
 
+    @property
+    def need(self) -> int:
+        """Least number of P-options of a non-terminal N-position: 1 for K, k for W."""
+        return 1 if self.variant == "K" else self.k
+
     def label(self) -> str:
         if self.variant == "K":
             return f"K ell={self.ell}"
@@ -116,6 +123,13 @@ class PNTable:
         """The table whose P-set is the cells (xs[i], ys[i]) inside the box."""
         return cls(spec, bound, *_canonical(xs, ys, bound))
 
+    @classmethod
+    def from_pairs(cls, spec: GameSpec, bound: int, a, b) -> PNTable:
+        """The table of the pairs (a[i], b[i]) in both orientations plus the
+        terminal triangle x + y <= spec.terminal_sum; the inverse of ppos_list."""
+        tx, ty = np.nonzero(np.tri(spec.terminal_sum + 1, dtype=bool)[::-1])
+        return cls.from_cells(spec, bound, np.r_[a, b, tx], np.r_[b, a, ty])
+
     @property
     def ppos(self) -> np.ndarray:
         mask = np.zeros((self.bound + 1, self.bound + 1), dtype=bool)
@@ -136,25 +150,43 @@ def _canonical(xs, ys, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, key // n - xs
 
 
-@dataclass(frozen=True)
 class PposSequence:
-    """Sorted non-terminal P-pairs (a_n, b_n), a_n <= b_n, indexed from 0."""
+    """Sorted non-terminal P-pairs (a_n, b_n), a_n <= b_n, indexed from 0.
 
-    ell: int | None
-    pairs: tuple[tuple[int, int], ...]
+    pairs, integer pairs or an (n, 2) integer array, is copied into the
+    read-only int64 arrays a and b; .pairs builds the tuples on each read.
+    """
+
+    def __init__(self, ell: int | None, pairs) -> None:
+        arr = np.asarray(pairs)
+        if arr.shape == (0,):
+            arr = arr.reshape(0, 2).astype(np.int64)
+        if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+            raise ValueError(f"expected integer pairs, got {arr.dtype} {arr.shape}")
+        self.ell = ell
+        self.a, self.b = np.array(arr.T, np.int64, order="C")
+        self.a.flags.writeable = self.b.flags.writeable = False
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.a.tolist(), self.b.tolist()))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.a.size
 
     def __getitem__(self, n: int) -> tuple[int, int]:
-        return self.pairs[n]
+        return int(self.a[n]), int(self.b[n])
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PposSequence) and self.ell == other.ell
+                and np.array_equal(self.a, other.a) and np.array_equal(self.b, other.b))
+
+    def __hash__(self) -> int:
+        return hash((self.ell, self.a.tobytes(), self.b.tobytes()))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The a- and b-sequences as int64 arrays."""
-        if not self.pairs:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        arr = np.asarray(self.pairs, dtype=np.int64)
-        return arr[:, 0], arr[:, 1]
+        """The a- and b-sequences, read-only."""
+        return self.a, self.b
 
 
 @dataclass(frozen=True)
@@ -216,7 +248,7 @@ def _rule(spec: GameSpec, s: int, cnt: np.ndarray) -> np.ndarray:
     """The game's P/N classification of anti-diagonal s from its P-option counts."""
     if s <= spec.terminal_sum:
         return np.ones(cnt.size, dtype=bool)
-    return cnt <= (spec.k - 1 if spec.variant == "W" else 0)
+    return cnt < spec.need
 
 
 def _p_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -240,14 +272,6 @@ def _p_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(xs), np.concatenate(ys)  # (0, 0) is always P
 
 
-def _sorted_pairs(spec: GameSpec, xs: np.ndarray, ys: np.ndarray) -> tuple:
-    """The ppos_list convention: x <= y, terminals of K excluded, sorted."""
-    keep = (xs <= ys) & (xs + ys > spec.terminal_sum)
-    xs, ys = xs[keep], ys[keep]
-    order = np.lexsort((ys, xs))
-    return tuple(zip(xs[order].tolist(), ys[order].tolist()))
-
-
 @lru_cache(maxsize=64)
 def _solve_cached(spec: GameSpec, bound: int) -> PNTable:
     return PNTable(spec, bound, *_p_cells(spec, bound))
@@ -261,7 +285,7 @@ def solve(spec: GameSpec, bound: int) -> PNTable:
 
 def solve_pairs(spec: GameSpec, bound: int) -> list[tuple[int, int]]:
     """Sorted non-terminal P-pairs of the box, computed afresh, not memoised."""
-    return list(_sorted_pairs(spec, *_p_cells(spec, bound)))
+    return list(ppos_list(PNTable(spec, bound, *_p_cells(spec, bound))).pairs)
 
 
 def ppos_list(table: PNTable, spec: GameSpec | None = None) -> PposSequence:
@@ -273,7 +297,10 @@ def ppos_list(table: PNTable, spec: GameSpec | None = None) -> PposSequence:
     spec = table.spec if spec is None else spec
     if spec != table.spec:
         raise ValueError(f"table solved for {table.spec}, not {spec}")
-    return PposSequence(ell=spec.ell, pairs=_sorted_pairs(spec, table.xs, table.ys))
+    keep = (table.xs <= table.ys) & (table.xs + table.ys > spec.terminal_sum)
+    xs, ys = table.xs[keep], table.ys[keep]
+    order = np.lexsort((ys, xs))
+    return PposSequence(spec.ell, np.column_stack((xs[order], ys[order])))
 
 
 def _candidate_cells(candidate, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -382,9 +409,8 @@ def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
     if first is None:
         return CheckResult(True, f"absorbing on [0,{bound}]^2")
     pos, count = first
-    need = 1 if spec.variant == "K" else spec.k
     return CheckResult(
-        False, f"non-member {pos} has {count} member options (needs {need})", pos
+        False, f"non-member {pos} has {count} member options (needs {spec.need})", pos
     )
 
 
@@ -421,10 +447,9 @@ def non_redundant_witness(
         keys = np.sort(line * n + at)
         starts = np.searchsorted(keys, np.arange(2 * n) * n)
         count += np.searchsorted(keys, cell_line * n + cell_at) - starts[cell_line]
-    want = 1 if spec.variant == "K" else spec.k
-    # count == want leaves out every P-cell but the terminals of K: the
+    # count == spec.need leaves out every P-cell but the terminals of K: the
     # solver gives other P-cells no P-option in K and at most k - 1 in W
-    hits = (x * n + y)[(count == want) & (x + y > spec.terminal_sum)]
+    hits = (x * n + y)[(count == spec.need) & (x + y > spec.terminal_sum)]
     return divmod(int(hits.min()), n) if hits.size else None
 
 

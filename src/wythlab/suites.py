@@ -23,7 +23,6 @@ from .games import (
     check_stable,
     kspec,
     non_redundant_witness,
-    ppos_list,
     solve,
     wspec,
 )
@@ -69,17 +68,17 @@ def _timed(name: str, spec_label: str, bound: int, fn) -> SuiteItem:
     return SuiteItem(name, spec_label, bound, result, time.perf_counter() - t0)
 
 
-def _set_equality(got: PNTable, want: PNTable, what: str) -> CheckResult:
+def _set_equality(got: PNTable, want: PNTable, what: str, sides) -> CheckResult:
     """Compare the P-cells of two tables of one box, reporting the row-major
-    first cell in exactly one of them."""
+    first cell in exactly one of them and what the two named sides say."""
     n = want.bound + 1
     g, w = got.xs * n + got.ys, want.xs * n + want.ys
     diff = np.setxor1d(g, w)
     if not diff.size:
         return CheckResult(True, f"{what}: sets identical")
     x, y = divmod(int(diff[0]), n)
-    return CheckResult(False, f"{what}: first difference at ({x},{y}); closed form "
-                       f"says {diff[0] in g}, solver says {diff[0] in w}", (x, y))
+    return CheckResult(False, f"{what}: first difference at ({x},{y}); {sides[0]} "
+                       f"says {diff[0] in g}, {sides[1]} says {diff[0] in w}", (x, y))
 
 
 def _select(suite: str, ell, k, ells=(), ks=()) -> tuple[list[int], list[int]]:
@@ -105,7 +104,8 @@ def _closed_form_items(name: str, spec: GameSpec, what: str, B: int) -> list[Sui
     """Set equality with the solver, stability and absorption of a closed form."""
     cells, table = ch.closed_form_table(spec, B), solve(spec, B)
     equality = _timed(f"{name}/set-equality", spec.label(), B,
-                      lambda: _set_equality(cells, table, what))
+                      lambda: _set_equality(cells, table, what,
+                                            ("closed form", "solver")))
     return [equality] + _kernel_items(name, cells, spec, B)
 
 
@@ -147,13 +147,8 @@ def suite_mex(ell=None, k=None, bound=None) -> list[SuiteItem]:
         pp = ch.mex_sequence(e, count)
 
         def equality():
-            got = [p for p in pp.pairs if p[1] <= B]
-            want = list(ppos_list(solve(spec, B)).pairs)
-            if got == want:
-                return CheckResult(True, f"{len(want)} pairs match")
-            short = min(len(got), len(want))
-            n = next((i for i in range(short) if got[i] != want[i]), short)
-            return CheckResult(False, f"first difference at pair {n}", n)
+            return _set_equality(PNTable.from_pairs(spec, B, *pp.arrays()),
+                                 solve(spec, B), f"K^{e}", ("mex recursion", "solver"))
 
         def partition():
             a, b = pp.arrays()
@@ -183,7 +178,8 @@ def suite_blocking(ell=None, k=None, bound=None) -> list[SuiteItem]:
     for kk in ks:
         if kk == 1:
             def w1_equals_k0():
-                return _set_equality(solve(wspec(1), B), solve(kspec(0), B), "W^1 vs K^0")
+                return _set_equality(solve(wspec(1), B), solve(kspec(0), B),
+                                     "W^1 vs K^0", ("W^1", "K^0"))
             items.append(_timed("blocking/W1-equals-K0", "W k=1", B, w1_equals_k0))
         else:
             items += _closed_form_items(f"blocking/W{kk}", wspec(kk), f"W^{kk}", B)

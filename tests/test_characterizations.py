@@ -1,4 +1,5 @@
 """Closed forms, mex recursion, discrepancy bounds, spectra, partition words."""
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from wythlab.characterizations import (
     w3_closed_form_mask,
 )
 from wythlab.fibnum import rep_F, sqrt5_times_leq
-from wythlab.games import kspec, ppos_list, solve, wspec
+from wythlab.games import PposSequence, kspec, ppos_list, solve, wspec
 from wythlab.morphisms import fixed_point_prefix
 
 PAIR_TABLE_K1 = (
@@ -70,6 +71,17 @@ class TestMexSequence:
 
     def test_empty(self):
         assert mex_sequence(2, 0).pairs == ()
+
+    def test_long_sequence_stays_compact(self):
+        # two int64 values per pair; Python int tuples took 38 MiB here
+        tracemalloc.start()
+        try:
+            pp = mex_sequence(2, 250000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pp) == 250000 and pp[0] == (3, 6)
+        assert peak < 12 * 2**20
 
 
 class TestClosedFormK1:
@@ -117,6 +129,19 @@ class TestClosedFormK2ToK4:
     def test_k2_terminal_indices(self):
         assert closed_form_K2(0) == (0, 1)
         assert closed_form_K2(1) == (0, 2)
+
+    @pytest.mark.parametrize("form,n", [
+        (k1_remark_pair, -1), (closed_form_K2, -1), (closed_form_K3, -1),
+        (closed_form_K3, -2), (closed_form_K4, -1), (closed_form_K4, -5),
+    ])
+    def test_negative_index_rejected(self, form, n):
+        with pytest.raises(ValueError, match=rf"index {n}$"):
+            form(n)
+
+    @pytest.mark.parametrize("ell", [1, 4])
+    def test_negative_count_rejected(self, ell):
+        with pytest.raises(ValueError, match=r"count -1$"):
+            closed_form_pairs(ell, -1)
 
     def test_k2_mask_equals_solver(self):
         assert np.array_equal(k2_closed_form_mask(300), solve(kspec(2), 300).ppos)
@@ -372,6 +397,18 @@ class TestPartitionWords:
         value, got, want = res.counterexample
         assert value == part.offset
         assert got != want
+
+    def test_value_claimed_by_both_sequences_fails(self):
+        part = PARTITION_SYSTEMS[0]
+        pairs = list(mex_sequence(0, 10).pairs)   # (1,2) (3,5) (4,7) (6,10) ...
+        pp = PposSequence(0, pairs)
+        assert morphic_coding_check(part.morphism, part.coding, part.offset, pp, 6)
+        pairs[2] = (4, 6)   # 6 is a_3 too; 7, now unclaimed, is past the horizon
+        res = morphic_coding_check(part.morphism, part.coding, part.offset,
+                                   PposSequence(0, pairs), 6)
+        assert not res.ok
+        assert res.counterexample == (6, "a", "ab")
+        assert res.detail == "value 6: word says 'a', pairs say 'ab'"
 
 
 class TestCounting:

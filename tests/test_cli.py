@@ -17,7 +17,15 @@ from wythlab import suites
 from wythlab.catalog import ADJUST_SYSTEMS, adjust_dfao, builtin_dfaos
 from wythlab.cli import main, pairs_to_json, read_pairs_csv, write_pairs_csv
 from wythlab.fibnum import sqrt5_times_leq
-from wythlab.games import PNTable, kspec, ppos_list, read_table_cache, solve
+from wythlab.games import (
+    PNTable,
+    PposSequence,
+    kspec,
+    ppos_list,
+    read_table_cache,
+    solve,
+    wspec,
+)
 from wythlab.morphisms import Coding, eval_dfao, k2_adjust_prefix
 from wythlab.walnut import from_walnut
 
@@ -388,6 +396,38 @@ class TestVerifyCommand:
         assert (f"K^2: first difference at ({x},{y}); closed form says {closed}, "
                 f"solver says {solver}") in out
         assert f"counterexample: {cell}" in out
+
+    def test_mex_equality_names_first_cell(self, capsys, monkeypatch):
+        real = suites.ch.mex_sequence
+
+        def doctored(ell, count):
+            pairs = list(real(ell, count).pairs)
+            assert pairs[1] == (4, 8)
+            pairs[1] = (4, 9)
+            return PposSequence(ell, pairs)
+
+        monkeypatch.setattr(suites.ch, "mex_sequence", doctored)
+        code, out, _ = run(capsys, ["verify", "mex", "--ell", "2", "--bound", "40"])
+        assert code == 1
+        assert ("K^2: first difference at (4,8); mex recursion says False, "
+                "solver says True") in out
+        assert "counterexample: (4, 8)" in out
+
+    def test_w1_equals_k0_names_both_tables(self, capsys, monkeypatch):
+        real = suites.solve
+
+        def doctored(spec, bound):
+            table = real(spec, bound)
+            if spec != wspec(1):
+                return table
+            cells = set(zip(table.xs.tolist(), table.ys.tolist())) ^ {(2, 9)}
+            return PNTable.from_cells(spec, bound, *zip(*cells))
+
+        monkeypatch.setattr(suites, "solve", doctored)
+        code, out, _ = run(capsys, ["verify", "blocking", "--k", "1", "--bound", "40"])
+        assert code == 1
+        assert ("W^1 vs K^0: first difference at (2,9); W^1 says True, "
+                "K^0 says False") in out
 
     def test_dfao_vs_word_names_first_mismatch(self, capsys, monkeypatch):
         morphism, coding = ADJUST_SYSTEMS[2]

@@ -80,6 +80,10 @@ class TestGameSpec:
         assert kspec(3).terminal_sum == 3
         assert wspec(2).terminal_sum == -1
 
+    def test_need_is_the_n_position_threshold(self):
+        assert [kspec(e).need for e in range(4)] == [1, 1, 1, 1]
+        assert [wspec(k).need for k in (1, 2, 3)] == [1, 2, 3]
+
 
 class TestOptions:
     def test_origin_has_none(self):
@@ -199,6 +203,65 @@ class TestPairExtraction:
         a, b = pp.arrays()
         assert a.tolist() == [p[0] for p in pp.pairs]
         assert b.tolist() == [p[1] for p in pp.pairs]
+        assert pp[-1] == pp.pairs[-1] and type(pp[-1][0]) is int
+
+    def test_sequence_arrays_read_only(self):
+        a, b = ppos_list(solve(kspec(1), 60)).arrays()
+        assert a.dtype == b.dtype == np.int64
+        for arr in (a, b):
+            with pytest.raises(ValueError):
+                arr[0] = 9
+
+    def test_sequence_from_arrays_equals_tuples(self):
+        pairs = ((2, 4), (3, 6), (5, 9))
+        twins = [PposSequence(ell=1, pairs=pairs),
+                 PposSequence(1, np.array(pairs)),
+                 PposSequence(1, np.array(pairs, dtype=np.int32)),
+                 PposSequence(1, [list(p) for p in pairs])]
+        assert all(pp == twins[0] and hash(pp) == hash(twins[0]) for pp in twins)
+        assert len(set(twins)) == 1
+        assert twins[0] != PposSequence(2, pairs)
+        assert twins[0] != PposSequence(1, pairs[:2])
+        assert twins[0] != pairs
+
+    def test_sequence_copies_its_input(self):
+        arr = np.array([[2, 4], [3, 6]])
+        pp = PposSequence(1, arr)
+        arr[0, 0] = 7
+        assert pp.pairs == ((2, 4), (3, 6))
+
+    def test_empty_sequence(self):
+        for empty in ((), [], np.zeros((0, 2), dtype=np.int64)):
+            pp = PposSequence(ell=2, pairs=empty)
+            assert len(pp) == 0 and pp.pairs == ()
+            assert [arr.dtype for arr in pp.arrays()] == [np.int64, np.int64]
+            assert pp == PposSequence(2, ())
+            with pytest.raises(IndexError):
+                pp[-1]
+
+    @pytest.mark.parametrize("pairs", [
+        (1, 2, 3, 4),                # flat ints, never read as two pairs
+        ((1, 2, 3), (4, 5, 6)),      # triples
+        ((1, 2), (3,)),              # ragged rows
+        [[[1, 2]], [[3, 4]]],        # one level too deep
+        [[], []],                    # empty rows
+        (("1", "2"),),
+        ((1.5, 2),),
+        ((2**70, 1),),
+    ])
+    def test_sequence_rejects_malformed_pairs(self, pairs):
+        with pytest.raises(ValueError):
+            PposSequence(ell=1, pairs=pairs)
+
+    @pytest.mark.parametrize("spec", [kspec(e) for e in range(7)]
+                             + [wspec(k) for k in (1, 2, 3)])
+    @pytest.mark.parametrize("bound", [0, 1, 2, 13, 40])
+    def test_from_pairs_inverts_ppos_list(self, spec, bound):
+        table = solve(spec, bound)
+        back = PNTable.from_pairs(spec, bound, *ppos_list(table).arrays())
+        assert back.spec == spec and back.bound == bound
+        assert np.array_equal(back.xs, table.xs)
+        assert np.array_equal(back.ys, table.ys)
 
 
 class TestOptionCounts:
