@@ -16,7 +16,6 @@ are decided by integer certificates, never by floating point.
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,28 +73,32 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _mex_arrays(ell: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """First count pairs of the recursion as int64 arrays (a, b)."""
+    """First count pairs of the recursion as int64 arrays (a, b).
+
+    Every value up to the last known b is final: b_n - b_{n-1} = a_n -
+    a_{n-1} + 1 >= 2, so no later b lands at or below it, and the unused
+    values between the last a and the last b are exactly the next a's, in
+    order.  Each block takes them at once, growing the count about phi-fold.
+    """
     if ell < 0 or count < 0:
         raise ValueError(f"ell and count must be naturals: {ell}, {count}")
-    # b_n < phi^2 n + 2 ell + 2, so this sieve never truncates a used value
+    # a_n <= 2n + ell + 1 by pigeonhole, so b_n <= 3n + 2 ell + 2 < size
     size = 3 * count + 2 * ell + 16
-    used = bytearray(size)
-    for v in range(ell + 1):
-        used[v] = 1
-    a_out = array("q", [0]) * count
-    b_out = array("q", [0]) * count
-    cand = 0
-    for n in range(count):
-        while used[cand]:
-            cand += 1
-        a = cand
-        b = a + n + ell + 1
-        used[a] = 1
-        if b < size:
-            used[b] = 1
-        a_out[n] = a
-        b_out[n] = b
-    return np.frombuffer(a_out, np.int64), np.frombuffer(b_out, np.int64)
+    # the b's; ell and every a lie below the next block's range
+    used = np.zeros(size, bool)
+    a = np.empty(count, np.int64)
+    b = np.empty(count, np.int64)
+    n, last_a, last_b = 0, ell, ell
+    while n < count:
+        new = np.flatnonzero(~used[last_a + 1 : last_b + 1])[: count - n] + last_a + 1
+        if not new.size:
+            new = np.array([last_b + 1])
+        m = n + new.size
+        a[n:m] = new
+        b[n:m] = new + np.arange(n + ell + 1, m + ell + 1)
+        used[b[n:m]] = True
+        n, last_a, last_b = m, int(a[m - 1]), int(b[m - 1])
+    return a, b
 
 
 def mex_sequence(ell: int, count: int) -> PposSequence:

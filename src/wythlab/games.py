@@ -150,6 +150,17 @@ def _canonical(xs, ys, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, key // n - xs
 
 
+def _int_pairs(pairs) -> np.ndarray:
+    """Integer pairs or an (n, 2) integer array as an (n, 2) array; any other
+    shape or dtype is a ValueError, never a silent reshape."""
+    arr = np.asarray(pairs)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, 2).astype(np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        raise ValueError(f"expected integer pairs, got {arr.dtype} {arr.shape}")
+    return arr
+
+
 class PposSequence:
     """Sorted non-terminal P-pairs (a_n, b_n), a_n <= b_n, indexed from 0.
 
@@ -158,13 +169,8 @@ class PposSequence:
     """
 
     def __init__(self, ell: int | None, pairs) -> None:
-        arr = np.asarray(pairs)
-        if arr.shape == (0,):
-            arr = arr.reshape(0, 2).astype(np.int64)
-        if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
-            raise ValueError(f"expected integer pairs, got {arr.dtype} {arr.shape}")
         self.ell = ell
-        self.a, self.b = np.array(arr.T, np.int64, order="C")
+        self.a, self.b = np.array(_int_pairs(pairs).T, np.int64, order="C")
         self.a.flags.writeable = self.b.flags.writeable = False
 
     @property
@@ -321,7 +327,7 @@ def _candidate_cells(candidate, bound: int) -> tuple[np.ndarray, np.ndarray]:
         if callable(candidate):
             box = range(bound + 1)
             candidate = [(x, y) for x in box for y in box if candidate(x, y)]
-        xs, ys = np.asarray(list(candidate), np.int64).reshape(-1, 2).T
+        xs, ys = _int_pairs(list(candidate)).T
     return _canonical(xs, ys, bound)
 
 
@@ -414,6 +420,25 @@ def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
     )
 
 
+@lru_cache(maxsize=64)
+def _line_keys(spec: GameSpec, bound: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per line kind (row, column, difference x - y + bound), the sorted keys
+    line * (bound + 1) + at of the P-cells and where each line starts among
+    them, built once per solved table.
+
+    The P-options of a cell are the P-cells before it on its three lines.
+    """
+    P = solve(spec, bound)
+    n = bound + 1
+    out = []
+    for line, at in ((P.xs, P.ys), (P.ys, P.xs), (P.xs - P.ys + bound, P.xs)):
+        keys = np.sort(line * n + at)
+        starts = np.searchsorted(keys, np.arange(2 * n) * n)
+        keys.flags.writeable = starts.flags.writeable = False
+        out.append((keys, starts))
+    return tuple(out)
+
+
 def non_redundant_witness(
     spec: GameSpec, move: tuple[int, int], bound: int
 ) -> tuple[int, int] | None:
@@ -436,17 +461,10 @@ def non_redundant_witness(
     n = bound + 1
     inside = (P.xs <= bound - dx) & (P.ys <= bound - dy)
     x, y = P.xs[inside] + dx, P.ys[inside] + dy  # the move takes (x, y) to a P-cell
-    # the P-options of a cell are the P-cells before it on its row, column
-    # and difference x - y: binary search over their keys line * n + at
     count = 0
-    for line, at, cell_line, cell_at in (
-        (P.xs, P.ys, x, y),
-        (P.ys, P.xs, y, x),
-        (P.xs - P.ys + bound, P.xs, x - y + bound, x),
-    ):
-        keys = np.sort(line * n + at)
-        starts = np.searchsorted(keys, np.arange(2 * n) * n)
-        count += np.searchsorted(keys, cell_line * n + cell_at) - starts[cell_line]
+    cell_keys = ((x, y), (y, x), (x - y + bound, x))
+    for (keys, starts), (line, at) in zip(_line_keys(spec, bound), cell_keys):
+        count += np.searchsorted(keys, line * n + at) - starts[line]
     # count == spec.need leaves out every P-cell but the terminals of K: the
     # solver gives other P-cells no P-option in K and at most k - 1 in W
     hits = (x * n + y)[(count == spec.need) & (x + y > spec.terminal_sum)]

@@ -161,8 +161,12 @@ def suite_mex(ell=None, k=None, bound=None) -> list[SuiteItem]:
             if np.unique(both).size != both.size:
                 dup = int(both[np.flatnonzero(np.diff(both) == 0)[0]])
                 return CheckResult(False, f"value {dup} appears in both sequences", dup)
-            missing = int(np.setdiff1d(want, both)[0])
-            return CheckResult(False, f"value {missing} in neither sequence", missing)
+            missing = np.setdiff1d(want, both)
+            if missing.size:
+                v = int(missing[0])
+                return CheckResult(False, f"value {v} in neither sequence", v)
+            v = int(np.setdiff1d(both, want)[0])
+            return CheckResult(False, f"value {v} outside {e + 1}..{horizon}", v)
 
         for what, check in (("solver-equality", equality), ("partition", partition),
                             ("counting", lambda: ch.counting_check(pp, B))):

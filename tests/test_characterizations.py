@@ -8,6 +8,7 @@ import pytest
 from wythlab.catalog import ADJUST_SYSTEMS, PARTITION_SYSTEMS
 from wythlab.characterizations import (
     DiscrepancyProfile,
+    _mex_arrays,
     _sqrt5_leq_vec,
     check_discrepancy,
     closed_form_K1,
@@ -42,7 +43,46 @@ PAIR_TABLE_K1 = (
 )
 
 
+def mex_reference(ell, count):
+    """The recursion by its definition, one pair at a time."""
+    used = bytearray(3 * count + 2 * ell + 3)  # b_n <= 3n + 2 ell + 2
+    used[: ell + 1] = b"\x01" * (ell + 1)
+    a, b = np.zeros(count, np.int64), np.zeros(count, np.int64)
+    cand = 0
+    for n in range(count):
+        while used[cand]:
+            cand += 1
+        a[n], b[n] = cand, cand + n + ell + 1
+        used[a[n]] = used[b[n]] = 1
+    return a, b
+
+
+def block_edges(ell, a, b):
+    """Counts after which the block computation starts a new block: it takes
+    every a up to the last known b, or the single next pair when there is none."""
+    edges, n = [], 0
+    while n < a.size:
+        edges.append(n)
+        n = max(n + 1, int(np.searchsorted(a, b[n - 1] if n else ell, "right")))
+    return edges
+
+
 class TestMexSequence:
+    @pytest.mark.parametrize("ell", range(13))
+    def test_blocks_match_the_definition(self, ell):
+        ref = mex_reference(ell, 10**4)
+        edges = block_edges(ell, *ref)[:10]
+        assert edges[-1] > 30
+        for count in {0, 1, 2, 3, 10**4} | {e + d for e in edges[1:] for d in (-1, 0, 1)}:
+            for got, want in zip(_mex_arrays(ell, count), ref):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want[:count].tobytes(), count
+
+    @pytest.mark.parametrize("ell", range(9))
+    def test_long_blocks_match_the_definition(self, ell):
+        for got, want in zip(_mex_arrays(ell, 2 * 10**5), mex_reference(ell, 2 * 10**5)):
+            assert got.tobytes() == want.tobytes()
+
     def test_small_prefixes(self):
         assert mex_sequence(1, 4).pairs == ((2, 4), (3, 6), (5, 9), (7, 12))
         assert mex_sequence(3, 5).pairs == (

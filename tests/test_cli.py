@@ -413,6 +413,18 @@ class TestVerifyCommand:
                 "solver says True") in out
         assert "counterexample: (4, 8)" in out
 
+    def test_mex_partition_names_a_stray_value(self, capsys, monkeypatch):
+        real = suites.ch.mex_sequence
+
+        def doctored(ell, count):
+            return PposSequence(ell, [(0, 10**6), (1, 10**6 + 1), *real(ell, count).pairs])
+
+        monkeypatch.setattr(suites.ch, "mex_sequence", doctored)
+        code, out, _ = run(capsys, ["verify", "mex", "--ell", "2", "--bound", "40"])
+        assert code == 1
+        assert "value 0 outside 3.." in out
+        assert "counterexample: 0" in out
+
     def test_w1_equals_k0_names_both_tables(self, capsys, monkeypatch):
         real = suites.solve
 

@@ -352,6 +352,16 @@ class TestKernelChecks:
             assert check_stable(candidate, spec, bound).ok
             assert check_absorbing(candidate, spec, bound).ok
 
+    def test_flat_candidate_is_refused(self):
+        # a flat list is not read as the cells (1, 2) and (3, 4)
+        for check in (check_stable, check_absorbing):
+            with pytest.raises(ValueError, match="expected integer pairs"):
+                check([1, 2, 3, 4], kspec(1), 5)
+            with pytest.raises(ValueError, match="expected integer pairs"):
+                check([(1, 2, 3)], kspec(1), 5)
+        assert check_stable([], kspec(1), 5) == check_stable(np.zeros((6, 6), bool),
+                                                            kspec(1), 5)
+
     def test_candidate_too_small(self):
         with pytest.raises(ValueError):
             check_stable(np.zeros((10, 10), bool), kspec(1), 20)
@@ -476,6 +486,23 @@ class TestWitnesses:
                 hits = np.argwhere(needs[dx:, dy:] & table[: n - dx, : n - dy])
                 first = (int(hits[0, 0]) + dx, int(hits[0, 1]) + dy) if hits.size else None
                 assert got == first, (bound, (dx, dy))
+
+    @pytest.mark.parametrize("spec", [kspec(2), wspec(3)], ids=GameSpec.label)
+    def test_all_90_witnesses_match_brute_force(self, spec):
+        # the row-major first non-member with exactly spec.need P-options,
+        # one of them reached by the move, counted over options() one by one
+        bound = 60
+        table = solve(spec, bound)
+        cells = set(zip(table.xs.tolist(), table.ys.tolist()))
+        box = [(x, y) for x in range(bound + 1) for y in range(bound + 1)]
+        needs = [p for p in box if p not in cells
+                 and sum(q in cells for q in options(p)) == spec.need]
+        for i in range(1, 31):
+            for dx, dy in ((i, 0), (0, i), (i, i)):
+                first = next(((x, y) for x, y in needs if (x - dx, y - dy) in cells),
+                             None)
+                assert first is not None
+                assert non_redundant_witness(spec, (dx, dy), bound) == first, (dx, dy)
 
     def test_witness_stays_linear_in_memory(self):
         tracemalloc.start()
