@@ -171,14 +171,14 @@ def _cmd_solve(parser, args) -> int:
         bound = K_BOUND_DEFAULT if spec.variant == "K" else W_BOUND_DEFAULT
     if bound < 0:
         parser.error(f"negative bound {bound}")
+    if args.format == "cache" and args.out is None:
+        parser.error("--format cache requires --out")
     try:
         table = solve(spec, bound)
     except ResourceLimitError as exc:
         parser.error(str(exc))
     try:
         if args.format == "cache":
-            if args.out is None:
-                parser.error("--format cache requires --out")
             write_table_cache(table, args.out)
             return EXIT_OK
         pp = ppos_list(table)

@@ -10,21 +10,22 @@ option is P" losing test into "at least k options are P".
 Every move strictly decreases the coordinate sum, so solving all positions
 in increasing-sum order is exact on the full box with no truncation at the
 boundary.  One counting sweep visits the anti-diagonals in that order and
-gives each cell's number of member options.  The solver takes members from
-the game rule; the stability and absorption checks read them from the
-candidate and compare with the rule; and option_member_counts records the
-counts.  A P-set is kept as its O(bound) cells, never as a box mask: the
-solver memoises cells, every candidate form becomes cells, and the witness
-search counts a cell's P-options by binary search over the P-cells.  A
-sequence of P-pairs (a_n, b_n) is kept as two int64 arrays; ppos_list turns
-cells into pairs and PNTable.from_pairs turns pairs back into cells.
+gives each cell's number of member options; the jobs that read every cell
+use it.  The solver takes members from the game rule, the absorption check
+reads them from the candidate and compares with the rule, and
+option_member_counts records the counts.  Stability, which concerns the
+members alone, and the witness search count over their cells instead, by
+binary search in the line keys that a PNTable builds once and keeps.  A
+P-set is kept as its O(bound) cells, never as a box mask.  A sequence of
+P-pairs (a_n, b_n) is kept as two int64 arrays; ppos_list turns cells into
+pairs and PNTable.from_pairs turns pairs back into cells.
 """
 from __future__ import annotations
 
 import hashlib
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -136,6 +137,21 @@ class PNTable:
         mask[self.xs, self.ys] = True
         mask.flags.writeable = False
         return mask
+
+    @cached_property
+    def _line_keys(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per line kind (row, column, difference x - y + bound), the sorted
+        keys line * (bound + 1) + at of the P-cells and where each line starts
+        among them; read-only."""
+        n = self.bound + 1
+        out = []
+        for line, at in ((self.xs, self.ys), (self.ys, self.xs),
+                         (self.xs - self.ys + self.bound, self.xs)):
+            keys = np.sort(line * n + at)
+            starts = np.searchsorted(keys, np.arange(2 * n) * n)
+            keys.flags.writeable = starts.flags.writeable = False
+            out.append((keys, starts))
+        return tuple(out)
 
 
 def _canonical(xs, ys, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -343,6 +359,8 @@ def option_member_counts(mask: np.ndarray) -> np.ndarray:
     The counting sweep over the mask's cells, writing each anti-diagonal's
     counts into an int32 table.
     """
+    if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
+        raise ValueError(f"expected a square mask, got shape {mask.shape}")
     bound = mask.shape[0] - 1
     member = _members(*_candidate_cells(mask, bound), bound)
     out = np.zeros(mask.shape, dtype=np.int32)
@@ -356,30 +374,15 @@ def option_member_counts(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_violation(candidate, spec: GameSpec, bound: int, stable: bool):
-    """Sweep the candidate against the game rule; return (cells, first).
-
-    A member the rule calls N breaks stability, a non-member it calls P
-    breaks absorption.  first is ((x, y), member-option count) of the
-    row-major first violation, the least x over all anti-diagonals, or None.
-    """
-    cells = _candidate_cells(candidate, bound)
-    member = _members(*cells, bound)
-    first = None
-
-    def read(s, x0, cnt):
-        nonlocal first
-        at = member(s, x0)
-        is_p, is_member = _rule(spec, s, cnt), np.zeros(cnt.size, dtype=bool)
-        is_member[at] = True
-        bad = np.flatnonzero(is_member & ~is_p if stable else is_p & ~is_member)
-        if bad.size and (first is None or x0 + bad[0] < first[0][0]):
-            x = x0 + int(bad[0])
-            first = (x, s - x), int(cnt[bad[0]])
-        return at
-
-    _sweep(bound, read)
-    return cells, first
+def _option_counts(table: PNTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Number of P-cells of table among the options of each cell (x[i], y[i])
+    of its box: the P-cells before it on its row, column and difference."""
+    n = table.bound + 1
+    count = 0
+    cell_keys = ((x, y), (y, x), (x - y + table.bound, x))
+    for (keys, starts), (line, at) in zip(table._line_keys, cell_keys):
+        count += np.searchsorted(keys, line * n + at) - starts[line]
+    return count
 
 
 def check_stable(candidate, spec: GameSpec, bound: int) -> CheckResult:
@@ -387,20 +390,25 @@ def check_stable(candidate, spec: GameSpec, bound: int) -> CheckResult:
 
     K variant: no move may connect two members when the source is outside
     the terminal region (terminal positions allow no moves).  W variant: a
-    member may have at most k-1 member options.  The counterexample is
-    (source, member option) for K and (source, tuple of k member options)
-    for W.
+    member may have at most k-1 member options.  Only the members are
+    visited, each counting its member options over the candidate's line keys.
+    The counterexample of the row-major first violator is (source, member
+    option) for K and (source, tuple of k member options) for W.
     """
-    (xs, ys), first = _first_violation(candidate, spec, bound, stable=True)
-    if first is None:
+    table = PNTable(spec, bound, *_candidate_cells(candidate, bound))
+    xs, ys = table.xs, table.ys
+    counts = _option_counts(table, xs, ys)
+    bad = np.flatnonzero((counts >= spec.need) & (xs + ys > spec.terminal_sum))
+    if not bad.size:
         return CheckResult(True, f"stable on [0,{bound}]^2")
-    src, count = first
+    i = bad[np.argmin(xs[bad] * (bound + 1) + ys[bad])]
+    src = int(xs[i]), int(ys[i])
     cells = set(zip(xs.tolist(), ys.tolist()))
     members = [q for q in options(src) if q in cells]
     if spec.variant == "K":
         return CheckResult(False, f"member {src} moves to member {members[0]}",
                            (src, members[0]))
-    return CheckResult(False, f"member {src} has {count} member options "
+    return CheckResult(False, f"member {src} has {int(counts[i])} member options "
                        f"(max {spec.k - 1})", (src, tuple(members[: spec.k])))
 
 
@@ -409,34 +417,31 @@ def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
 
     K variant: every non-member must have a member option; a non-member
     inside the terminal region has no moves at all and is reported directly.
-    W variant: every non-member needs at least k member options.
+    W variant: every non-member needs at least k member options.  This reads
+    every cell, so it runs the counting sweep and reports the row-major
+    first non-member that the rule calls P.
     """
-    _, first = _first_violation(candidate, spec, bound, stable=False)
+    member = _members(*_candidate_cells(candidate, bound), bound)
+    first = None
+
+    def read(s, x0, cnt):
+        nonlocal first
+        at = member(s, x0)
+        bad = _rule(spec, s, cnt)
+        bad[at] = False
+        bad = np.flatnonzero(bad)
+        if bad.size and (first is None or x0 + bad[0] < first[0][0]):
+            x = x0 + int(bad[0])
+            first = (x, s - x), int(cnt[bad[0]])
+        return at
+
+    _sweep(bound, read)
     if first is None:
         return CheckResult(True, f"absorbing on [0,{bound}]^2")
     pos, count = first
     return CheckResult(
         False, f"non-member {pos} has {count} member options (needs {spec.need})", pos
     )
-
-
-@lru_cache(maxsize=64)
-def _line_keys(spec: GameSpec, bound: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per line kind (row, column, difference x - y + bound), the sorted keys
-    line * (bound + 1) + at of the P-cells and where each line starts among
-    them, built once per solved table.
-
-    The P-options of a cell are the P-cells before it on its three lines.
-    """
-    P = solve(spec, bound)
-    n = bound + 1
-    out = []
-    for line, at in ((P.xs, P.ys), (P.ys, P.xs), (P.xs - P.ys + bound, P.xs)):
-        keys = np.sort(line * n + at)
-        starts = np.searchsorted(keys, np.arange(2 * n) * n)
-        keys.flags.writeable = starts.flags.writeable = False
-        out.append((keys, starts))
-    return tuple(out)
 
 
 def non_redundant_witness(
@@ -461,10 +466,7 @@ def non_redundant_witness(
     n = bound + 1
     inside = (P.xs <= bound - dx) & (P.ys <= bound - dy)
     x, y = P.xs[inside] + dx, P.ys[inside] + dy  # the move takes (x, y) to a P-cell
-    count = 0
-    cell_keys = ((x, y), (y, x), (x - y + bound, x))
-    for (keys, starts), (line, at) in zip(_line_keys(spec, bound), cell_keys):
-        count += np.searchsorted(keys, line * n + at) - starts[line]
+    count = _option_counts(P, x, y)
     # count == spec.need leaves out every P-cell but the terminals of K: the
     # solver gives other P-cells no P-option in K and at most k - 1 in W
     hits = (x * n + y)[(count == spec.need) & (x + y > spec.terminal_sum)]

@@ -238,10 +238,10 @@ def suite_redundancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
 
         def all_moves():
             for move in moves:
-                if non_redundant_witness(spec, move, B) is None:
-                    return CheckResult(
-                        False, f"no witness for move {move} within {B}", move
-                    )
+                if non_redundant_witness(spec, move, B) is None:  # inconclusive
+                    raise ValueError(f"suite 'redundancy': no {spec.label()} witness "
+                                     f"for move {move} in [0,{B}]^2; the box is too "
+                                     "small, raise --bound")
             return CheckResult(True, f"witnesses for all {len(moves)} moves")
 
         items.append(_timed(f"redundancy/{tag}", spec.label(), B, all_moves))

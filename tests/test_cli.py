@@ -100,10 +100,15 @@ class TestSolveCommand:
         assert table.spec == kspec(2)
         assert np.array_equal(table.ppos, solve(kspec(2), 50).ppos)
 
-    def test_cache_requires_out(self, capsys):
+    def test_cache_requires_out(self, capsys, monkeypatch):
+        def no_solve(spec, bound):
+            raise AssertionError("solved before the usage check")
+
+        monkeypatch.setattr("wythlab.cli.solve", no_solve)
         with pytest.raises(SystemExit) as ei:
             main(["solve", "--game", "K", "--ell", "2", "--format", "cache"])
         assert ei.value.code == 2
+        assert "--format cache requires --out" in capsys.readouterr().err
 
     def test_missing_parameter(self):
         with pytest.raises(SystemExit) as ei:
@@ -324,10 +329,21 @@ class TestVerifyCommand:
         assert captured.out == ""
 
     def test_redundancy_at_the_longest_move_still_runs(self, capsys):
-        code, out, _ = run(capsys, ["verify", "redundancy", "--ell", "1",
-                                    "--bound", "30"])
-        assert code == 1
-        assert "no witness for move" in out
+        # the witness of (25, 25) lies outside [0,30]^2: inconclusive, not FAIL
+        with pytest.raises(SystemExit) as ei:
+            main(["verify", "redundancy", "--ell", "1", "--bound", "30"])
+        captured = capsys.readouterr()
+        assert ei.value.code == 2
+        assert ("no K ell=1 witness for move (25, 25) in [0,30]^2; "
+                "the box is too small") in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag,value,least", [("--ell", 2, 52), ("--k", 2, 34)])
+    def test_redundancy_least_bound_with_every_witness(self, flag, value, least):
+        argv = ["verify", "redundancy", flag, str(value), "--bound"]
+        code, err = exit_code(argv + [str(least - 1)])
+        assert code == 2 and "the box is too small" in err
+        assert exit_code(argv + [str(least)]) == (0, "")
 
     def test_blocking_negative_bound_message(self, capsys):
         with pytest.raises(SystemExit) as ei:

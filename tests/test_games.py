@@ -279,6 +279,14 @@ class TestOptionCounts:
     def test_empty_mask(self):
         assert option_member_counts(np.zeros((5, 5), bool)).sum() == 0
 
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4,), (2, 2, 2)])
+    def test_non_square_mask_is_refused(self, shape):
+        # a 3x5 mask holding (0, 0) once gave 0 at (0, 3) and (0, 4)
+        mask = np.zeros(shape, bool)
+        mask[(0,) * mask.ndim] = True
+        with pytest.raises(ValueError, match="expected a square mask"):
+            option_member_counts(mask)
+
 
 class TestKernelChecks:
     @pytest.mark.parametrize("spec,bound", [
@@ -416,7 +424,7 @@ def scan_over_options(mask, spec: GameSpec, bound: int, stable: bool):
 
 class TestKernelChecksAgainstOptions:
     @pytest.mark.parametrize("spec", [
-        kspec(0), kspec(1), kspec(2), wspec(2), wspec(3),
+        kspec(0), kspec(1), kspec(2), kspec(3), kspec(4), wspec(1), wspec(2), wspec(3),
     ])
     @pytest.mark.parametrize("bound", [0, 1, 2, 29])
     def test_verdicts_match_scan(self, spec, bound):
@@ -436,6 +444,23 @@ class TestKernelChecksAgainstOptions:
                 mask, spec, bound, stable=True)
             assert check_absorbing(mask, spec, bound) == scan_over_options(
                 mask, spec, bound, stable=False)
+
+    @pytest.mark.parametrize("spec", [kspec(2), wspec(3)], ids=GameSpec.label)
+    def test_stability_never_sweeps_the_box(self, spec, monkeypatch):
+        bound = 40
+        table = solve(spec, bound)
+        mask = table.ppos.copy()
+        flipped = mask.copy()
+        flipped[7, 12] = not flipped[7, 12]
+
+        def no_sweep(bound, member):
+            raise AssertionError("check_stable swept the box")
+
+        monkeypatch.setattr("wythlab.games._sweep", no_sweep)
+        for candidate, scan_mask in ((table, mask), (mask, mask), (flipped, flipped)):
+            assert check_stable(candidate, spec, bound) == scan_over_options(
+                scan_mask, spec, bound, stable=True)
+        assert not check_stable(flipped, spec, bound).ok
 
     def test_checkers_stay_linear_in_memory(self):
         spec, bound = kspec(2), 2000
