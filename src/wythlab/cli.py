@@ -1,11 +1,16 @@
 """Command-line front end: solving, verifying, inferring, and file exchange.
 
 Exit codes: 0 success, 1 a check or inference failed, 2 usage error,
-3 I/O error.  All commands are deterministic.
+3 I/O error.  All commands are deterministic.  Each command returns 0 or 1
+and turns its own domain errors into 1 or 2 (argparse's parser.error).
+main decides the two codes that do not depend on the command: any OSError,
+a failed write to stdout or a closed pipe included, prints one "error:"
+line and gives 3, and a ResourceLimitError is a usage error (2).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -13,7 +18,6 @@ import sys
 
 from .catalog import builtin_dfaos
 from .games import (
-    CacheError,
     PposSequence,
     ResourceLimitError,
     kspec,
@@ -173,31 +177,24 @@ def _cmd_solve(parser, args) -> int:
         parser.error(f"negative bound {bound}")
     if args.format == "cache" and args.out is None:
         parser.error("--format cache requires --out")
-    try:
-        table = solve(spec, bound)
-    except ResourceLimitError as exc:
-        parser.error(str(exc))
-    try:
-        if args.format == "cache":
-            write_table_cache(table, args.out)
-            return EXIT_OK
-        pp = ppos_list(table)
-        if args.format == "json":
-            _write_text(args.out, pairs_to_json(spec, bound, pp))
-        else:
-            buf = io.StringIO()
-            write_pairs_csv(pp, buf)
-            _write_text(args.out, buf.getvalue())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    table = solve(spec, bound)
+    if args.format == "cache":
+        write_table_cache(table, args.out)
+        return EXIT_OK
+    pp = ppos_list(table)
+    if args.format == "json":
+        _write_text(args.out, pairs_to_json(spec, bound, pp))
+    else:
+        buf = io.StringIO()
+        write_pairs_csv(pp, buf)
+        _write_text(args.out, buf.getvalue())
     return EXIT_OK
 
 
 def _cmd_verify(parser, args) -> int:
     try:
         items = run_suite(args.suite, ell=args.ell, k=args.k, bound=args.bound)
-    except (ValueError, ResourceLimitError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     width = max(len(it.name) for it in items) + 2
     failures = 0
@@ -240,9 +237,6 @@ def _cmd_infer(parser, args) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             prefix = _parse_symbols(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except UnicodeDecodeError as exc:
         parser.error(f"{args.input}: {exc}")
     if not prefix:
@@ -275,31 +269,24 @@ def _cmd_infer(parser, args) -> int:
             d = DFAO(transitions=((0, 0),), outputs=(outputs.pop(),))
         else:
             d = promote(result.morphism, result.coding)
-        try:
-            _write_text(args.out, to_walnut(d))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _write_text(args.out, to_walnut(d))
     return EXIT_OK
 
 
-def _load_dfao(parser, name: str) -> DFAO:
+def _load_dfao(name: str) -> DFAO:
     builtin = builtin_dfaos()
     if name in builtin:
         return builtin[name]
     try:
         with open(name, encoding="utf-8") as fh:
             return from_walnut(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO) from None
     except (WalnutFormatError, UnicodeDecodeError) as exc:
         print(f"error: {name}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CHECK_FAILED) from None
 
 
 def _cmd_eval_dfao(parser, args) -> int:
-    d = _load_dfao(parser, args.automaton)
+    d = _load_dfao(args.automaton)
     flag, n = ("--n", args.n) if args.n is not None else ("--upto", args.upto)
     if n < 0:
         parser.error(f"{flag} must be a natural")
@@ -319,11 +306,7 @@ def _cmd_export(parser, args) -> int:
             f"unknown automaton {args.automaton!r}; "
             "choose from: " + ", ".join(sorted(builtin))
         )
-    try:
-        _write_text(args.out, to_walnut(builtin[args.automaton]))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, to_walnut(builtin[args.automaton]))
     return EXIT_OK
 
 
@@ -340,10 +323,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](parser, args)
-    except CacheError as exc:
+        code = _COMMANDS[args.command](parser, args)
+        sys.stdout.flush()  # a buffered write fails here, not at exit
+        return code
+    except ResourceLimitError as exc:
+        parser.error(str(exc))
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        with contextlib.suppress(OSError):
+            sys.stdout.flush()
+            return EXIT_IO
+        # stdout itself failed: close it, so that exit does not retry its
+        # unwritten bytes (close raises the same error, but still closes)
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -136,10 +136,8 @@ def floor_phi(n: int) -> int:
 
 
 def floor_phi2(n: int) -> int:
-    """floor(n * phi^2), exactly, via the double-shift identity."""
-    if n < 0:
-        raise ValueError(f"negative argument {n}")
-    return 0 if n == 0 else shift(shift(n - 1)) + 2
+    """floor(n * phi^2) = floor(n * phi) + n, exactly, as phi^2 = phi + 1."""
+    return floor_phi(n) + n
 
 
 def floor_phi_range(n_max: int) -> np.ndarray:

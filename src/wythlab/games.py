@@ -482,16 +482,23 @@ _VERSION = 1
 
 
 def write_table_cache(table: PNTable, path) -> None:
-    """Write a solved table; layout is header, packed bits, checksum."""
+    """Write a solved table; layout is header, packed bits, checksum.
+
+    Bit x * (bound + 1) + y, msb first, is set from each P-cell (x, y).
+    """
     spec = table.spec
     param = spec.ell if spec.variant == "K" else spec.k
     header = _MAGIC + struct.pack(
         "<BcII", _VERSION, spec.variant.encode(), param, table.bound
     )
-    payload = np.packbits(table.ppos.reshape(-1)).tobytes()
-    digest = hashlib.sha256(header + payload).digest()
+    n = table.bound + 1
+    payload = np.zeros((n * n + 7) // 8, dtype=np.uint8)
+    at = table.xs * n + table.ys
+    np.bitwise_or.at(payload, at >> 3, (0x80 >> (at & 7)).astype(np.uint8))
+    digest = hashlib.sha256(header)
+    digest.update(payload)
     with open(path, "wb") as fh:
-        fh.write(header + payload + digest)
+        fh.writelines((header, payload, digest.digest()))
 
 
 def read_table_cache(path) -> PNTable:
@@ -506,8 +513,10 @@ def read_table_cache(path) -> PNTable:
     )
     if version != _VERSION:
         raise CacheError(f"{path}: unsupported cache version {version}")
-    header, payload, digest = blob[:head_len], blob[head_len:-32], blob[-32:]
-    if hashlib.sha256(header + payload).digest() != digest:
+    payload = memoryview(blob)[head_len:-32]
+    digest = hashlib.sha256(blob[:head_len])
+    digest.update(payload)
+    if digest.digest() != blob[-32:]:
         raise CacheError(f"{path}: checksum mismatch")
     try:
         spec = {b"K": kspec, b"W": wspec}[variant](param)
@@ -517,5 +526,9 @@ def read_table_cache(path) -> PNTable:
     expect = (n * n + 7) // 8
     if len(payload) != expect:
         raise CacheError(f"{path}: payload length {len(payload)} != {expect}")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n * n)
-    return PNTable.from_cells(spec, bound, *np.nonzero(bits.reshape(n, n)))
+    # unpack only the nonzero bytes; a padding bit past n * n reads as a
+    # cell with x > bound, which from_cells drops
+    payload = np.frombuffer(payload, dtype=np.uint8)
+    lit = np.flatnonzero(payload)
+    byte, bit = np.nonzero(np.unpackbits(payload[lit]).reshape(-1, 8))
+    return PNTable.from_cells(spec, bound, *np.divmod(lit[byte] * 8 + bit, n))

@@ -91,12 +91,11 @@ class DFAO:
     """Automaton with output; state s reads digit d into transitions[s][d].
 
     A missing transition is None.  Evaluation feeds rep_F(n) msd first from
-    the initial state and returns the output of the final state.
+    state 0 and returns the output of the final state.
     """
 
     transitions: tuple[tuple[int | None, int | None], ...]
     outputs: tuple
-    initial: int = 0
 
     @property
     def state_count(self) -> int:
@@ -141,7 +140,7 @@ def promote(m: Morphism, c: Coding) -> DFAO:
 
 def eval_dfao(d: DFAO, n: int):
     """Output of d on input rep_F(n), msd first."""
-    state = d.initial
+    state = 0
     for digit in rep_F(n):
         nxt = d.transitions[state][int(digit)]
         if nxt is None:
@@ -163,7 +162,7 @@ def eval_dfao_range(d: DFAO, n_max: int) -> np.ndarray:
     sink = d.state_count  # absorbs every missing transition
     table = np.array([[sink if t is None else t for t in edges]
                       for edges in d.transitions] + [[sink, sink]])
-    state = np.full(n_max + 1, d.initial)
+    state = np.zeros(n_max + 1, dtype=np.int64)
     fed = np.zeros(n_max + 1, dtype=bool)
     for _, col in _digit_columns(n_max):
         fed |= col
@@ -281,18 +280,20 @@ def infer_morphism(prefix: Sequence, t: int) -> InferenceResult:
     )
 
 
-def infer_morphism_auto(
-    prefix: Sequence, t_min: int = 2, t_max: int = 6
-) -> InferenceResult:
-    """Try increasing type depths until inference is consistent."""
+_AUTO_DEPTHS = range(2, 7)
+
+
+def infer_morphism_auto(prefix: Sequence) -> InferenceResult:
+    """Try type depths 2..6 in turn until inference is consistent."""
     last: InferenceError | None = None
-    for t in range(t_min, t_max + 1):
+    for t in _AUTO_DEPTHS:
         try:
             return infer_morphism(prefix, t)
         except InferenceError as exc:
             last = exc
     raise InferenceError(
-        f"no consistent substitution found for t in [{t_min}, {t_max}]; "
+        f"no consistent substitution found for t in "
+        f"[{_AUTO_DEPTHS[0]}, {_AUTO_DEPTHS[-1]}]; "
         f"last failure: {last}"
     )
 

@@ -35,8 +35,6 @@ def to_walnut(d: DFAO) -> str:
     Outputs must be integers; state numbering is preserved, which keeps the
     export of a promoted substitution aligned with its letter numbering.
     """
-    if d.initial != 0:
-        raise ValueError("canonical form requires state 0 to be initial")
     lines = [_HEADER]
     for state, (out, edges) in enumerate(zip(d.outputs, d.transitions)):
         if not isinstance(out, int) or isinstance(out, bool):

@@ -1,4 +1,5 @@
 """Closed forms, mex recursion, discrepancy bounds, spectra, partition words."""
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -322,6 +323,21 @@ class TestDiscrepancy:
         assert not res.ok
         assert res.counterexample == 50
 
+    @pytest.mark.parametrize("field,at,delta,detail", [
+        ("S", 1, 1, "S must vanish through index 3"),
+        ("S", 4, 1, "S[4] = 2, expected 1"),
+        ("eps", 50, 2, "eps[50] = 3 outside {0,1}"),
+        ("eps", 0, -1, "eps[0] != ell - n in the base region"),
+        # the last S: S still never decreases, but runs 10 past n/phi
+        ("S", 200, 10, "discrepancy bound fails at n=200"),
+    ])
+    def test_each_failure_names_its_index(self, field, at, delta, detail):
+        prof = discrepancy_profile(3, 200)
+        doctored = getattr(prof, field).copy()
+        doctored[at] += delta
+        res = check_discrepancy(dataclasses.replace(prof, **{field: doctored}))
+        assert (res.ok, res.detail, res.counterexample) == (False, detail, at)
+
     def test_sqrt5_certificate_overflow_raises(self):
         # 5 x^2 wraps in int64 here; the exact answer is False
         assert not sqrt5_times_leq(1_400_000_000, 3_000_000_000)
@@ -483,3 +499,12 @@ class TestCounting:
         pairs[40] = (a, b + 1)
         doctored = PposSequence(ell=2, pairs=tuple(pairs))
         assert not counting_check(doctored, 150).ok
+
+    def test_swapped_values_fail_the_b_identity(self):
+        # 4 and 5 change sequences: pi_A + pi_B still counts every value
+        a, b = (v.copy() for v in mex_sequence(0, 50).arrays())
+        assert (a[2], b[1]) == (4, 5)
+        a[2], b[1] = 5, 4
+        res = counting_check(PposSequence(0, np.c_[a, b]), 40)
+        assert (res.ok, res.detail, res.counterexample) == (
+            False, "pi_A(b_1) = 2 != a_1 = 3", 1)

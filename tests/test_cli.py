@@ -1,4 +1,5 @@
 """End-to-end checks of the command-line interface via main(argv)."""
+import errno
 import io
 import json
 import os
@@ -441,6 +442,37 @@ class TestVerifyCommand:
         assert "value 0 outside 3.." in out
         assert "counterexample: 0" in out
 
+    def test_mex_partition_names_a_missing_value(self, capsys, monkeypatch):
+        real = suites.ch.mex_sequence
+
+        def doctored(ell, count):
+            pairs = list(real(ell, count).pairs)
+            assert pairs[1] == (4, 8)
+            del pairs[1]
+            return PposSequence(ell, pairs)
+
+        monkeypatch.setattr(suites.ch, "mex_sequence", doctored)
+        code, out, _ = run(capsys, ["verify", "mex", "--ell", "2", "--bound", "40"])
+        assert code == 1
+        line = next(ln for ln in out.splitlines() if ln.startswith("mex/K2/partition"))
+        assert " FAIL " in line and line.endswith("value 4 in neither sequence")
+        assert "counterexample: 4\n" in out
+
+    def test_k2_oracles_name_first_disagreement(self, capsys, monkeypatch):
+        real = suites.k2_adjust_prefix_by_recurrence
+
+        def doctored(n):
+            values = list(real(n))
+            values[7] ^= 1
+            return tuple(values)
+
+        monkeypatch.setattr(suites, "k2_adjust_prefix_by_recurrence", doctored)
+        code, out, _ = run(capsys, ["verify", "morphic", "--ell", "2",
+                                    "--bound", "50"])
+        assert code == 1
+        assert "definitions disagree at n=7" in out
+        assert "counterexample: 7\n" in out
+
     def test_w1_equals_k0_names_both_tables(self, capsys, monkeypatch):
         real = suites.solve
 
@@ -598,9 +630,10 @@ class TestEvalDfaoCommand:
         assert ei.value.code == 2
 
     def test_missing_file(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as ei:
-            main(["eval-dfao", str(tmp_path / "absent.txt"), "--n", "0"])
-        assert ei.value.code == 3
+        code, _, err = run(capsys, ["eval-dfao", str(tmp_path / "absent.txt"),
+                                    "--n", "0"])
+        assert code == 3
+        assert "error:" in err
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -648,6 +681,67 @@ class TestExportCommand:
                                     "--out", str(tmp_path / "no" / "x.txt")])
         assert code == 3
         assert "error:" in err
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestIOErrors:
+    """Any failed read or write, stdout included, exits 3 with one message."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--game", "K", "--ell", "1", "--bound", "20"],
+        ["verify", "mex"],
+        ["infer", "{tmp}/prefix.txt"],
+        ["eval-dfao", "k2-adjust", "--n", "5"],
+        ["eval-dfao", "k2-adjust", "--upto", "5"],
+        ["export", "--automaton", "k2-adjust", "--out", "{tmp}/no/x.txt"],
+    ], ids=["solve", "verify", "infer", "eval-dfao-n", "eval-dfao-upto", "export"])
+    def test_unwritable_stdout_exits_3(self, capsys, monkeypatch, tmp_path, argv):
+        (tmp_path / "prefix.txt").write_text(
+            " ".join(map(str, k2_adjust_prefix(200))))
+        monkeypatch.setattr(sys, "stdout", _FullStdout())
+        code = main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+    def test_console_stdout_failure_exits_3(self, target, buffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "wythlab.cli", "verify", "mex"]
+        if target == "/dev/full":
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
+                                      text=True, env=env, timeout=120)
+            code, err = proc.returncode, proc.stderr
+        else:
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True, env=env)
+            proc.stdout.close()  # before the child, still importing, writes
+            err = proc.stderr.read()
+            proc.stderr.close()
+            code = proc.wait(timeout=120)
+        want = errno.ENOSPC if target == "/dev/full" else errno.EPIPE
+        assert code == 3
+        assert err.splitlines() == [f"error: [Errno {want}] {os.strerror(want)}"]
+
+    def test_oversized_verify_bound_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["verify", "kernel", "--bound", "40000"])
+        assert ei.value.code == 2
+        assert "exceeds the solver cap" in capsys.readouterr().err
 
 
 class TestFuzzedInputs:

@@ -602,6 +602,27 @@ class TestCache:
             back.ppos[0, 0] = False
 
 
+    def test_no_box_sized_buffer(self, tmp_path):
+        # the packed file is (B+1)^2 / 8 bytes; a one-byte-per-cell mask
+        # would be eight times that
+        t = solve(kspec(2), 3000)
+        path = tmp_path / "table.pn"
+        tracemalloc.start()
+        try:
+            write_table_cache(t, path)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = read_table_cache(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size == 1_125_797
+        assert write_peak < 3 * size
+        assert read_peak < 3 * size
+        assert np.array_equal(back.xs, t.xs) and np.array_equal(back.ys, t.ys)
+
+
 def resealed(blob: bytes) -> bytes:
     """The cache file blob with its sha256 trailer recomputed."""
     body = blob[:-32]
@@ -658,6 +679,13 @@ class TestCacheHeaders:
         table, peak = read_blob(tmp_path, resealed(bytes(blob)))
         assert table is None
         assert peak < 2**16
+
+    def test_padding_bits_are_not_cells(self, tmp_path):
+        blob = bytearray(cache_blob(tmp_path))  # 21^2 = 441 bits: 7 padding
+        blob[-33] |= 0x7F
+        table, _ = read_blob(tmp_path, resealed(bytes(blob)))
+        want = solve(kspec(1), 20)
+        assert np.array_equal(table.xs, want.xs) and np.array_equal(table.ys, want.ys)
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

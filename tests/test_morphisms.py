@@ -232,7 +232,8 @@ class TestInference:
         prefix[137] ^= 1
         with pytest.raises(InferenceError):
             infer_morphism(prefix, 3)
-        with pytest.raises(InferenceError):
+        with pytest.raises(InferenceError, match=r"^no consistent substitution "
+                           r"found for t in \[2, 6\]; last failure: "):
             infer_morphism_auto(prefix)
 
     def test_short_prefix_rejected(self):
