@@ -24,20 +24,13 @@ import numpy as np
 from .catalog import adjust_dfao
 from .fibnum import (
     floor_phi,
-    floor_phi2,
     floor_phi_range,
     rep_F,
     sqrt5_times_geq,
     sqrt5_times_leq,
 )
 from .games import CheckResult, GameSpec, PNTable, PposSequence, kspec, wspec
-from .morphisms import (
-    Coding,
-    Morphism,
-    eval_dfao_range,
-    fixed_point_prefix,
-    k2_adjust_prefix,
-)
+from .morphisms import DFAO, Coding, Morphism, eval_dfao_range, fixed_point_prefix
 
 __all__ = [
     "mex_sequence",
@@ -118,22 +111,24 @@ def mex_sequence(ell: int, count: int) -> PposSequence:
 # Row ell holds (adjust, lag, alpha, beta): pair n of K^ell sits at Beatty
 # index m = n + 2 as
 #     (floor(m phi) + adj(m-lag) + alpha, floor(m phi^2) + adj(m-lag) + beta),
-# where adjust(count) returns adj(0..count-1) and None stands for adj = 0.
+# where adj is the output sequence of the automaton adjust.  K^1's one-state
+# automaton outputs 0 throughout.
 CLOSED_FORMS = {
-    1: (None, 0, -1, -1),
-    2: (lambda count: np.asarray(k2_adjust_prefix(count)), 0, -1, 0),
-    3: (lambda count: eval_dfao_range(adjust_dfao(3), count - 1), 1, -1, 1),
-    4: (lambda count: eval_dfao_range(adjust_dfao(4), count - 1), 1, 0, 3),
+    1: (DFAO(((0, 0),), (0,)), 0, -1, -1),
+    2: (adjust_dfao(2), 0, -1, 0),
+    3: (adjust_dfao(3), 1, -1, 1),
+    4: (adjust_dfao(4), 1, 0, 3),
 }
 
 
 def _closed_form_arrays(ell: int, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """The CLOSED_FORMS pairs of K^ell at Beatty indices first..stop-1."""
     if ell not in CLOSED_FORMS:
-        raise ValueError(f"no closed form for K^{ell}; closed forms cover ell 1..4")
+        raise ValueError(f"no closed form for K^{ell}; closed forms cover ell "
+                         f"{', '.join(map(str, CLOSED_FORMS))}")
     adjust, lag, alpha, beta = CLOSED_FORMS[ell]
     fp = floor_phi_range(stop - 1)[first:]
-    adj = 0 if adjust is None else adjust(stop - lag)[first - lag :]
+    adj = eval_dfao_range(adjust, stop - lag - 1)[first - lag :]
     return fp + adj + alpha, fp + np.arange(first, stop) + adj + beta
 
 
@@ -271,13 +266,9 @@ def ppos_W2(x: int, y: int) -> bool:
     if v == 2 * u + 1:
         return True
     if u >= 2 and u % 2 == 0 and v % 2 == 0:
-        p = (u - 2) // 2
-        q = (v - 2) // 2
-        # invert p = floor(n phi); the candidate is within 1 of p/phi
-        n0 = floor_phi(p + 1) - (p + 1)
-        for n in (n0 - 1, n0, n0 + 1):
-            if n >= 0 and floor_phi(n) == p and floor_phi2(n) == q:
-                return True
+        # (p, q) = (floor(n phi), floor(n phi^2)) forces n = q - p
+        p, q = (u - 2) // 2, (v - 2) // 2
+        return floor_phi(q - p) == p
     return False
 
 
@@ -321,9 +312,6 @@ class DiscrepancyProfile:
     S: np.ndarray
     eps: np.ndarray
     lam: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.a)
 
 
 def discrepancy_profile(ell: int, horizon: int) -> DiscrepancyProfile:

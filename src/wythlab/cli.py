@@ -37,7 +37,7 @@ from .morphisms import (
     promote,
 )
 from .suites import K_BOUND_DEFAULT, SUITES, W_BOUND_DEFAULT, run_suite
-from .walnut import WalnutFormatError, from_walnut, to_walnut
+from .walnut import from_walnut, to_walnut
 
 __all__ = [
     "main",
@@ -273,26 +273,19 @@ def _cmd_infer(parser, args) -> int:
     return EXIT_OK
 
 
-def _load_dfao(name: str) -> DFAO:
-    builtin = builtin_dfaos()
-    if name in builtin:
-        return builtin[name]
-    try:
-        with open(name, encoding="utf-8") as fh:
-            return from_walnut(fh.read())
-    except (WalnutFormatError, UnicodeDecodeError) as exc:
-        print(f"error: {name}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_CHECK_FAILED) from None
-
-
 def _cmd_eval_dfao(parser, args) -> int:
-    d = _load_dfao(args.automaton)
     flag, n = ("--n", args.n) if args.n is not None else ("--upto", args.upto)
-    if n < 0:
-        parser.error(f"{flag} must be a natural")
+    builtin = builtin_dfaos()
     try:
+        if args.automaton in builtin:
+            d = builtin[args.automaton]
+        else:
+            with open(args.automaton, encoding="utf-8") as fh:
+                d = from_walnut(fh.read())
+        if n < 0:
+            parser.error(f"{flag} must be a natural")
         values = [eval_dfao(d, n)] if flag == "--n" else eval_dfao_range(d, n).tolist()
-    except ValueError as exc:
+    except ValueError as exc:  # malformed or undecodable file, stuck automaton
         print(f"error: {args.automaton}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     print(" ".join(map(str, values)))
@@ -329,14 +322,16 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         parser.error(str(exc))
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        with contextlib.suppress(OSError):
-            sys.stdout.flush()
-            return EXIT_IO
-        # stdout itself failed: close it, so that exit does not retry its
-        # unwritten bytes (close raises the same error, but still closes)
-        with contextlib.suppress(OSError):
-            sys.stdout.close()
+        # report on stderr, then settle stdout; a stream that still fails is
+        # closed, so that exit does not retry its unwritten bytes (close
+        # raises the same error, but still closes)
+        for stream, text in ((sys.stderr, f"error: {exc}\n"), (sys.stdout, "")):
+            try:
+                stream.write(text)
+                stream.flush()
+            except OSError:
+                with contextlib.suppress(OSError):
+                    stream.close()
         return EXIT_IO
 
 

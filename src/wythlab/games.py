@@ -54,7 +54,8 @@ MAX_SOLVE_BOUND = 32768
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised instead of attempting a solve that would exhaust memory."""
+    """Raised instead of attempting a solve past the bound cap.  The solve
+    is O(B) in memory, so the cap bounds its O(B^2) time."""
 
 
 class CacheError(ValueError):

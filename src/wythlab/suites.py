@@ -128,7 +128,7 @@ def suite_kernel(ell=None, k=None, bound=None) -> list[SuiteItem]:
 
 def suite_closed_forms(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Closed-form sets versus solver ground truth, plus their kernel checks."""
-    ells, _ = _select("closed-forms", ell, k, ells=range(1, 5))
+    ells, _ = _select("closed-forms", ell, k, ells=ch.CLOSED_FORMS)
     B = K_BOUND_DEFAULT if bound is None else bound
     items = []
     for e in ells:
@@ -251,7 +251,7 @@ def suite_redundancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
 def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
     """Automatic-sequence machinery: oracles, automata, partition words."""
     ells, _ = _select("morphic", ell, k,
-                      ells={2, *ADJUST_SYSTEMS, *PARTITION_SYSTEMS})
+                      ells={*ADJUST_SYSTEMS, *PARTITION_SYSTEMS})
     H = MORPHIC_HORIZON_DEFAULT if bound is None else bound
     items = []
     if 2 in ells:

@@ -8,6 +8,7 @@ import pytest
 
 from wythlab.catalog import ADJUST_SYSTEMS, PARTITION_SYSTEMS
 from wythlab.characterizations import (
+    CLOSED_FORMS,
     DiscrepancyProfile,
     _mex_arrays,
     _sqrt5_leq_vec,
@@ -18,6 +19,7 @@ from wythlab.characterizations import (
     closed_form_K4,
     closed_form_mask,
     closed_form_pairs,
+    closed_form_table,
     counting_check,
     density_certificate,
     discrepancy_profile,
@@ -36,12 +38,23 @@ from wythlab.characterizations import (
 )
 from wythlab.fibnum import rep_F, sqrt5_times_leq
 from wythlab.games import PposSequence, kspec, ppos_list, solve, wspec
-from wythlab.morphisms import fixed_point_prefix
+from wythlab.morphisms import DFAO, eval_dfao_range, fixed_point_prefix, k2_adjust_prefix
 
 PAIR_TABLE_K1 = (
     (0, 1), (2, 4), (3, 6), (5, 9), (7, 12),
     (8, 14), (10, 17), (11, 19), (13, 22), (15, 25),
 )
+
+
+# Per CLOSED_FORMS row, an adjustment oracle that shares no code with the
+# row's automaton, and the first index it defines: the mex read-back of the
+# lag-1 rows leaves index 0 under no pair.
+ADJUST_ORACLES = {
+    1: (lambda count: (0,) * count, 0),
+    2: (k2_adjust_prefix, 0),
+    3: (k3_adjust_prefix_bruteforce, 1),
+    4: (k4_adjust_prefix_bruteforce, 1),
+}
 
 
 def mex_reference(ell, count):
@@ -109,6 +122,14 @@ class TestMexSequence:
     def test_first_pair(self):
         for ell in range(6):
             assert mex_sequence(ell, 1).pairs == ((ell + 1, 2 * ell + 2),)
+
+    @pytest.mark.parametrize("fn,what,n", [
+        (mex_sequence, "count", 5), (discrepancy_profile, "horizon", 10),
+    ])
+    def test_negative_ell_rejected(self, fn, what, n):
+        with pytest.raises(ValueError,
+                           match=f"^ell and {what} must be naturals: -1, {n}$"):
+            fn(-1, n)
 
     def test_empty(self):
         assert mex_sequence(2, 0).pairs == ()
@@ -184,6 +205,10 @@ class TestClosedFormK2ToK4:
         with pytest.raises(ValueError, match=r"count -1$"):
             closed_form_pairs(ell, -1)
 
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="^negative bound -1$"):
+            closed_form_table(kspec(1), -1)
+
     def test_k2_mask_equals_solver(self):
         assert np.array_equal(k2_closed_form_mask(300), solve(kspec(2), 300).ppos)
 
@@ -205,8 +230,17 @@ class TestClosedFormK2ToK4:
             assert np.array_equal(closed_form_mask(ell, bound),
                                   solve(kspec(ell), bound).ppos), bound
 
+    @pytest.mark.parametrize("ell", sorted(CLOSED_FORMS))
+    def test_row_automaton_matches_an_independent_oracle(self, ell):
+        adjust, _, _, _ = CLOSED_FORMS[ell]
+        oracle, first = ADJUST_ORACLES[ell]
+        assert isinstance(adjust, DFAO)
+        count = 10**4
+        got = eval_dfao_range(adjust, count - 1)[first:]
+        assert got.tolist() == list(oracle(count)[first:])
+
     def test_unsupported_ell(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="closed forms cover ell 1, 2, 3, 4$"):
             closed_form_pairs(5, 10)
         for ell in (0, 5):
             with pytest.raises(ValueError):

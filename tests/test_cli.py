@@ -119,10 +119,14 @@ class TestSolveCommand:
             main(["solve", "--game", "W", "--bound", "10"])
         assert ei.value.code == 2
 
-    def test_invalid_parameter(self):
+    def test_invalid_parameter(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["solve", "--game", "K", "--ell", "-3"])
         assert ei.value.code == 2
+        with pytest.raises(SystemExit) as ei:
+            main(["solve", "--game", "K", "--ell", "1", "--bound", "-1"])
+        assert ei.value.code == 2
+        assert "error: negative bound -1" in capsys.readouterr().err
 
     def test_oversized_bound(self):
         with pytest.raises(SystemExit) as ei:
@@ -144,6 +148,10 @@ class TestPairSerialization:
         write_pairs_csv(pp, buf)
         buf.seek(0)
         assert read_pairs_csv(buf, ell=2) == pp
+
+    def test_csv_skips_blank_rows(self):
+        pp = read_pairs_csv(io.StringIO("n,a_n,b_n\n0,2,4\n\n1,3,6\n"), ell=1)
+        assert pp.pairs == ((2, 4), (3, 6))
 
     def test_csv_bad_header(self):
         with pytest.raises(ValueError):
@@ -284,6 +292,8 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as ei:
             main(["verify", "nonsense"])
         assert ei.value.code == 2
+        with pytest.raises(KeyError, match="unknown suite 'nope'"):
+            suites.run_suite("nope")
 
     @pytest.mark.parametrize("argv", [
         ["closed-forms", "--ell", "5"],
@@ -638,17 +648,17 @@ class TestEvalDfaoCommand:
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not an automaton\n")
-        with pytest.raises(SystemExit) as ei:
-            main(["eval-dfao", str(path), "--n", "0"])
-        assert ei.value.code == 1
+        code, out, err = run(capsys, ["eval-dfao", str(path), "--n", "0"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: expected leading")
 
     def test_non_utf8_file(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"msd_fib\n0 1\xff\n")
-        with pytest.raises(SystemExit) as ei:
-            main(["eval-dfao", str(path), "--n", "3"])
-        assert ei.value.code == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        code, _, err = run(capsys, ["eval-dfao", str(path), "--n", "3"])
+        assert code == 1
+        assert err.startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("mode", [["--n", "3"], ["--upto", "6"]])
     def test_undefined_transition(self, capsys, tmp_path, mode):
@@ -714,16 +724,18 @@ class TestIOErrors:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+    @pytest.mark.parametrize("target", ["/dev/full", "closed pipe", "/dev/full both"])
     def test_console_stdout_failure_exits_3(self, target, buffered):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         if not buffered:
             env["PYTHONUNBUFFERED"] = "1"
         argv = [sys.executable, "-m", "wythlab.cli", "verify", "mex"]
-        if target == "/dev/full":
+        if target.startswith("/dev/full"):
             with open("/dev/full", "w") as full:
-                proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
+                # "both" leaves the error report itself unwritable
+                stderr = full if target.endswith("both") else subprocess.PIPE
+                proc = subprocess.run(argv, stdout=full, stderr=stderr,
                                       text=True, env=env, timeout=120)
             code, err = proc.returncode, proc.stderr
         else:
@@ -733,9 +745,10 @@ class TestIOErrors:
             err = proc.stderr.read()
             proc.stderr.close()
             code = proc.wait(timeout=120)
-        want = errno.ENOSPC if target == "/dev/full" else errno.EPIPE
+        want = errno.EPIPE if target == "closed pipe" else errno.ENOSPC
         assert code == 3
-        assert err.splitlines() == [f"error: [Errno {want}] {os.strerror(want)}"]
+        if err is not None:
+            assert err.splitlines() == [f"error: [Errno {want}] {os.strerror(want)}"]
 
     def test_oversized_verify_bound_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as ei:

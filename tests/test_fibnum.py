@@ -82,6 +82,11 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             rep_F(-1)
 
+    @pytest.mark.parametrize("fn,what", [(fib, "index"), (floor_phi, "argument")])
+    def test_fib_and_floor_phi_reject_negative(self, fn, what):
+        with pytest.raises(ValueError, match=f"^negative {what} -1$"):
+            fn(-1)
+
     def test_non_canonical_words_still_evaluate(self):
         # val_F is defined on every binary word, canonical or not
         assert val_F("011") == 3
@@ -123,7 +128,7 @@ class TestBeattyFloors:
         assert floor_phi_range(2).tolist() == [0, 1, 3]
 
     def test_is_floor_phi(self):
-        for n in range(1, 500):
+        for n in range(500):
             m = floor_phi(n)
             assert is_floor_phi(n, m)
             assert not is_floor_phi(n, m - 1)

@@ -56,6 +56,18 @@ class TestMorphism:
         assert FIBONACCI_MORPHISM.apply((0, 1, 0)) == (0, 1, 0, 0, 1)
 
 
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: promote(Morphism(((0, 0, 1), (0,))), Coding((0, 1))),
+         "image lengths must all be 1 or 2"),
+        (lambda: block_span(0, 5), "iteration depth must be >= 1, got 0"),
+        (lambda: infer_morphism(TABLE1_G, 0), "t must be >= 1, got 0"),
+    ], ids=["promote-non-golden", "block-span-depth-0", "infer-depth-0"])
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 class TestFixedPoint:
     def test_fibonacci_word(self):
         word = fixed_point_prefix(FIBONACCI_MORPHISM, 0, 13)

@@ -66,6 +66,11 @@ class TestErrors:
         with pytest.raises(WalnutFormatError):
             from_walnut("msd_fib\n0 1\n0 -> 3\n")
 
+    def test_transition_before_state(self):
+        with pytest.raises(WalnutFormatError,
+                           match="^transition before any state: '0 -> 0'$"):
+            from_walnut("msd_fib\n0 -> 0\n0 1\n")
+
     def test_garbage_line(self):
         with pytest.raises(WalnutFormatError):
             from_walnut("msd_fib\n0 1\nbanana\n")
