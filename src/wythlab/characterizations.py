@@ -30,7 +30,14 @@ from .fibnum import (
     sqrt5_times_leq,
 )
 from .games import CheckResult, GameSpec, PNTable, PposSequence, kspec, wspec
-from .morphisms import DFAO, Coding, Morphism, eval_dfao_range, fixed_point_prefix
+from .morphisms import (
+    DFAO,
+    Coding,
+    Morphism,
+    eval_dfao,
+    eval_dfao_range,
+    fixed_point_prefix,
+)
 
 __all__ = [
     "mex_sequence",
@@ -133,11 +140,14 @@ def _closed_form_arrays(ell: int, first: int, stop: int) -> tuple[np.ndarray, np
 
 
 def _closed_form_pair(ell: int, n: int, shift: int) -> tuple[int, int]:
-    """Pair n of a K^ell family that starts at Beatty index shift."""
+    """Pair n of a K^ell family that starts at Beatty index shift: the
+    CLOSED_FORMS row at the one index m = n + shift, in O(log m)."""
     if n < 0:
         raise ValueError(f"negative pair index {n}")
-    a, b = _closed_form_arrays(ell, n + shift, n + shift + 1)
-    return int(a[0]), int(b[0])
+    adjust, lag, alpha, beta = CLOSED_FORMS[ell]
+    m = n + shift
+    fp, adj = floor_phi(m), eval_dfao(adjust, m - lag)
+    return fp + adj + alpha, fp + m + adj + beta
 
 
 def closed_form_pairs(ell: int, count: int) -> PposSequence:

@@ -7,18 +7,20 @@ no further moves.  Variant W lets the player who just moved forbid up to
 k-1 of the opponent's options for one turn, which turns the usual "some
 option is P" losing test into "at least k options are P".
 
-Every move strictly decreases the coordinate sum, so solving all positions
-in increasing-sum order is exact on the full box with no truncation at the
-boundary.  One counting sweep visits the anti-diagonals in that order and
-gives each cell's number of member options; the jobs that read every cell
-use it.  The solver takes members from the game rule, the absorption check
-reads them from the candidate and compares with the rule, and
-option_member_counts records the counts.  Stability, which concerns the
-members alone, and the witness search count over their cells instead, by
-binary search in the line keys that a PNTable builds once and keeps.  A
-P-set is kept as its O(bound) cells, never as a box mask.  A sequence of
-P-pairs (a_n, b_n) is kept as two int64 arrays; ppos_list turns cells into
-pairs and PNTable.from_pairs turns pairs back into cells.
+Every option of a position lies in an earlier row of the box, or earlier
+in its own row, so solving the positions in row-major order is exact on the
+full box with no truncation at the boundary.  One counting sweep visits the
+rows in that order and keeps each column's and each diagonal's member
+count, saturated at the rule's threshold, as bit-planes in Python ints; the
+two jobs that read every cell use it.  The solver takes members from the
+game rule, and the absorption check reads them from the candidate and
+compares with the rule.  Exact counts, for stability (which concerns the
+members alone), the witness search, option_member_counts and the
+absorption check's report, come from binary search in the line keys that a
+PNTable builds once and keeps.  A P-set is kept as its O(bound) cells, never
+as a box mask.  A sequence of P-pairs (a_n, b_n) is kept as two int64
+arrays; ppos_list turns cells into pairs and PNTable.from_pairs turns pairs
+back into cells.
 """
 from __future__ import annotations
 
@@ -55,7 +57,8 @@ MAX_SOLVE_BOUND = 32768
 
 class ResourceLimitError(RuntimeError):
     """Raised instead of attempting a solve past the bound cap.  The solve
-    is O(B) in memory, so the cap bounds its O(B^2) time."""
+    is O(need B) bits in memory, so the cap bounds its time: O(B^2 / word)
+    for a sparse P-set, growing with each row's members for large k."""
 
 
 class CacheError(ValueError):
@@ -129,7 +132,7 @@ class PNTable:
     def from_pairs(cls, spec: GameSpec, bound: int, a, b) -> PNTable:
         """The table of the pairs (a[i], b[i]) in both orientations plus the
         terminal triangle x + y <= spec.terminal_sum; the inverse of ppos_list."""
-        tx, ty = np.nonzero(np.tri(spec.terminal_sum + 1, dtype=bool)[::-1])
+        tx, ty = _terminal_cells(spec, bound)
         return cls.from_cells(spec, bound, np.r_[a, b, tx], np.r_[b, a, ty])
 
     @property
@@ -233,66 +236,90 @@ def options(p: tuple[int, int]) -> list[tuple[int, int]]:
     return out
 
 
-def _sweep(bound: int, member) -> None:
-    """Visit the anti-diagonals s = 0..2*bound of [0,bound]^2 in order.
+def _sweep(bound: int, need: int, row) -> None:
+    """Visit the rows x = 0..bound of [0,bound]^2 in order.
 
-    cnt, the number of member options of cell (x, s-x), sums the members
-    seen so far in its row, column and difference e = x-y+B = 2x+c, c = B-s:
-    all its options lie on earlier anti-diagonals, and the cells of one
-    anti-diagonal have distinct rows, columns and differences.  The counts
-    are stored as h[x], v[B-y] and, by parity, d[e & 1][e // 2], so cells
-    x0..x1 read forward unit-stride slices from x0 at offsets 0, c and c // 2
-    (floor division, also for c < 0).  cnt is a view of one int32 buffer,
-    valid only during member(s, x0, cnt), which returns the distinct int
-    offsets of the members; the sweep adds 1 at each: O(members) writes.
+    Every option of (x, y) lies in an earlier row, or earlier in row x, so
+    row-major order is exact.  The sweep keeps the member count of each
+    column and each difference y - x over the earlier rows, saturated at
+    need, as need unary bit-planes in Python ints: bit y of cols[c] is set
+    when column y holds at most c members, and bit y of diags[c] when the
+    difference y - x of the current row x does.  row(x, below) gets
+    below(t), the bitmask of the y whose column count plus difference count
+    is less than t, for 1 <= t <= need, at O(t) big-int operations; it
+    returns the bitmask of row x's members, or None to stop the sweep.
+    Updating the planes costs O(need) operations on B/30-digit ints per row.
     """
     if bound < 0:
         raise ValueError(f"negative bound {bound}")
-    B = bound
-    h, v, *d = np.zeros((4, B + 1), dtype=np.int32)
-    buf = np.empty(B + 1, dtype=np.int32)
-    for s in range(2 * B + 1):
-        x0 = max(0, s - B)
-        x1 = min(s, B)
-        c = B - s
-        rows = h[x0 : x1 + 1]
-        cols = v[x0 + c : x1 + c + 1]
-        diffs = d[c & 1][x0 + c // 2 : x1 + c // 2 + 1]
-        cnt = np.add(rows, cols, out=buf[: x1 - x0 + 1])
-        cnt += diffs
-        at = member(s, x0, cnt)
-        if at.size:
-            rows[at] += 1
-            cols[at] += 1
-            diffs[at] += 1
+    full = (1 << bound + 1) - 1
+    cols = [full] * need
+    diags = [full] * need
+
+    def below(t: int) -> int:
+        out = 0
+        for a in range(t):
+            out |= cols[a] & diags[t - 1 - a]
+        return out
+
+    for x in range(bound + 1):
+        members = row(x, below)
+        if members is None:
+            return
+        others = ~members
+        for c in range(need - 1, 0, -1):
+            cols[c] = cols[c] & others | cols[c - 1] & members
+            diags[c] = diags[c] & others | diags[c - 1] & members
+        cols[0] &= others
+        diags[0] &= others
+        # row x + 1 reads difference y - x - 1 at bit y; the new one at bit 0 is empty
+        diags[:] = [(d << 1 | 1) & full for d in diags]
 
 
-def _rule(spec: GameSpec, s: int, cnt: np.ndarray) -> np.ndarray:
-    """The game's P/N classification of anti-diagonal s from its P-option counts."""
-    if s <= spec.terminal_sum:
-        return np.ones(cnt.size, dtype=bool)
-    return cnt < spec.need
+def _terminal_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells x + y <= spec.terminal_sum of [0,bound]^2, by x + y, then x."""
+    s = np.arange(min(spec.terminal_sum, 2 * bound) + 1)
+    lo = np.maximum(s - bound, 0)
+    size = np.minimum(s, bound) - lo + 1
+    sums = np.repeat(s, size)
+    xs = np.arange(sums.size) - np.repeat(np.cumsum(size) - size - lo, size)
+    return xs, sums - xs
 
 
 def _p_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of every P-position of [0,bound]^2; there are O(bound)."""
+    """Coordinates of every P-position of [0,bound]^2; there are O(bound)
+    outside the terminal triangle."""
     if bound > MAX_SOLVE_BOUND:
         raise ResourceLimitError(
             f"bound {bound} exceeds the solver cap {MAX_SOLVE_BOUND}; "
             "no partial table is produced"
         )
-    xs: list[np.ndarray] = []
-    ys: list[np.ndarray] = []
+    need, n = spec.need, bound + 1
+    xs: list[int] = []
+    ys: list[int] = []
 
-    def classify(s, x0, cnt):
-        at = _rule(spec, s, cnt).nonzero()[0]
-        if at.size:
-            xs.append(at + x0)
-            ys.append(s - x0 - at)
-        return at
+    def classify(x, below):
+        y = min(max(spec.terminal_sum - x + 1, 0), n)  # the first non-terminal cell
+        members = (1 << y) - 1  # terminal cells are P
+        found = y  # the row's members so far
+        while found < need:
+            free = below(need - found) >> y
+            if not free:
+                break
+            y += (free & -free).bit_length() - 1
+            members |= 1 << y
+            xs.append(x)
+            ys.append(y)
+            found += 1
+            y += 1
+        return members
 
-    _sweep(bound, classify)
-    return np.concatenate(xs), np.concatenate(ys)  # (0, 0) is always P
+    _sweep(bound, need, classify)
+    tx, ty = _terminal_cells(spec, bound)
+    xs, ys = np.array(xs, np.int64), np.array(ys, np.int64)
+    order = np.lexsort((xs, xs + ys))
+    # every terminal cell has a smaller x + y than the others
+    return np.r_[tx, xs[order]], np.r_[ty, ys[order]]
 
 
 @lru_cache(maxsize=64)
@@ -348,31 +375,15 @@ def _candidate_cells(candidate, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return _canonical(xs, ys, bound)
 
 
-def _members(xs: np.ndarray, ys: np.ndarray, bound: int):
-    """member(s, x0): offsets from x0 of the cells on anti-diagonal s."""
-    starts = np.searchsorted(xs + ys, np.arange(2 * bound + 2))
-    return lambda s, x0: xs[starts[s] : starts[s + 1]] - x0
-
-
 def option_member_counts(mask: np.ndarray) -> np.ndarray:
-    """cnt[x,y] = number of options of (x,y) that lie in the square mask.
-
-    The counting sweep over the mask's cells, writing each anti-diagonal's
-    counts into an int32 table.
-    """
+    """cnt[x,y] = number of options of (x,y) that lie in the square mask."""
     if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
         raise ValueError(f"expected a square mask, got shape {mask.shape}")
     bound = mask.shape[0] - 1
-    member = _members(*_candidate_cells(mask, bound), bound)
-    out = np.zeros(mask.shape, dtype=np.int32)
-
-    def record(s, x0, cnt):
-        xs = np.arange(x0, x0 + cnt.size)
-        out[xs, s - xs] = cnt
-        return member(s, x0)
-
-    _sweep(bound, record)
-    return out
+    # counting reads no spec
+    table = PNTable(kspec(0), bound, *_candidate_cells(mask, bound))
+    x, y = np.indices(mask.shape).reshape(2, -1)
+    return _option_counts(table, x, y).reshape(mask.shape)
 
 
 def _option_counts(table: PNTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -419,29 +430,46 @@ def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
     K variant: every non-member must have a member option; a non-member
     inside the terminal region has no moves at all and is reported directly.
     W variant: every non-member needs at least k member options.  This reads
-    every cell, so it runs the counting sweep and reports the row-major
-    first non-member that the rule calls P.
+    every cell, so it runs the counting sweep, in which a row's own member
+    count is constant between its members, and stops at the first row with
+    a non-member that the rule calls P: the row-major first violator.
     """
-    member = _members(*_candidate_cells(candidate, bound), bound)
+    table = PNTable(spec, bound, *_candidate_cells(candidate, bound))
+    need, n = spec.need, bound + 1
+    row_ys = table.ys[np.argsort(table.xs)]  # the cells grouped by row
+    starts = np.r_[0, np.bincount(table.xs, minlength=n).cumsum()].tolist()
     first = None
 
-    def read(s, x0, cnt):
+    def read(x, below):
         nonlocal first
-        at = member(s, x0)
-        bad = _rule(spec, s, cnt)
-        bad[at] = False
-        bad = np.flatnonzero(bad)
-        if bad.size and (first is None or x0 + bad[0] < first[0][0]):
-            x = x0 + int(bad[0])
-            first = (x, s - x), int(cnt[bad[0]])
-        return at
+        row = bytearray((n + 7) // 8)
+        for y in row_ys[starts[x] : starts[x + 1]].tolist():
+            row[y >> 3] |= 1 << (y & 7)
+        members = int.from_bytes(row, "little")
+        y = min(max(spec.terminal_sum - x + 1, 0), n)  # the first non-terminal cell
+        bad = (1 << y) - 1 & ~members
+        found = (members & (1 << y) - 1).bit_count()
+        later = members >> y << y
+        while found < need:
+            nxt = later & -later  # the next member; 0 after the last
+            bad |= below(need - found) & (nxt - 1) >> y << y
+            if not nxt:
+                break
+            later ^= nxt
+            y = nxt.bit_length()
+            found += 1
+        if bad:
+            first = x, (bad & -bad).bit_length() - 1
+            return None
+        return members
 
-    _sweep(bound, read)
+    _sweep(bound, need, read)
     if first is None:
         return CheckResult(True, f"absorbing on [0,{bound}]^2")
-    pos, count = first
+    x, y = first
+    count = int(_option_counts(table, np.array([x]), np.array([y]))[0])
     return CheckResult(
-        False, f"non-member {pos} has {count} member options (needs {spec.need})", pos
+        False, f"non-member {first} has {count} member options (needs {need})", first
     )
 
 

@@ -10,6 +10,7 @@ from wythlab.catalog import ADJUST_SYSTEMS, PARTITION_SYSTEMS
 from wythlab.characterizations import (
     CLOSED_FORMS,
     DiscrepancyProfile,
+    _closed_form_arrays,
     _mex_arrays,
     _sqrt5_leq_vec,
     check_discrepancy,
@@ -187,6 +188,28 @@ class TestClosedFormK2ToK4:
     def test_k3_k4_point_values(self):
         assert closed_form_K3(16) == (29, 49)
         assert closed_form_K4(5) == (11, 21)
+
+    @pytest.mark.parametrize("form,ell,shift", [
+        (k1_remark_pair, 1, 1), (closed_form_K2, 2, 0),
+        (closed_form_K3, 3, 2), (closed_form_K4, 4, 2),
+    ])
+    def test_pair_forms_match_the_table_rows(self, form, ell, shift):
+        a, b = _closed_form_arrays(ell, shift, 300 + shift)
+        assert [form(n) for n in range(300)] == list(zip(a.tolist(), b.tolist()))
+
+    @pytest.mark.parametrize("form,ell", [(closed_form_K3, 3), (closed_form_K4, 4)])
+    def test_one_far_pair_stays_small(self, form, ell):
+        # evaluating the whole prefix 0..n + 2 took 171 ms and 40 MiB here
+        n = 10**6
+        a, b = _closed_form_arrays(ell, n + 2, n + 3)
+        tracemalloc.start()
+        try:
+            got = form(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == (int(a[0]), int(b[0]))
+        assert peak < 2**20
 
     def test_k2_terminal_indices(self):
         assert closed_form_K2(0) == (0, 1)

@@ -111,9 +111,11 @@ class TestSolve:
     @pytest.mark.parametrize("spec", [
         kspec(0), kspec(1), kspec(2), kspec(3),
         wspec(1), wspec(2), wspec(3),
+        kspec(5), wspec(4), wspec(5),
+        kspec(80),  # the whole box is terminal
+        wspec(121),  # k > 3 * 40 options: every cell is P
     ])
     def test_matches_brute_force(self, spec):
-        # odd and even bounds read different parity arrays of the sweep
         want = brute_force(spec, 40)
         for bound in (0, 1, 12, 13, 40):
             got = solve(spec, bound).ppos
@@ -336,6 +338,14 @@ class TestKernelChecks:
         res = check_absorbing(mask, spec, 80)
         assert not res.ok
 
+    def test_absorption_detail_counts_past_need(self):
+        # (2, 2) is terminal for K^4; its six options are all terminal members
+        spec = kspec(4)
+        mask = solve(spec, 10).ppos.copy()
+        mask[2, 2] = False
+        assert check_absorbing(mask, spec, 10) == CheckResult(
+            False, "non-member (2, 2) has 6 member options (needs 1)", (2, 2))
+
     def test_excluded_terminal_reported(self):
         spec = kspec(2)
         mask = solve(spec, 50).ppos.copy()
@@ -424,7 +434,8 @@ def scan_over_options(mask, spec: GameSpec, bound: int, stable: bool):
 
 class TestKernelChecksAgainstOptions:
     @pytest.mark.parametrize("spec", [
-        kspec(0), kspec(1), kspec(2), kspec(3), kspec(4), wspec(1), wspec(2), wspec(3),
+        kspec(0), kspec(1), kspec(2), kspec(3), kspec(4),
+        wspec(1), wspec(2), wspec(3), wspec(4), wspec(5),
     ])
     @pytest.mark.parametrize("bound", [0, 1, 2, 29])
     def test_verdicts_match_scan(self, spec, bound):
@@ -437,7 +448,7 @@ class TestKernelChecksAgainstOptions:
                 x, y = rng.integers(0, bound + 1, size=2)
                 mask[x, y] = not mask[x, y]
             candidates.append(mask)
-        for density in (0.05, 0.3):
+        for density in (0.05, 0.3, 0.9, 1.0):
             candidates.append(rng.random(table.shape) < density)
         for mask in candidates:
             assert check_stable(mask, spec, bound) == scan_over_options(
@@ -453,7 +464,7 @@ class TestKernelChecksAgainstOptions:
         flipped = mask.copy()
         flipped[7, 12] = not flipped[7, 12]
 
-        def no_sweep(bound, member):
+        def no_sweep(bound, need, row):
             raise AssertionError("check_stable swept the box")
 
         monkeypatch.setattr("wythlab.games._sweep", no_sweep)
