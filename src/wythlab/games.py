@@ -17,10 +17,10 @@ game rule, and the absorption check reads them from the candidate and
 compares with the rule.  Exact counts, for stability (which concerns the
 members alone), the witness search, option_member_counts and the
 absorption check's report, come from binary search in the line keys that a
-PNTable builds once and keeps.  A P-set is kept as its O(bound) cells, never
-as a box mask.  A sequence of P-pairs (a_n, b_n) is kept as two int64
-arrays; ppos_list turns cells into pairs and PNTable.from_pairs turns pairs
-back into cells.
+PNTable builds once and keeps.  A P-set is kept as its O(bound) cells, in
+the same row-major order, never as a box mask.  A sequence of P-pairs
+(a_n, b_n) is kept as two int64 arrays; ppos_list turns cells into pairs and
+PNTable.from_pairs turns pairs back into cells.
 """
 from __future__ import annotations
 
@@ -111,8 +111,8 @@ def wspec(k: int) -> GameSpec:
 class PNTable:
     """P/N classification of the full box [0,B]^2, kept as its P-cells.
 
-    xs, ys are read-only and list each P-position once, ordered by x + y and
-    then by x.  ppos builds the box mask on each read; ppos[x,y] is True for P.
+    xs, ys are read-only and list each P-position once, row-major: by x,
+    then by y.  ppos builds the box mask on each read; ppos[x,y] is True for P.
     """
 
     spec: GameSpec
@@ -159,15 +159,14 @@ class PNTable:
 
 
 def _canonical(xs, ys, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct cells of (xs, ys) inside [0,bound]^2, by x + y, then x."""
+    """The distinct cells of (xs, ys) inside [0,bound]^2, row-major."""
     if bound < 0:
         raise ValueError(f"negative bound {bound}")
     xs, ys = np.asarray(xs, np.int64), np.asarray(ys, np.int64)
     keep = (xs >= 0) & (xs <= bound) & (ys >= 0) & (ys <= bound)
     n = bound + 1
-    key = np.unique((xs[keep] + ys[keep]) * n + xs[keep])
-    xs = key % n
-    return xs, key // n - xs
+    key = np.sort(xs[keep] * n + ys[keep])
+    return np.divmod(key[np.diff(key, prepend=-1) > 0], n)
 
 
 def _int_pairs(pairs) -> np.ndarray:
@@ -277,13 +276,9 @@ def _sweep(bound: int, need: int, row) -> None:
 
 
 def _terminal_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cells x + y <= spec.terminal_sum of [0,bound]^2, by x + y, then x."""
-    s = np.arange(min(spec.terminal_sum, 2 * bound) + 1)
-    lo = np.maximum(s - bound, 0)
-    size = np.minimum(s, bound) - lo + 1
-    sums = np.repeat(s, size)
-    xs = np.arange(sums.size) - np.repeat(np.cumsum(size) - size - lo, size)
-    return xs, sums - xs
+    """The cells x + y <= spec.terminal_sum of [0,bound]^2, row-major."""
+    r = np.arange(min(spec.terminal_sum, bound) + 1)
+    return np.nonzero(r[:, None] <= spec.terminal_sum - r)
 
 
 def _p_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,9 +312,8 @@ def _p_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
     _sweep(bound, need, classify)
     tx, ty = _terminal_cells(spec, bound)
     xs, ys = np.array(xs, np.int64), np.array(ys, np.int64)
-    order = np.lexsort((xs, xs + ys))
-    # every terminal cell has a smaller x + y than the others
-    return np.r_[tx, xs[order]], np.r_[ty, ys[order]]
+    at = np.searchsorted(tx, xs, "right")  # a row's terminal cells come first
+    return np.insert(tx, at, xs), np.insert(ty, at, ys)
 
 
 @lru_cache(maxsize=64)
@@ -348,9 +342,7 @@ def ppos_list(table: PNTable, spec: GameSpec | None = None) -> PposSequence:
     if spec != table.spec:
         raise ValueError(f"table solved for {table.spec}, not {spec}")
     keep = (table.xs <= table.ys) & (table.xs + table.ys > spec.terminal_sum)
-    xs, ys = table.xs[keep], table.ys[keep]
-    order = np.lexsort((ys, xs))
-    return PposSequence(spec.ell, np.column_stack((xs[order], ys[order])))
+    return PposSequence(spec.ell, np.column_stack((table.xs[keep], table.ys[keep])))
 
 
 def _candidate_cells(candidate, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -359,11 +351,15 @@ def _candidate_cells(candidate, bound: int) -> tuple[np.ndarray, np.ndarray]:
     The candidate is a PNTable, a boolean array at least (bound+1)^2, a
     predicate f(x, y), or an iterable of (x, y) pairs.
     """
+    if bound < 0:
+        raise ValueError(f"negative bound {bound}")
     if isinstance(candidate, PNTable):
         if candidate.bound < bound:
             raise ValueError(f"candidate bound {candidate.bound} below {bound}")
-        xs, ys = candidate.xs, candidate.ys
-    elif isinstance(candidate, np.ndarray):
+        # a table's cells are distinct and row-major; clipping keeps that
+        keep = (candidate.xs <= bound) & (candidate.ys <= bound)
+        return candidate.xs[keep], candidate.ys[keep]
+    if isinstance(candidate, np.ndarray):
         if min(candidate.shape) <= bound:
             raise ValueError(f"candidate {candidate.shape} too small for bound {bound}")
         xs, ys = np.nonzero(candidate[: bound + 1, : bound + 1])
@@ -413,7 +409,7 @@ def check_stable(candidate, spec: GameSpec, bound: int) -> CheckResult:
     bad = np.flatnonzero((counts >= spec.need) & (xs + ys > spec.terminal_sum))
     if not bad.size:
         return CheckResult(True, f"stable on [0,{bound}]^2")
-    i = bad[np.argmin(xs[bad] * (bound + 1) + ys[bad])]
+    i = bad[0]
     src = int(xs[i]), int(ys[i])
     cells = set(zip(xs.tolist(), ys.tolist()))
     members = [q for q in options(src) if q in cells]
@@ -436,14 +432,13 @@ def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
     """
     table = PNTable(spec, bound, *_candidate_cells(candidate, bound))
     need, n = spec.need, bound + 1
-    row_ys = table.ys[np.argsort(table.xs)]  # the cells grouped by row
     starts = np.r_[0, np.bincount(table.xs, minlength=n).cumsum()].tolist()
     first = None
 
     def read(x, below):
         nonlocal first
         row = bytearray((n + 7) // 8)
-        for y in row_ys[starts[x] : starts[x + 1]].tolist():
+        for y in table.ys[starts[x] : starts[x + 1]].tolist():
             row[y >> 3] |= 1 << (y & 7)
         members = int.from_bytes(row, "little")
         y = min(max(spec.terminal_sum - x + 1, 0), n)  # the first non-terminal cell

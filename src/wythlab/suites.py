@@ -73,7 +73,7 @@ def _set_equality(got: PNTable, want: PNTable, what: str, sides) -> CheckResult:
     first cell in exactly one of them and what the two named sides say."""
     n = want.bound + 1
     g, w = got.xs * n + got.ys, want.xs * n + want.ys
-    diff = np.setxor1d(g, w)
+    diff = np.setxor1d(g, w, assume_unique=True)  # a table's cells are distinct
     if not diff.size:
         return CheckResult(True, f"{what}: sets identical")
     x, y = divmod(int(diff[0]), n)
@@ -158,9 +158,10 @@ def suite_mex(ell=None, k=None, bound=None) -> list[SuiteItem]:
             want = np.arange(e + 1, horizon + 1)
             if both.size == want.size and np.array_equal(both, want):
                 return CheckResult(True, f"values {e + 1}..{horizon} partitioned")
-            if np.unique(both).size != both.size:
-                dup = int(both[np.flatnonzero(np.diff(both) == 0)[0]])
-                return CheckResult(False, f"value {dup} appears in both sequences", dup)
+            dup = np.flatnonzero(np.diff(both) == 0)
+            if dup.size:
+                v = int(both[dup[0]])
+                return CheckResult(False, f"value {v} appears in both sequences", v)
             missing = np.setdiff1d(want, both)
             if missing.size:
                 v = int(missing[0])

@@ -1,8 +1,10 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 import errno
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -276,6 +278,15 @@ class TestVerifyCommand:
         assert [(it.name, it.spec) for it in items] == VERIFY_ALL_ITEMS
         bounds = {it.name: it.bound for it in items}
         assert bounds["blocking/W1-equals-K0"] == suites.W_BOUND_DEFAULT == 400
+
+    def test_all_output_is_pinned(self, capsys):
+        # every verdict and detail of `verify all`, with the timings removed;
+        # a change of storage or algorithm must leave this digest unchanged
+        code, out, _ = run(capsys, ["verify", "all"])
+        out = re.sub(r"(PASS|FAIL) +\d+\.\d+s  ", r"\1  ", out)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7383e7b2c8de6d93c20efe9dd1c944cba6242274039d248e5e61ab27c67140c6")
 
     @pytest.mark.parametrize("suite,names", [
         ("kernel", ["kernel/K-ell=2/absorbing", "kernel/K-ell=2/stable",

@@ -198,6 +198,17 @@ class TestPairExtraction:
         assert table.xs.size == 2 * 1527 + 6  # both orientations, 6 terminals
         assert peak < 4 * 2**20
 
+    def test_terminal_box_stays_small(self):
+        _solve_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            table = solve(kspec(2000), 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.xs.size == 1001**2  # the whole box is terminal
+        assert peak < 40 * 2**20
+
     def test_sequence_container(self):
         pp = ppos_list(solve(kspec(1), 60))
         assert len(pp) == len(pp.pairs)
@@ -256,7 +267,7 @@ class TestPairExtraction:
             PposSequence(ell=1, pairs=pairs)
 
     @pytest.mark.parametrize("spec", [kspec(e) for e in range(7)]
-                             + [wspec(k) for k in (1, 2, 3)])
+                             + [wspec(k) for k in (1, 2, 3)] + [kspec(50)])
     @pytest.mark.parametrize("bound", [0, 1, 2, 13, 40])
     def test_from_pairs_inverts_ppos_list(self, spec, bound):
         table = solve(spec, bound)
@@ -264,6 +275,8 @@ class TestPairExtraction:
         assert back.spec == spec and back.bound == bound
         assert np.array_equal(back.xs, table.xs)
         assert np.array_equal(back.ys, table.ys)
+        for t in (table, back):  # row-major, each cell once
+            assert np.all(np.diff(t.xs * (bound + 1) + t.ys) > 0)
 
 
 class TestOptionCounts:
@@ -365,7 +378,7 @@ class TestKernelChecks:
             for y in range(bound + 1)
             if mask[x, y]
         ]
-        for candidate in (table, mask, from_pairs,
+        for candidate in (table, solve(spec, bound + 10), mask, from_pairs,
                           lambda x, y: bool(mask[x, y])):
             assert check_stable(candidate, spec, bound).ok
             assert check_absorbing(candidate, spec, bound).ok
@@ -389,7 +402,7 @@ class TestKernelChecks:
     def test_cells_are_distinct_in_box_and_ordered(self):
         xs, ys = [3, 0, 3, 1, 5, -1, 2], [0, 2, 0, 1, 0, 1, 4]  # a repeat, two outside
         t = PNTable.from_cells(kspec(1), 4, xs, ys)
-        assert t.xs.tolist() == [0, 1, 3, 2] and t.ys.tolist() == [2, 1, 0, 4]
+        assert t.xs.tolist() == [0, 1, 2, 3] and t.ys.tolist() == [2, 1, 4, 0]
         with pytest.raises(ValueError):
             t.xs[0] = 1
 
@@ -580,7 +593,7 @@ class TestCache:
         path = tmp_path / "table.pn"
         write_table_cache(t, path)
         back = read_table_cache(path)
-        assert back.xs.tolist() == [0, 5, 2] and back.ys.tolist() == [0, 1, 6]
+        assert back.xs.tolist() == [0, 2, 5] and back.ys.tolist() == [0, 6, 1]
 
     def test_checksum_detects_corruption(self, tmp_path):
         t = solve(kspec(1), 30)
