@@ -10,17 +10,17 @@ option is P" losing test into "at least k options are P".
 Every option of a position lies in an earlier row of the box, or earlier
 in its own row, so solving the positions in row-major order is exact on the
 full box with no truncation at the boundary.  One counting sweep visits the
-rows in that order and keeps each column's and each diagonal's member
-count, saturated at the rule's threshold, as bit-planes in Python ints; the
-two jobs that read every cell use it.  The solver takes members from the
-game rule, and the absorption check reads them from the candidate and
-compares with the rule.  Exact counts, for stability (which concerns the
-members alone), the witness search, option_member_counts and the
-absorption check's report, come from binary search in the line keys that a
-PNTable builds once and keeps.  A P-set is kept as its O(bound) cells, in
-the same row-major order, never as a box mask.  A sequence of P-pairs
-(a_n, b_n) is kept as two int64 arrays; ppos_list turns cells into pairs and
-PNTable.from_pairs turns pairs back into cells.
+rows in that order, keeps each column's and each diagonal's member count as
+bit-planes in Python ints, and applies the rule: it sizes the planes and
+gives each row its first non-terminal cell and the cells the rule calls P.
+The solver takes those cells as members; the absorption check reads members
+from the candidate and reports the first such cell that is not one.  Exact
+counts, for stability (which concerns the members alone), the witness
+search, option_member_counts and the absorption check's report, come from
+binary search in the line keys that a PNTable builds once and keeps.  A
+P-set is kept as its O(bound) row-major cells, never as a box mask.  P-pairs
+(a_n, b_n) are kept as two int64 arrays; ppos_list turns cells into pairs
+and PNTable.from_pairs turns pairs back into cells.
 """
 from __future__ import annotations
 
@@ -57,8 +57,8 @@ MAX_SOLVE_BOUND = 32768
 
 class ResourceLimitError(RuntimeError):
     """Raised instead of attempting a solve past the bound cap.  The solve
-    is O(need B) bits in memory, so the cap bounds its time: O(B^2 / word)
-    for a sparse P-set, growing with each row's members for large k."""
+    is O(min(k, B) B) bits in memory, so the cap bounds its time: O(B^2 /
+    word) for a sparse P-set, growing with each row's members for large k."""
 
 
 class CacheError(ValueError):
@@ -235,34 +235,38 @@ def options(p: tuple[int, int]) -> list[tuple[int, int]]:
     return out
 
 
-def _sweep(bound: int, need: int, row) -> None:
-    """Visit the rows x = 0..bound of [0,bound]^2 in order.
+def _sweep(spec: GameSpec, bound: int, row) -> None:
+    """Visit the rows x = 0..bound of [0,bound]^2 in order under spec's rule.
 
     Every option of (x, y) lies in an earlier row, or earlier in row x, so
-    row-major order is exact.  The sweep keeps the member count of each
-    column and each difference y - x over the earlier rows, saturated at
-    need, as need unary bit-planes in Python ints: bit y of cols[c] is set
-    when column y holds at most c members, and bit y of diags[c] when the
-    difference y - x of the current row x does.  row(x, below) gets
-    below(t), the bitmask of the y whose column count plus difference count
-    is less than t, for 1 <= t <= need, at O(t) big-int operations; it
-    returns the bitmask of row x's members, or None to stop the sweep.
-    Updating the planes costs O(need) operations on B/30-digit ints per row.
+    row-major order is exact.  A cell has at most 3 * bound options, so the
+    sweep keeps need = min(spec.need, 3 * bound + 1) unary bit-planes in
+    Python ints: bit y of cols[c] is set when column y holds at most c
+    members of the earlier rows, and bit y of diags[c] when the difference
+    y - x of the current row x does.  row(x, first, open) gets row x's first
+    non-terminal cell and open(found), a bitmask whose bits y >= first are
+    the cells that the rule calls P after found members of the row, at
+    O(need - found) big-int operations; it returns the bitmask of row x's
+    members, or None to stop the sweep.  Updating the planes costs O(need)
+    operations on B/30-digit ints per row.
     """
     if bound < 0:
         raise ValueError(f"negative bound {bound}")
-    full = (1 << bound + 1) - 1
+    need, n = min(spec.need, 3 * bound + 1), bound + 1
+    full = (1 << n) - 1
     cols = [full] * need
     diags = [full] * need
 
-    def below(t: int) -> int:
+    def open(found: int) -> int:
+        t = need - found
         out = 0
         for a in range(t):
             out |= cols[a] & diags[t - 1 - a]
         return out
 
-    for x in range(bound + 1):
-        members = row(x, below)
+    for x in range(n):
+        first = min(max(spec.terminal_sum - x + 1, 0), n)
+        members = row(x, first, open)
         if members is None:
             return
         others = ~members
@@ -289,18 +293,13 @@ def _p_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
             f"bound {bound} exceeds the solver cap {MAX_SOLVE_BOUND}; "
             "no partial table is produced"
         )
-    need, n = spec.need, bound + 1
     xs: list[int] = []
     ys: list[int] = []
 
-    def classify(x, below):
-        y = min(max(spec.terminal_sum - x + 1, 0), n)  # the first non-terminal cell
-        members = (1 << y) - 1  # terminal cells are P
-        found = y  # the row's members so far
-        while found < need:
-            free = below(need - found) >> y
-            if not free:
-                break
+    def classify(x, first, open):
+        members = (1 << first) - 1  # terminal cells are P
+        found = y = first  # the row's members so far, and the next cell
+        while free := open(found) >> y:
             y += (free & -free).bit_length() - 1
             members |= 1 << y
             xs.append(x)
@@ -309,7 +308,7 @@ def _p_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
             y += 1
         return members
 
-    _sweep(bound, need, classify)
+    _sweep(spec, bound, classify)
     tx, ty = _terminal_cells(spec, bound)
     xs, ys = np.array(xs, np.int64), np.array(ys, np.int64)
     at = np.searchsorted(tx, xs, "right")  # a row's terminal cells come first
@@ -360,8 +359,9 @@ def _candidate_cells(candidate, bound: int) -> tuple[np.ndarray, np.ndarray]:
         keep = (candidate.xs <= bound) & (candidate.ys <= bound)
         return candidate.xs[keep], candidate.ys[keep]
     if isinstance(candidate, np.ndarray):
-        if min(candidate.shape) <= bound:
-            raise ValueError(f"candidate {candidate.shape} too small for bound {bound}")
+        if candidate.ndim != 2 or min(candidate.shape) <= bound:
+            raise ValueError(f"candidate {candidate.shape} is not a 2-D array "
+                             f"covering [0,{bound}]^2")
         xs, ys = np.nonzero(candidate[: bound + 1, : bound + 1])
     else:
         if callable(candidate):
@@ -376,8 +376,8 @@ def option_member_counts(mask: np.ndarray) -> np.ndarray:
     if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
         raise ValueError(f"expected a square mask, got shape {mask.shape}")
     bound = mask.shape[0] - 1
-    # counting reads no spec
-    table = PNTable(kspec(0), bound, *_candidate_cells(mask, bound))
+    # counting reads no spec; nonzero lists the cells row-major, as a table does
+    table = PNTable(kspec(0), bound, *np.nonzero(mask))
     x, y = np.indices(mask.shape).reshape(2, -1)
     return _option_counts(table, x, y).reshape(mask.shape)
 
@@ -398,25 +398,24 @@ def check_stable(candidate, spec: GameSpec, bound: int) -> CheckResult:
 
     K variant: no move may connect two members when the source is outside
     the terminal region (terminal positions allow no moves).  W variant: a
-    member may have at most k-1 member options.  Only the members are
-    visited, each counting its member options over the candidate's line keys.
+    member may have at most k-1 member options.  Only the non-terminal
+    members are visited, each counting its member options over the line keys.
     The counterexample of the row-major first violator is (source, member
     option) for K and (source, tuple of k member options) for W.
     """
     table = PNTable(spec, bound, *_candidate_cells(candidate, bound))
-    xs, ys = table.xs, table.ys
-    counts = _option_counts(table, xs, ys)
-    bad = np.flatnonzero((counts >= spec.need) & (xs + ys > spec.terminal_sum))
+    live = table.xs + table.ys > spec.terminal_sum
+    xs, ys = table.xs[live], table.ys[live]
+    bad = np.flatnonzero(_option_counts(table, xs, ys) >= spec.need)
     if not bad.size:
         return CheckResult(True, f"stable on [0,{bound}]^2")
-    i = bad[0]
-    src = int(xs[i]), int(ys[i])
-    cells = set(zip(xs.tolist(), ys.tolist()))
+    src = int(xs[bad[0]]), int(ys[bad[0]])
+    cells = set(zip(table.xs.tolist(), table.ys.tolist()))
     members = [q for q in options(src) if q in cells]
     if spec.variant == "K":
         return CheckResult(False, f"member {src} moves to member {members[0]}",
                            (src, members[0]))
-    return CheckResult(False, f"member {src} has {int(counts[i])} member options "
+    return CheckResult(False, f"member {src} has {len(members)} member options "
                        f"(max {spec.k - 1})", (src, tuple(members[: spec.k])))
 
 
@@ -431,41 +430,36 @@ def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
     a non-member that the rule calls P: the row-major first violator.
     """
     table = PNTable(spec, bound, *_candidate_cells(candidate, bound))
-    need, n = spec.need, bound + 1
-    starts = np.r_[0, np.bincount(table.xs, minlength=n).cumsum()].tolist()
-    first = None
+    starts = np.r_[0, np.bincount(table.xs, minlength=bound + 1).cumsum()].tolist()
+    violator = None
 
-    def read(x, below):
-        nonlocal first
-        row = bytearray((n + 7) // 8)
-        for y in table.ys[starts[x] : starts[x + 1]].tolist():
-            row[y >> 3] |= 1 << (y & 7)
-        members = int.from_bytes(row, "little")
-        y = min(max(spec.terminal_sum - x + 1, 0), n)  # the first non-terminal cell
-        bad = (1 << y) - 1 & ~members
-        found = (members & (1 << y) - 1).bit_count()
-        later = members >> y << y
-        while found < need:
+    def read(x, first, open):
+        nonlocal violator
+        members = sum(1 << y for y in table.ys[starts[x] : starts[x + 1]].tolist())
+        bad = (1 << first) - 1 & ~members
+        found = (members & (1 << first) - 1).bit_count()
+        later = members >> first << first
+        y = first
+        while free := open(found):
             nxt = later & -later  # the next member; 0 after the last
-            bad |= below(need - found) & (nxt - 1) >> y << y
+            bad |= free & (nxt - 1) >> y << y
             if not nxt:
                 break
             later ^= nxt
             y = nxt.bit_length()
             found += 1
         if bad:
-            first = x, (bad & -bad).bit_length() - 1
+            violator = x, (bad & -bad).bit_length() - 1
             return None
         return members
 
-    _sweep(bound, need, read)
-    if first is None:
+    _sweep(spec, bound, read)
+    if violator is None:
         return CheckResult(True, f"absorbing on [0,{bound}]^2")
-    x, y = first
+    x, y = violator
     count = int(_option_counts(table, np.array([x]), np.array([y]))[0])
-    return CheckResult(
-        False, f"non-member {first} has {count} member options (needs {need})", first
-    )
+    return CheckResult(False, f"non-member {violator} has {count} member options "
+                       f"(needs {spec.need})", violator)
 
 
 def non_redundant_witness(
@@ -488,12 +482,12 @@ def non_redundant_witness(
         return None
     P = solve(spec, bound)
     n = bound + 1
-    inside = (P.xs <= bound - dx) & (P.ys <= bound - dy)
-    x, y = P.xs[inside] + dx, P.ys[inside] + dy  # the move takes (x, y) to a P-cell
-    count = _option_counts(P, x, y)
-    # count == spec.need leaves out every P-cell but the terminals of K: the
-    # solver gives other P-cells no P-option in K and at most k - 1 in W
-    hits = (x * n + y)[(count == spec.need) & (x + y > spec.terminal_sum)]
+    keep = ((P.xs <= bound - dx) & (P.ys <= bound - dy)
+            & (P.xs + P.ys + dx + dy > spec.terminal_sum))
+    x, y = P.xs[keep] + dx, P.ys[keep] + dy  # the move takes (x, y) to a P-cell
+    # (x, y) is non-terminal; count == spec.need leaves out every P-cell,
+    # since the solver gives it no P-option in K and at most k - 1 in W
+    hits = (x * n + y)[_option_counts(P, x, y) == spec.need]
     return divmod(int(hits.min()), n) if hits.size else None
 
 

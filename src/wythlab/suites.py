@@ -254,6 +254,10 @@ def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
     ells, _ = _select("morphic", ell, k,
                       ells={*ADJUST_SYSTEMS, *PARTITION_SYSTEMS})
     H = MORPHIC_HORIZON_DEFAULT if bound is None else bound
+    least = max([1] + [p.offset for e, p in PARTITION_SYSTEMS.items() if e in ells])
+    if H < least:
+        raise ValueError(f"suite 'morphic' needs --bound >= {least}, a horizon with "
+                         f"a value in every selected word, not {H}")
     items = []
     if 2 in ells:
 

@@ -350,6 +350,19 @@ class TestVerifyCommand:
         assert "needs --bound >= 30" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("ell,least", [(None, 4), (1, 2), (4, 1)])
+    def test_morphic_horizon_below_an_offset(self, capsys, ell, least):
+        # least is the largest offset of a selected partition word, and 1
+        argv = ["verify", "morphic"] + ([] if ell is None else ["--ell", str(ell)])
+        with pytest.raises(SystemExit) as ei:
+            main(argv + ["--bound", str(least - 1)])
+        captured = capsys.readouterr()
+        assert ei.value.code == 2
+        assert f"suite 'morphic' needs --bound >= {least}," in captured.err
+        assert captured.out == ""
+        code, out, _ = run(capsys, argv + ["--bound", str(least)])
+        assert code == 0 and "FAIL" not in out
+
     def test_redundancy_at_the_longest_move_still_runs(self, capsys):
         # the witness of (25, 25) lies outside [0,30]^2: inconclusive, not FAIL
         with pytest.raises(SystemExit) as ei:

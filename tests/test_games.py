@@ -1,6 +1,7 @@
 """Rule-sets, the retrograde solver, kernel checks, witnesses, caching."""
 import functools
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wythlab.games import (
+    _option_counts,
     _solve_cached,
     CacheError,
     CheckResult,
@@ -134,6 +136,19 @@ class TestSolve:
 
     def test_memoized(self):
         assert solve(kspec(1), 50) is solve(kspec(1), 50)
+
+    def test_huge_k_keeps_few_planes(self):
+        # no cell of [0,20]^2 has more than 60 options, so with k = 10^9 every
+        # cell is P; the sweep keeps 3 * 20 + 1 planes, not k
+        _solve_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            table = solve(wspec(10**9), 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.xs.size == 21**2
+        assert peak < 2**20
 
     def test_table_read_only(self):
         t = solve(kspec(1), 40)
@@ -292,7 +307,9 @@ class TestOptionCounts:
                         assert cnt[x, y] == want, (size, density, x, y)
 
     def test_empty_mask(self):
-        assert option_member_counts(np.zeros((5, 5), bool)).sum() == 0
+        for size in (0, 5):
+            cnt = option_member_counts(np.zeros((size, size), bool))
+            assert cnt.shape == (size, size) and not cnt.any()
 
     @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4,), (2, 2, 2)])
     def test_non_square_mask_is_refused(self, shape):
@@ -417,6 +434,12 @@ class TestKernelChecks:
                 with pytest.raises(ValueError, match="negative bound"):
                     check(t, kspec(1), bound)
 
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (3,), ()])
+    def test_mask_that_is_not_2d_is_refused(self, shape):
+        for check in (check_stable, check_absorbing):
+            with pytest.raises(ValueError, match=re.escape(f"candidate {shape}")):
+                check(np.zeros(shape, bool), kspec(1), 2)
+
 
 def scan_over_options(mask, spec: GameSpec, bound: int, stable: bool):
     """Row-major scan that counts member options with options() directly."""
@@ -477,7 +500,7 @@ class TestKernelChecksAgainstOptions:
         flipped = mask.copy()
         flipped[7, 12] = not flipped[7, 12]
 
-        def no_sweep(bound, need, row):
+        def no_sweep(spec, bound, row):
             raise AssertionError("check_stable swept the box")
 
         monkeypatch.setattr("wythlab.games._sweep", no_sweep)
@@ -485,6 +508,21 @@ class TestKernelChecksAgainstOptions:
             assert check_stable(candidate, spec, bound) == scan_over_options(
                 scan_mask, spec, bound, stable=True)
         assert not check_stable(flipped, spec, bound).ok
+
+    @pytest.mark.parametrize("bound", [20, 40])
+    def test_terminal_cells_are_never_counted(self, bound, monkeypatch):
+        spec, sums = kspec(50), []  # every cell of [0,20]^2 is terminal
+
+        def spy(table, x, y):
+            sums.extend((x + y).tolist())
+            return _option_counts(table, x, y)
+
+        monkeypatch.setattr("wythlab.games._option_counts", spy)
+        assert check_stable(solve(spec, bound), spec, bound).ok
+        for move in ((1, 0), (0, 2), (3, 3)):
+            non_redundant_witness(spec, move, bound)
+        assert all(s > spec.terminal_sum for s in sums)
+        assert bool(sums) == (bound == 40)
 
     def test_checkers_stay_linear_in_memory(self):
         spec, bound = kspec(2), 2000
