@@ -11,24 +11,19 @@ implements all of them together with the finite checks that compare them to
 each other and to solver ground truth, plus discrepancy and counting
 quantities.
 
-Comparisons against irrational thresholds (multiples of the golden ratio)
-are decided by integer certificates, never by floating point.
+Comparisons against irrational thresholds (multiples of phi and sqrt(5))
+are decided exactly by Beatty floors floor(n phi), never by floating point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
 from .catalog import adjust_dfao
-from .fibnum import (
-    floor_phi,
-    floor_phi_range,
-    rep_F,
-    sqrt5_times_geq,
-    sqrt5_times_leq,
-)
+from .fibnum import floor_phi, floor_phi_range, rep_F
 from .games import CheckResult, GameSpec, PNTable, PposSequence, kspec, wspec
 from .morphisms import (
     DFAO,
@@ -313,7 +308,7 @@ class DiscrepancyProfile:
     S[n] counts b-values strictly below a_n.  eps[n] is the defect
     S_n + S_{S_n} - n + ell.  lam[n] is a_n - floor((n+ell) phi).  The
     irrational quantity S_n - n/phi is never stored; inequalities about it
-    are answered by integer certificates on S and n.
+    are answered by Beatty floors of n - ell and n + ell.
     """
 
     ell: int
@@ -337,23 +332,24 @@ def discrepancy_profile(ell: int, horizon: int) -> DiscrepancyProfile:
     return DiscrepancyProfile(ell=ell, a=a, b=b, S=S, eps=eps, lam=lam)
 
 
-# Largest |x| with 5 x^2 < 2^63 and largest |z| with z^2 < 2^63.
-_SQRT5_X_MAX, _SQRT5_Z_MAX = 1_358_187_913, 3_037_000_499
+def _bound_verdicts(ell: int, S, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Per-index truth of |S_n - n/phi| <= phi ell and |lam_n| <= sqrt(5) ell + 2.
 
-
-def _sqrt5_leq_vec(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Elementwise truth of sqrt(5)*x <= z on int64 arrays; ValueError when
-    a magnitude is too large to square exactly."""
-    if ((x < -_SQRT5_X_MAX) | (x > _SQRT5_X_MAX)
-            | (z < -_SQRT5_Z_MAX) | (z > _SQRT5_Z_MAX)).any():
-        raise ValueError("sqrt(5) certificate operands exceed the exact int64 range")
-    x2 = 5 * x * x
-    z2 = z * z
-    return np.where(x >= 0, (z >= 0) & (x2 <= z2), (z >= 0) | (z2 <= x2))
-
-
-def _sqrt5_geq_vec(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return _sqrt5_leq_vec(-x, -z)
+    With 1/phi = phi - 1 the first is floor((n - ell) phi) < S_n + n <=
+    floor((n + ell) phi), its lower end -(S_n + n) <= floor((ell - n) phi)
+    for n <= ell; the second is |lam_n| <= isqrt(5 ell^2) + 2.  S and lam are
+    only compared, never computed with, so no int64 value overflows.
+    """
+    N = len(S) - 1
+    fp = floor_phi_range(max(N + ell, 0))
+    n = np.arange(N + 1)
+    m = min(ell, N) + 1  # the indices n <= ell
+    lo = np.empty(N + 1, np.int64)
+    lo[:m] = -n[:m] - fp[ell::-1][:m]
+    lo[m:] = fp[1 : N + 2 - m] - n[m:] + 1
+    hi = fp[ell : N + ell + 1] - n
+    c = isqrt(5 * ell * ell) + 2
+    return (lo <= S) & (S <= hi), (-c <= lam) & (lam <= c)
 
 
 def check_discrepancy(profile: DiscrepancyProfile) -> CheckResult:
@@ -361,9 +357,9 @@ def check_discrepancy(profile: DiscrepancyProfile) -> CheckResult:
 
     Checks, for every index: the base values and monotonicity of S; the
     defect eps equal to ell-n below index ell-1 and in {0,1} from ell-1 on;
-    the certificate for |S_n - n/phi| <= phi ell; and the certificate for
-    |lam_n| <= sqrt(5) ell + 2.  Values too large for the exact int64
-    certificates raise ValueError instead of giving a verdict.
+    |S_n - n/phi| <= phi ell; and |lam_n| <= sqrt(5) ell + 2.  The two bounds
+    are decided exactly with Beatty floors, so every int64 profile gets a
+    verdict.
     """
     ell = profile.ell
     S, eps, lam = profile.S, profile.eps, profile.lam
@@ -387,15 +383,10 @@ def check_discrepancy(profile: DiscrepancyProfile) -> CheckResult:
     if lo and np.any(eps[:lo] != ell - n[:lo]):
         k = int(np.flatnonzero(eps[:lo] != ell - n[:lo])[0])
         return CheckResult(False, f"eps[{k}] != ell - n in the base region", k)
-    # |S - n/phi| <= phi ell, certified after multiplying through by phi
-    ok_d = _sqrt5_leq_vec(S - ell, 2 * n + 3 * ell - S) & _sqrt5_geq_vec(
-        S + ell, 2 * n - 3 * ell - S
-    )
+    ok_d, ok_lam = _bound_verdicts(ell, S, lam)
     if not ok_d.all():
         k = int(np.flatnonzero(~ok_d)[0])
         return CheckResult(False, f"discrepancy bound fails at n={k}", k)
-    ell_n = np.full_like(lam, ell)
-    ok_lam = _sqrt5_geq_vec(ell_n, lam - 2) & _sqrt5_geq_vec(ell_n, -lam - 2)
     if not ok_lam.all():
         k = int(np.flatnonzero(~ok_lam)[0])
         return CheckResult(False, f"|lam| <= sqrt(5) ell + 2 fails at n={k}", k)
@@ -403,13 +394,11 @@ def check_discrepancy(profile: DiscrepancyProfile) -> CheckResult:
 
 
 def density_certificate(a_n: int, n: int, num: int, den: int) -> bool:
-    """Exact truth of |a_n/n - phi| <= num/den for positive n, den."""
+    """Exact truth of |a_n/n - phi| <= num/den for positive n, den: den a_n -
+    num n <= den n phi <= den a_n + num n, decided by the floor of den n phi."""
     if n <= 0 or den <= 0:
         raise ValueError("n and den must be positive")
-    lhs = den * n
-    return sqrt5_times_geq(lhs, 2 * den * a_n - den * n - 2 * num * n) and sqrt5_times_leq(
-        lhs, 2 * den * a_n - den * n + 2 * num * n
-    )
+    return den * a_n - num * n <= floor_phi(den * n) < den * a_n + num * n
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 a check or inference failed, 2 usage error,
 and turns its own domain errors into 1 or 2 (argparse's parser.error).
 main decides the two codes that do not depend on the command: any OSError,
 a failed write to stdout or a closed pipe included, prints one "error:"
-line and gives 3, and a ResourceLimitError is a usage error (2).
+line and gives 3, and a ResourceLimitError or a MemoryError is a usage error (2).
 """
 from __future__ import annotations
 
@@ -319,8 +319,8 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command](parser, args)
         sys.stdout.flush()  # a buffered write fails here, not at exit
         return code
-    except ResourceLimitError as exc:
-        parser.error(str(exc))
+    except (ResourceLimitError, MemoryError) as exc:  # bounds too large to run
+        parser.error(str(exc) or "out of memory")
     except OSError as exc:
         # report on stderr, then settle stdout; a stream that still fails is
         # closed, so that exit does not retry its unwritten bytes (close

@@ -7,14 +7,15 @@ a 0) multiplies by the golden ratio up to bounded error, which yields exact
 formulas for the Beatty floors floor(n*phi) and floor(n*phi^2) without any
 floating point.  Whole ranges 0..N share one greedy digit pass over all
 rows: `zeckendorf_digits`, `shift_range` (the array twin of `shift`),
-`floor_phi_range` and `morphisms.eval_dfao_range` read its columns.  The
-module also provides the Hofstadter G-sequence, mex, and integer
-certificates for comparisons against multiples of sqrt(5).
+`floor_phi_range` and `morphisms.eval_dfao_range` read its columns.  These
+floors decide comparisons against multiples of phi and sqrt(5).  The module
+also provides the Hofstadter G-sequence, mex, and reference sqrt(5) certificates.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
+from math import isqrt
 
 import numpy as np
 
@@ -129,10 +130,11 @@ def shift_range(n_max: int, i: int = 1) -> np.ndarray:
 
 
 def floor_phi(n: int) -> int:
-    """floor(n * phi), exactly, via the shift identity."""
+    """floor(n * phi) = floor((n + n sqrt(5)) / 2), by isqrt: independent of
+    floor_phi_range, which it checks."""
     if n < 0:
         raise ValueError(f"negative argument {n}")
-    return 0 if n == 0 else shift(n - 1) + 1
+    return (n + isqrt(5 * n * n)) // 2
 
 
 def floor_phi2(n: int) -> int:
@@ -141,7 +143,7 @@ def floor_phi2(n: int) -> int:
 
 
 def floor_phi_range(n_max: int) -> np.ndarray:
-    """Array of floor(n*phi) for n = 0..n_max, by the shift identity of floor_phi."""
+    """Array of floor(n*phi) for n = 0..n_max, as shift(n - 1) + 1 from n = 1."""
     out = shift_range(n_max)
     out[1:] = out[:-1] + 1
     out[0] = 0

@@ -401,7 +401,8 @@ def check_stable(candidate, spec: GameSpec, bound: int) -> CheckResult:
     member may have at most k-1 member options.  Only the non-terminal
     members are visited, each counting its member options over the line keys.
     The counterexample of the row-major first violator is (source, member
-    option) for K and (source, tuple of k member options) for W.
+    option) for K and (source, tuple of k member options) for W, in the
+    order of options(): column, row, then the diagonal by falling x.
     """
     table = PNTable(spec, bound, *_candidate_cells(candidate, bound))
     live = table.xs + table.ys > spec.terminal_sum
@@ -409,9 +410,12 @@ def check_stable(candidate, spec: GameSpec, bound: int) -> CheckResult:
     bad = np.flatnonzero(_option_counts(table, xs, ys) >= spec.need)
     if not bad.size:
         return CheckResult(True, f"stable on [0,{bound}]^2")
-    src = int(xs[bad[0]]), int(ys[bad[0]])
-    cells = set(zip(table.xs.tolist(), table.ys.tolist()))
-    members = [q for q in options(src) if q in cells]
+    src = sx, sy = int(xs[bad[0]]), int(ys[bad[0]])
+    tx, ty = table.xs, table.ys
+    at = np.r_[np.flatnonzero((ty == sy) & (tx < sx)),
+               np.flatnonzero((tx == sx) & (ty < sy)),
+               np.flatnonzero((tx - ty == sx - sy) & (tx < sx))[::-1]]
+    members = list(zip(tx[at].tolist(), ty[at].tolist()))
     if spec.variant == "K":
         return CheckResult(False, f"member {src} moves to member {members[0]}",
                            (src, members[0]))

@@ -185,7 +185,8 @@ def suite_blocking(ell=None, k=None, bound=None) -> list[SuiteItem]:
             def w1_equals_k0():
                 return _set_equality(solve(wspec(1), B), solve(kspec(0), B),
                                      "W^1 vs K^0", ("W^1", "K^0"))
-            items.append(_timed("blocking/W1-equals-K0", "W k=1", B, w1_equals_k0))
+            items.append(_timed("blocking/W1-equals-K0", wspec(1).label(), B,
+                                w1_equals_k0))
         else:
             items += _closed_form_items(f"blocking/W{kk}", wspec(kk), f"W^{kk}", B)
     return items
@@ -209,7 +210,7 @@ def suite_discrepancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
     for e in ells:
         profile = ch.discrepancy_profile(e, N)
         items.append(
-            _timed(f"discrepancy/K{e}/profile", f"K ell={e}", N,
+            _timed(f"discrepancy/K{e}/profile", kspec(e).label(), N,
                    lambda: ch.check_discrepancy(profile))
         )
 
@@ -219,7 +220,7 @@ def suite_discrepancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
             detail = f"|a_n/n - phi| {'<=' if ok else '>'} 1/100 at n={N} (a_n={a_N})"
             return CheckResult(ok, detail, None if ok else (N, a_N))
 
-        items.append(_timed(f"discrepancy/K{e}/density", f"K ell={e}", N, density))
+        items.append(_timed(f"discrepancy/K{e}/density", kspec(e).label(), N, density))
     return items
 
 
@@ -270,7 +271,7 @@ def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
             return CheckResult(False, f"definitions disagree at n={n}", n)
 
         items.append(_timed("morphic/k2-adjust/definition-vs-recurrence",
-                            "K ell=2", H, k2_oracles))
+                            kspec(2).label(), H, k2_oracles))
     for e in (e for e in ADJUST_SYSTEMS if e in ells):
         morphism, coding = ADJUST_SYSTEMS[e]
 
@@ -286,7 +287,7 @@ def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
             return CheckResult(True, f"{H} values agree")
 
         items.append(_timed(f"morphic/k{e}-adjust/dfao-vs-word",
-                            f"K ell={e}", H, dfao_vs_word))
+                            kspec(e).label(), H, dfao_vs_word))
     for e in (e for e in PARTITION_SYSTEMS if e in ells):
         part = PARTITION_SYSTEMS[e]
 
@@ -296,7 +297,7 @@ def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
                                            part.offset, pp, H)
 
         items.append(_timed(f"morphic/partition-word/K{e}",
-                            f"K ell={e}", H, word_vs_pairs))
+                            kspec(e).label(), H, word_vs_pairs))
     if not items:
         raise ValueError(f"suite 'morphic' has no checks for --ell {ell}")
     return items

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wythlab.catalog import ADJUST_SYSTEMS, PARTITION_SYSTEMS
 from wythlab.characterizations import (
     CLOSED_FORMS,
     DiscrepancyProfile,
     _closed_form_arrays,
+    _bound_verdicts,
     _mex_arrays,
-    _sqrt5_leq_vec,
     check_discrepancy,
     closed_form_K1,
     closed_form_K2,
@@ -37,7 +38,7 @@ from wythlab.characterizations import (
     w2_closed_form_mask,
     w3_closed_form_mask,
 )
-from wythlab.fibnum import rep_F, sqrt5_times_leq
+from wythlab.fibnum import floor_phi, rep_F, sqrt5_times_geq, sqrt5_times_leq
 from wythlab.games import PposSequence, kspec, ppos_list, solve, wspec
 from wythlab.morphisms import DFAO, eval_dfao_range, fixed_point_prefix, k2_adjust_prefix
 
@@ -396,21 +397,80 @@ class TestDiscrepancy:
         assert (res.ok, res.detail, res.counterexample) == (False, detail, at)
 
     def test_sqrt5_certificate_overflow_raises(self):
-        # 5 x^2 wraps in int64 here; the exact answer is False
+        # 5 x^2 would wrap in int64 here; the exact answer is False
         assert not sqrt5_times_leq(1_400_000_000, 3_000_000_000)
-        with pytest.raises(ValueError):
-            _sqrt5_leq_vec(np.array([1_400_000_000]), np.array([3_000_000_000]))
 
-    @pytest.mark.parametrize("field", ["S", "lam"])
-    def test_out_of_range_profile_raises(self, field):
+    @pytest.mark.parametrize("field,detail", [
+        ("S", "discrepancy bound fails at n=300"),
+        ("lam", "|lam| <= sqrt(5) ell + 2 fails at n=300"),
+    ], ids=["S", "lam"])
+    def test_out_of_range_profile_raises(self, field, detail):
+        # a value too large to square in int64 still gets an exact verdict
         prof = discrepancy_profile(2, 300)
         fields = {"S": prof.S, "lam": prof.lam}
         doctored = fields[field].copy()
         doctored[-1] = 4_000_000_000
         fields[field] = doctored
         bad = DiscrepancyProfile(ell=2, a=prof.a, b=prof.b, eps=prof.eps, **fields)
-        with pytest.raises(ValueError):
-            check_discrepancy(bad)
+        res = check_discrepancy(bad)
+        assert (res.ok, res.detail, res.counterexample) == (False, detail, 300)
+
+    @pytest.mark.parametrize("ell", range(10))
+    def test_bounds_match_scalar_certificates(self, ell):
+        # |S - n/phi| <= phi ell is 2S + n - ell <= sqrt5 (n + ell) and
+        # 2S + n + ell >= sqrt5 (n - ell); |lam| <= sqrt5 ell + 2 is
+        # lam - 2 <= sqrt5 ell and -lam - 2 <= sqrt5 ell: in Python ints
+        def s_ok(n, s):
+            return (sqrt5_times_geq(n + ell, 2 * s + n - ell)
+                    and sqrt5_times_leq(n - ell, 2 * s + n + ell))
+
+        def lam_ok(v):
+            return sqrt5_times_geq(ell, v - 2) and sqrt5_times_geq(ell, -v - 2)
+
+        rng = np.random.default_rng(ell)
+        info = np.iinfo(np.int64)
+        extremes = np.array([info.min, info.max, -2**62, 2**62, -2**62 - 1, 2**62 + 1])
+        N = 200
+        n = np.arange(N + 1)
+        c = int(np.sqrt(5) * ell) + 2
+        # values near the bounds, so both verdicts occur, plus int64 extremes
+        S = (n * 0.618).astype(np.int64) + rng.integers(-ell - 3, ell + 4, N + 1)
+        lam = rng.integers(-c - 3, c + 4, N + 1)
+        for arr in (S, lam):
+            arr[rng.choice(N + 1, 40, replace=False)] = rng.choice(extremes, 40)
+        seen = set()
+        # at n = ell the lower bound S + n >= 0 holds with equality
+        for S[ell] in (-ell, -ell - 1, rng.choice(extremes)):
+            ok_S, ok_lam = _bound_verdicts(ell, S, lam)
+            want_S = [s_ok(i, s) for i, s in enumerate(S.tolist())]
+            want_lam = [lam_ok(v) for v in lam.tolist()]
+            assert ok_S.tolist() == want_S
+            assert ok_lam.tolist() == want_lam
+            seen |= {("S", v) for v in want_S} | {("lam", v) for v in want_lam}
+        assert len(seen) == 4  # both verdicts on both bounds
+
+        # the first failing index through the whole check, on profiles whose
+        # other identities hold: S still rises from 1 at index ell + 1
+        prof = discrepancy_profile(ell, N)
+        doctored = [(prof.S, lam)]
+        for _ in range(10):
+            S, j = prof.S.copy(), rng.integers(ell + 2, N + 1)
+            S[j:] += rng.integers(0, 2 * ell + 4)
+            doctored.append((S, prof.lam))
+        tail = np.sort(np.r_[rng.integers(1, 2**62, N - ell - 4), extremes[1::2]])
+        doctored.append((np.r_[prof.S[: ell + 2], tail], prof.lam))
+        for S, lam in doctored:
+            res = check_discrepancy(dataclasses.replace(prof, S=S, lam=lam))
+            bad_S = [i for i, s in enumerate(S.tolist()) if not s_ok(i, s)]
+            bad_lam = [i for i, v in enumerate(lam.tolist()) if not lam_ok(v)]
+            if bad_S:
+                want = (False, f"discrepancy bound fails at n={bad_S[0]}", bad_S[0])
+            elif bad_lam:
+                want = (False, f"|lam| <= sqrt(5) ell + 2 fails at n={bad_lam[0]}",
+                        bad_lam[0])
+            else:
+                want = (True, f"ell={ell}, all indices through {N}", None)
+            assert (res.ok, res.detail, res.counterexample) == want
 
 
 class TestDensity:
@@ -426,6 +486,17 @@ class TestDensity:
             density_certificate(5, 0, 1, 10)
         with pytest.raises(ValueError):
             density_certificate(5, 3, 1, 0)
+
+    @given(st.integers(1, 10**15), st.integers(-3, 20), st.integers(1, 10**6),
+           st.sampled_from([-1, 1]), st.integers(-2, 2))
+    def test_matches_scalar_certificate(self, n, num, den, side, step):
+        # a_n next to an end (den n phi +- num n) / den, where both verdicts occur
+        a_n = (floor_phi(den * n) + side * num * n) // den + step
+        # |a_n/n - phi| <= num/den, times 2 den n: |2 den a_n - den n - sqrt5 den n|
+        # <= 2 num n
+        want = (sqrt5_times_geq(den * n, 2 * den * a_n - den * n - 2 * num * n)
+                and sqrt5_times_leq(den * n, 2 * den * a_n - den * n + 2 * num * n))
+        assert density_certificate(a_n, n, num, den) == want
 
 
 class TestSpectrum:

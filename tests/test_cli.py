@@ -324,6 +324,19 @@ class TestVerifyCommand:
         assert "error:" in captured.err
         assert "FAIL" not in captured.out
 
+    @pytest.mark.parametrize("suite", ["discrepancy", "morphic", "mex"])
+    def test_unallocatable_bound_is_usage_error(self, capsys, suite):
+        # arrays of 10^15 entries exceed any 128 TiB address space, so the
+        # allocation fails at once; smaller bounds might allocate lazily
+        with pytest.raises(SystemExit) as ei:
+            main(["verify", suite, "--bound", str(10**15)])
+        captured = capsys.readouterr()
+        assert ei.value.code == 2
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "allocate" in errors[0]
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("suite,flag", [
         ("closed-forms", "--k"),
         ("mex", "--k"),

@@ -116,6 +116,16 @@ class TestBeattyFloors:
     def test_floor_phi_property(self, n):
         assert floor_phi(n) == floor_phi_oracle(n)
 
+    def test_floor_phi_is_the_shift_identity(self):
+        # floor_phi is the isqrt formula; the Zeckendorf shift is independent
+        assert floor_phi(0) == 0
+        for n in range(1, 10**4 + 1):
+            assert floor_phi(n) == shift(n - 1) + 1
+
+    @given(st.integers(min_value=1, max_value=10**30))
+    def test_floor_phi_is_the_shift_identity_far_out(self, n):
+        assert floor_phi(n) == shift(n - 1) + 1
+
     def test_range_matches_scalar(self):
         got = floor_phi_range(3000)
         assert got.shape == (3001,)

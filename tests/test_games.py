@@ -524,6 +524,23 @@ class TestKernelChecksAgainstOptions:
         assert all(s > spec.terminal_sum for s in sums)
         assert bool(sums) == (bound == 40)
 
+    @pytest.mark.parametrize("spec,want", [
+        (kspec(0), ((0, 1), (0, 0))),
+        (wspec(3), ((0, 3), ((0, 0), (0, 1), (0, 2)))),
+    ], ids=["K0", "W3"])
+    def test_violator_report_reads_only_its_lines(self, spec, want):
+        # the all-ones box: the report lists the first violator's member
+        # options without a set of all 10^6 cells
+        mask = np.ones((1001, 1001), bool)
+        tracemalloc.start()
+        try:
+            res = check_stable(mask, spec, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (res.ok, res.counterexample) == (False, want)
+        assert peak < 120 * 2**20
+
     def test_checkers_stay_linear_in_memory(self):
         spec, bound = kspec(2), 2000
         table = solve(spec, bound)
