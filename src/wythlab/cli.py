@@ -179,7 +179,10 @@ def _cmd_solve(parser, args) -> int:
         parser.error("--format cache requires --out")
     table = solve(spec, bound)
     if args.format == "cache":
-        write_table_cache(table, args.out)
+        try:
+            write_table_cache(table, args.out)
+        except ValueError as exc:  # a parameter the header cannot hold
+            parser.error(str(exc))
         return EXIT_OK
     pp = ppos_list(table)
     if args.format == "json":

@@ -5,10 +5,11 @@ every natural has a unique representation with digits in {0,1}, no two
 adjacent 1s, and no leading zero.  Left-shifting a representation (appending
 a 0) multiplies by the golden ratio up to bounded error, which yields exact
 formulas for the Beatty floors floor(n*phi) and floor(n*phi^2) without any
-floating point.  Whole ranges 0..N share one greedy digit pass over all
-rows: `zeckendorf_digits`, `shift_range` (the array twin of `shift`),
-`floor_phi_range` and `morphisms.eval_dfao_range` read its columns.  These
-floors decide comparisons against multiples of phi and sqrt(5).  The module
+floating point.  `shift_range`, the array twin of `shift`, builds each
+weight's block from an earlier prefix, and `floor_phi_range` is the shift
+identity on it; one greedy digit pass over all rows gives the columns that
+`zeckendorf_digits` and `morphisms.eval_dfao_range` read.  These floors
+decide comparisons against multiples of phi and sqrt(5).  The module
 also provides the Hofstadter G-sequence, mex, and reference sqrt(5) certificates.
 """
 from __future__ import annotations
@@ -118,14 +119,18 @@ def shift(n: int) -> int:
 
 
 def shift_range(n_max: int, i: int = 1) -> np.ndarray:
-    """Array of val_F(rep_F(n) + "0" * i) for n = 0..n_max; i=1 gives shift."""
+    """Array of val_F(rep_F(n) + "0" * i) for n = 0..n_max; i=1 gives shift.
+    rep_F(fib(j) + r) is rep_F(r) under a leading 1 when r < fib(j - 1), so
+    out[fib(j) + r] = out[r] + fib(j + i): one slice per weight."""
     if min(n_max, i) < 0:
         raise ValueError(f"negative argument {min(n_max, i)}")
+    top = bisect_right(_fibs_through(n_max), n_max)  # weights <= n_max
+    if top and fib(top + i) > np.iinfo(np.int64).max:  # bounds every value
+        raise ValueError(f"shift_range({n_max}, {i}) overflows int64")
     out = np.zeros(n_max + 1, dtype=np.int64)
-    for j, take in _digit_columns(n_max):
-        if fib(j + i + 1) > np.iinfo(np.int64).max:  # bounds every sum
-            raise ValueError(f"shift_range({n_max}, {i}) overflows int64")
-        np.add(out, fib(j + i), out=out, where=take)
+    for j in range(top):
+        lo, hi = fib(j), min(fib(j + 1), n_max + 1)
+        out[lo:hi] = out[: hi - lo] + fib(j + i)
     return out
 
 

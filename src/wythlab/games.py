@@ -25,6 +25,7 @@ and PNTable.from_pairs turns pairs back into cells.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -74,12 +75,16 @@ class GameSpec:
     k: int | None = None
 
     def __post_init__(self) -> None:
+        # the solver's bit planes need Python ints: numpy integers become one
+        # and a bool, a float or any other non-integer is refused
         if self.variant == "K":
-            if self.ell is None or self.ell < 0 or self.k is not None:
+            if not _is_int(self.ell) or self.ell < 0 or self.k is not None:
                 raise ValueError(f"K variant needs ell >= 0 and no k: {self}")
+            object.__setattr__(self, "ell", int(self.ell))
         elif self.variant == "W":
-            if self.k is None or self.k < 1 or self.ell is not None:
+            if not _is_int(self.k) or self.k < 1 or self.ell is not None:
                 raise ValueError(f"W variant needs k >= 1 and no ell: {self}")
+            object.__setattr__(self, "k", int(self.k))
         else:
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -97,6 +102,10 @@ class GameSpec:
         if self.variant == "K":
             return f"K ell={self.ell}"
         return f"W k={self.k}"
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def kspec(ell: int) -> GameSpec:
@@ -177,6 +186,10 @@ def _int_pairs(pairs) -> np.ndarray:
         arr = arr.reshape(0, 2).astype(np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
         raise ValueError(f"expected integer pairs, got {arr.dtype} {arr.shape}")
+    lim = np.iinfo(np.int64)  # the int64 cast of each caller must not wrap
+    if arr.dtype.kind == "u" and arr.size and arr.max() > lim.max:
+        raise ValueError(f"pair value {arr.max()} outside the int64 range "
+                         f"[{lim.min}, {lim.max}]")
     return arr
 
 
@@ -510,6 +523,9 @@ def write_table_cache(table: PNTable, path) -> None:
     """
     spec = table.spec
     param = spec.ell if spec.variant == "K" else spec.k
+    if max(param, table.bound) > 2**32 - 1:  # the header's uint32 fields
+        raise ValueError(f"a table cache holds ell, k and bound up to "
+                         f"{2**32 - 1:,}: {spec.label()}, bound {table.bound}")
     header = _MAGIC + struct.pack(
         "<BcII", _VERSION, spec.variant.encode(), param, table.bound
     )

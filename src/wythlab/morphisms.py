@@ -8,7 +8,8 @@ substitution and coding from a sequence prefix by grouping positions whose
 iterated image blocks agree.
 
 `eval_dfao_range` steps all of 0..N at once on the greedy digit columns of
-`fibnum`; like `eval_dfao` it never reads the substitution.
+`fibnum`, each column only on the rows that have started; like `eval_dfao`
+it never reads the substitution.
 
 Positions and image blocks are connected through the numeration system:
 appending i zeros to rep_F(n) gives the first position of the i-th iterated
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fibnum import _digit_columns, floor_phi_range, rep_F, shift_range, val_F
+from .fibnum import _digit_columns, fib, floor_phi_range, rep_F, shift_range, val_F
 
 __all__ = [
     "Morphism",
@@ -154,7 +155,8 @@ def eval_dfao(d: DFAO, n: int):
 def eval_dfao_range(d: DFAO, n_max: int) -> np.ndarray:
     """Array of eval_dfao(d, n) for n = 0..n_max, one digit column at a time.
 
-    Leading zeros are not fed.  A missing transition raises the ValueError
+    The column of weight fib(j) steps only the rows n >= fib(j), the ones
+    that have started.  A missing transition raises the ValueError
     eval_dfao gives for the least such n.
     """
     if n_max < 0:
@@ -163,10 +165,9 @@ def eval_dfao_range(d: DFAO, n_max: int) -> np.ndarray:
     table = np.array([[sink if t is None else t for t in edges]
                       for edges in d.transitions] + [[sink, sink]])
     state = np.zeros(n_max + 1, dtype=np.int64)
-    fed = np.zeros(n_max + 1, dtype=bool)
-    for _, col in _digit_columns(n_max):
-        fed |= col
-        state = np.where(fed, table[state, col.view(np.uint8)], state)
+    for j, col in _digit_columns(n_max):
+        lo = fib(j)
+        state[lo:] = table[state[lo:], col[lo:].view(np.uint8)]
     stuck = np.flatnonzero(state == sink)
     if stuck.size:
         eval_dfao(d, int(stuck[0]))  # raises the scalar error for that n
@@ -310,7 +311,7 @@ def k2_adjust_prefix(count: int) -> tuple[int, ...]:
     """First `count` values from the primary definition, by exact search.
 
     All targets floor(n phi) - 1 are looked up among floor(m phi^2) at once.
-    A match has m < n, so blocks of increasing n read only settled values.
+    A match has m < n, so one pass in increasing n reads only settled values.
     """
     if count <= 0:
         return ()
@@ -318,16 +319,11 @@ def k2_adjust_prefix(count: int) -> tuple[int, ...]:
     fp2 = fp + np.arange(count + 1)
     target = fp[:count] - 1
     m = np.searchsorted(fp2, target)
-    hit = fp2[m] == target
-    out = np.ones(count, dtype=np.int64)
-    lo = 0
-    while lo < count:
-        # m is nondecreasing, so n < hi has every match m below lo
-        hi = max(lo + 1, int(np.searchsorted(m, lo)))
-        sel = lo + np.flatnonzero(hit[lo:hi])
-        out[sel] = 1 - out[m[sel]]
-        lo = hi
-    return tuple(out.tolist())
+    hit = np.flatnonzero(fp2[m] == target)
+    out = [1] * count
+    for n, k in zip(hit.tolist(), m[hit].tolist()):
+        out[n] = 1 - out[k]
+    return tuple(out)
 
 
 def k2_adjust(n: int) -> int:

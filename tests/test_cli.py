@@ -113,6 +113,18 @@ class TestSolveCommand:
         assert ei.value.code == 2
         assert "--format cache requires --out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec_args", [["W", "--k", "10000000000", "--bound", "5"],
+                                           ["K", "--ell", "5000000000"]])
+    def test_cache_header_overflow_is_usage_error(self, capsys, tmp_path, spec_args):
+        path = tmp_path / "x.pn"
+        with pytest.raises(SystemExit) as ei:
+            main(["solve", "--game", *spec_args, "--format", "cache", "--out", str(path)])
+        err = capsys.readouterr().err
+        assert ei.value.code == 2 and "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "4,294,967,295" in errors[0]
+        assert not path.exists()
+
     def test_missing_parameter(self):
         with pytest.raises(SystemExit) as ei:
             main(["solve", "--game", "K", "--bound", "10"])
@@ -162,6 +174,11 @@ class TestPairSerialization:
     def test_csv_out_of_order(self):
         with pytest.raises(ValueError):
             read_pairs_csv(io.StringIO("n,a_n,b_n\n1,3,6\n"))
+
+    def test_csv_refuses_values_past_int64(self):
+        with pytest.raises(ValueError, match="outside the int64 range"):
+            read_pairs_csv(io.StringIO(
+                "n,a_n,b_n\n0,9223372036854775808,9223372036854775813\n"))
 
     def test_json_has_trailing_newline(self):
         pp = ppos_list(solve(kspec(2), 40))

@@ -162,9 +162,29 @@ class TestDigitMatrix:
 
 class TestShiftRange:
     def test_matches_scalar_shift(self):
-        for i in range(5):
+        for i in (0, 1, 2, 3, 4, 7):
             got = shift_range(3000, i).tolist()
             assert got == [val_F(rep_F(n) + "0" * i) for n in range(3001)]
+
+    def test_block_edges(self):
+        # each weight's block is a shifted prefix: check both of its ends
+        for i in (1, 2, 3, 7):
+            got = shift_range(fib(26) - 1, i)
+            for j in range(16, 26):
+                for n in (fib(j) - 1, fib(j), fib(j + 1) - 1):
+                    assert got[n] == val_F(rep_F(n) + "0" * i), (i, n)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 10, 1000])
+    def test_overflow_iff_a_weight_overflows(self, n_max):
+        # the condition a per-weight digit pass tests: fib(j + i + 1) past
+        # int64 for some weight fib(j) <= n_max
+        big = np.iinfo(np.int64).max
+        for i in range(100):
+            if any(fib(j + i + 1) > big for j in range(len(rep_F(n_max)))):
+                with pytest.raises(ValueError, match="overflows"):
+                    shift_range(n_max, i)
+            else:
+                assert shift_range(n_max, i)[-1] == val_F(rep_F(n_max) + "0" * i)
 
     @given(st.integers(min_value=0, max_value=2 * 10**5),
            st.integers(min_value=0, max_value=8))

@@ -61,6 +61,9 @@ class TestGameSpec:
             GameSpec("K", ell=-1)
         with pytest.raises(ValueError):
             GameSpec("K", ell=2, k=2)
+        for ell in (2.5, True, np.bool_(True), "2"):  # a float or bool is no ell
+            with pytest.raises(ValueError, match="K variant needs ell"):
+                kspec(ell)
 
     def test_w_requires_k(self):
         with pytest.raises(ValueError):
@@ -69,6 +72,9 @@ class TestGameSpec:
             GameSpec("W", k=0)
         with pytest.raises(ValueError):
             GameSpec("W", ell=1, k=1)
+        for k in (2.0, True, 3.5):
+            with pytest.raises(ValueError, match="W variant needs k"):
+                wspec(k)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -78,6 +84,10 @@ class TestGameSpec:
         assert kspec(3) == GameSpec("K", ell=3)
         assert wspec(2) == GameSpec("W", k=2)
         assert kspec(3).label() == "K ell=3"
+        # numpy integers are stored as ints: one memo entry, one label
+        assert kspec(np.int64(2)) == kspec(2) and wspec(np.uint8(3)) == wspec(3)
+        assert type(wspec(np.int64(3)).k) is int
+        assert solve(wspec(np.int64(3)), 30) is solve(wspec(3), 30)
         assert wspec(2).label() == "W k=2"
         assert kspec(3).terminal_sum == 3
         assert wspec(2).terminal_sum == -1
@@ -280,6 +290,14 @@ class TestPairExtraction:
     def test_sequence_rejects_malformed_pairs(self, pairs):
         with pytest.raises(ValueError):
             PposSequence(ell=1, pairs=pairs)
+
+    def test_sequence_refuses_values_past_int64(self):
+        # the int64 copy would wrap 2**63 to -2**63
+        for pairs in (((2**63, 2**63 + 5),), np.array([[1, 2**64 - 1]], np.uint64)):
+            with pytest.raises(ValueError, match="outside the int64 range"):
+                PposSequence(0, pairs)
+        top = 2**63 - 1
+        assert PposSequence(0, np.array([[1, top]], np.uint64)).pairs == ((1, top),)
 
     @pytest.mark.parametrize("spec", [kspec(e) for e in range(7)]
                              + [wspec(k) for k in (1, 2, 3)] + [kspec(50)])
@@ -671,6 +689,17 @@ class TestCache:
         path.write_bytes(b"NOPE" + bytes(64))
         with pytest.raises(CacheError):
             read_table_cache(path)
+
+    @pytest.mark.parametrize("spec,bound", [(wspec(10**10), 5), (kspec(2**32), 3),
+                                            (kspec(1), 2**32)])
+    def test_header_field_past_uint32(self, tmp_path, spec, bound):
+        path = tmp_path / "table.pn"
+        with pytest.raises(ValueError, match="up to 4,294,967,295"):
+            write_table_cache(PNTable.from_cells(spec, bound, [], []), path)
+        assert not path.exists()
+        t = PNTable.from_cells(kspec(2**32 - 1), 3, [0], [0])  # the largest that fits
+        write_table_cache(t, path)
+        assert read_table_cache(path).spec == t.spec
 
     def test_reloaded_table_read_only(self, tmp_path):
         t = solve(kspec(1), 20)

@@ -138,7 +138,9 @@ class TestPromoteAndEval:
             eval_dfao(d, 1)
 
     def test_range_matches_scalar(self):
-        for name, d in builtin_dfaos().items():
+        # the last automaton leaves state 0 on a 0, so a fed leading zero shows
+        cases = {**builtin_dfaos(), "zero-moves": DFAO(((1, 1), (0, 1)), (5, 6))}
+        for name, d in cases.items():
             got = eval_dfao_range(d, 3000).tolist()
             assert got == [eval_dfao(d, n) for n in range(3001)], name
         d = adjust_dfao(2)
@@ -170,6 +172,10 @@ class TestK2Adjust:
         assert k2_adjust_prefix(21) == TABLE1_G
         assert k2_adjust_prefix_by_recurrence(21) == TABLE1_G
         assert tuple(eval_dfao(adjust_dfao(2), n) for n in range(21)) == TABLE1_G
+
+    def test_empty_prefixes(self):
+        assert k2_adjust_prefix(0) == k2_adjust_prefix(-3) == ()
+        assert k2_adjust_prefix_by_recurrence(0) == ()
 
     def test_definition_matches_recurrence(self):
         assert k2_adjust_prefix(5000) == k2_adjust_prefix_by_recurrence(5000)
