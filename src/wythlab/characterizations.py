@@ -1,10 +1,11 @@
 """Closed-form, recursive, morphic and asymptotic descriptions of the P-sets.
 
 Every rule-set the solver handles exactly also admits at least one compact
-description: a Zeckendorf pattern for K^1, one table (CLOSED_FORMS) of
-Beatty floors perturbed by an automatic sequence for K^1..K^4, a mex
-recursion for every K^ell, explicit pair families for the blocking variants,
-and partition words whose n-th letters 'a' and 'b' locate the n-th pair.
+description: a mex recursion for every K^ell, with b_n = a_n + n + ell + 1;
+one table (CLOSED_FORMS) of Beatty floors a_n perturbed by an automatic
+sequence for K^1..K^4, whose b_n follow by the same law; a Zeckendorf
+pattern for K^1; explicit pair families for the blocking variants; and
+partition words whose n-th letters 'a' and 'b' locate the n-th pair.
 closed_form_table turns the K^1..K^4 and W^2/W^3 forms into the P-cells of a
 box, the shape the solver's tables and the kernel checks use.  This module
 implements all of them together with the finite checks that compare them to
@@ -110,16 +111,15 @@ def mex_sequence(ell: int, count: int) -> PposSequence:
 # K^1..K^4: one table of Beatty floors plus an automatic adjustment
 # ---------------------------------------------------------------------------
 
-# Row ell holds (adjust, lag, alpha, beta): pair n of K^ell sits at Beatty
-# index m = n + 2 as
-#     (floor(m phi) + adj(m-lag) + alpha, floor(m phi^2) + adj(m-lag) + beta),
-# where adj is the output sequence of the automaton adjust.  K^1's one-state
-# automaton outputs 0 throughout.
+# Row ell holds (adjust, lag, alpha): pair n of K^ell sits at Beatty index
+# m = n + 2 as (a, b) = (floor(m phi) + adj(m-lag) + alpha, a + m + ell - 1),
+# where adj is the output sequence of the automaton adjust; b - a is the mex
+# recursion's n + ell + 1.  K^1's one-state automaton outputs 0 throughout.
 CLOSED_FORMS = {
-    1: (DFAO(((0, 0),), (0,)), 0, -1, -1),
-    2: (adjust_dfao(2), 0, -1, 0),
-    3: (adjust_dfao(3), 1, -1, 1),
-    4: (adjust_dfao(4), 1, 0, 3),
+    1: (DFAO(((0, 0),), (0,)), 0, -1),
+    2: (adjust_dfao(2), 0, -1),
+    3: (adjust_dfao(3), 1, -1),
+    4: (adjust_dfao(4), 1, 0),
 }
 
 
@@ -128,10 +128,10 @@ def _closed_form_arrays(ell: int, first: int, stop: int) -> tuple[np.ndarray, np
     if ell not in CLOSED_FORMS:
         raise ValueError(f"no closed form for K^{ell}; closed forms cover ell "
                          f"{', '.join(map(str, CLOSED_FORMS))}")
-    adjust, lag, alpha, beta = CLOSED_FORMS[ell]
-    fp = floor_phi_range(stop - 1)[first:]
-    adj = eval_dfao_range(adjust, stop - lag - 1)[first - lag :]
-    return fp + adj + alpha, fp + np.arange(first, stop) + adj + beta
+    adjust, lag, alpha = CLOSED_FORMS[ell]
+    a = floor_phi_range(stop - 1)[first:] + alpha
+    a += eval_dfao_range(adjust, stop - lag - 1)[first - lag :]
+    return a, a + np.arange(first + ell - 1, stop + ell - 1)
 
 
 def _closed_form_pair(ell: int, n: int, shift: int) -> tuple[int, int]:
@@ -139,10 +139,10 @@ def _closed_form_pair(ell: int, n: int, shift: int) -> tuple[int, int]:
     CLOSED_FORMS row at the one index m = n + shift, in O(log m)."""
     if n < 0:
         raise ValueError(f"negative pair index {n}")
-    adjust, lag, alpha, beta = CLOSED_FORMS[ell]
+    adjust, lag, alpha = CLOSED_FORMS[ell]
     m = n + shift
-    fp, adj = floor_phi(m), eval_dfao(adjust, m - lag)
-    return fp + adj + alpha, fp + m + adj + beta
+    a = floor_phi(m) + eval_dfao(adjust, m - lag) + alpha
+    return a, a + m + ell - 1
 
 
 def closed_form_pairs(ell: int, count: int) -> PposSequence:
@@ -237,7 +237,7 @@ def _adjust_from_mex(ell: int, count: int) -> tuple[int, ...]:
     """
     if count <= 0:
         return ()
-    _, lag, alpha, _ = CLOSED_FORMS[ell]
+    _, lag, alpha = CLOSED_FORMS[ell]
     head = 2 - lag
     a, _ = _mex_arrays(ell, max(count - head, 0))
     fp = floor_phi_range(count - 1 + lag)

@@ -18,13 +18,13 @@ import sys
 
 from .catalog import builtin_dfaos
 from .games import (
+    GameSpec,
     PposSequence,
     ResourceLimitError,
-    kspec,
+    _cache_header,
     ppos_list,
     solve,
     write_table_cache,
-    wspec,
 )
 from .morphisms import (
     DFAO,
@@ -62,7 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="solve a board and export the P-positions")
-    _add_spec_args(sp)
+    sp.add_argument("--game", choices=("K", "W"), required=True)
+    sp.add_argument("--ell", type=int, default=None)
+    sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--bound", type=int, default=None,
                     help=f"board bound (default {K_BOUND_DEFAULT} for K, "
                     f"{W_BOUND_DEFAULT} for W)")
@@ -95,25 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="one of: " + ", ".join(sorted(builtin_dfaos())))
     xp.add_argument("--out", required=True)
     return p
-
-
-def _add_spec_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--game", choices=("K", "W"), required=True)
-    sp.add_argument("--ell", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-
-
-def _spec_from_args(parser, args):
-    try:
-        if args.game == "K":
-            if args.ell is None:
-                parser.error("--game K requires --ell")
-            return kspec(args.ell)
-        if args.k is None:
-            parser.error("--game W requires --k")
-        return wspec(args.k)
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +152,25 @@ def _write_text(path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(parser, args) -> int:
-    spec = _spec_from_args(parser, args)
+    try:  # refuses a missing parameter and the other variant's
+        spec = GameSpec(args.game, ell=args.ell, k=args.k)
+    except ValueError as exc:
+        parser.error(str(exc))
     bound = args.bound
     if bound is None:
         bound = K_BOUND_DEFAULT if spec.variant == "K" else W_BOUND_DEFAULT
     if bound < 0:
         parser.error(f"negative bound {bound}")
-    if args.format == "cache" and args.out is None:
-        parser.error("--format cache requires --out")
+    if args.format == "cache":
+        if args.out is None:
+            parser.error("--format cache requires --out")
+        try:  # before the solve, which at such an ell or k can run for hours
+            _cache_header(spec, bound)
+        except ValueError as exc:
+            parser.error(str(exc))
     table = solve(spec, bound)
     if args.format == "cache":
-        try:
-            write_table_cache(table, args.out)
-        except ValueError as exc:  # a parameter the header cannot hold
-            parser.error(str(exc))
+        write_table_cache(table, args.out)
         return EXIT_OK
     pp = ppos_list(table)
     if args.format == "json":

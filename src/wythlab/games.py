@@ -14,13 +14,14 @@ rows in that order, keeps each column's and each diagonal's member count as
 bit-planes in Python ints, and applies the rule: it sizes the planes and
 gives each row its first non-terminal cell and the cells the rule calls P.
 The solver takes those cells as members; the absorption check reads members
-from the candidate and reports the first such cell that is not one.  Exact
-counts, for stability (which concerns the members alone), the witness
-search, option_member_counts and the absorption check's report, come from
-binary search in the line keys that a PNTable builds once and keeps.  A
-P-set is kept as its O(bound) row-major cells, never as a box mask.  P-pairs
-(a_n, b_n) are kept as two int64 arrays; ppos_list turns cells into pairs
-and PNTable.from_pairs turns pairs back into cells.
+from the candidate, a PNTable, a box mask or a list of pairs, and reports
+the first such cell that is not one.  Exact counts, for stability (which
+concerns the members alone), the witness search, option_member_counts and
+the absorption check's report, come from binary search in the line keys
+that a PNTable builds once and keeps.  A P-set is kept as its O(bound)
+row-major cells, never as a box mask.  P-pairs
+(a_n, b_n) are kept as two int64 arrays; ppos_list turns a table's cells
+into pairs and PNTable.from_pairs turns pairs back into cells.
 """
 from __future__ import annotations
 
@@ -184,12 +185,20 @@ def _int_pairs(pairs) -> np.ndarray:
     arr = np.asarray(pairs)
     if arr.shape == (0,):
         arr = arr.reshape(0, 2).astype(np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+    ints = arr.dtype.kind in "iu"
+    if arr.dtype.kind in "fO" and arr.size:
+        # numpy reads integers past the int64 range as float64 or object
+        exact = np.asarray(pairs, object)
+        if ints := all(map(_is_int, exact.flat)):
+            arr = exact
+    if arr.ndim != 2 or arr.shape[1] != 2 or not ints:
         raise ValueError(f"expected integer pairs, got {arr.dtype} {arr.shape}")
     lim = np.iinfo(np.int64)  # the int64 cast of each caller must not wrap
-    if arr.dtype.kind == "u" and arr.size and arr.max() > lim.max:
-        raise ValueError(f"pair value {arr.max()} outside the int64 range "
-                         f"[{lim.min}, {lim.max}]")
+    if arr.dtype.kind in "uO" and arr.size:
+        worst = arr.max() if arr.max() > lim.max else arr.min()
+        if not lim.min <= worst <= lim.max:
+            raise ValueError(f"pair value {worst} outside the int64 range "
+                             f"[{lim.min}, {lim.max}]")
     return arr
 
 
@@ -344,15 +353,13 @@ def solve_pairs(spec: GameSpec, bound: int) -> list[tuple[int, int]]:
     return list(ppos_list(PNTable(spec, bound, *_p_cells(spec, bound))).pairs)
 
 
-def ppos_list(table: PNTable, spec: GameSpec | None = None) -> PposSequence:
+def ppos_list(table: PNTable) -> PposSequence:
     """Non-terminal P-pairs (a_n, b_n) of a solved table, sorted, a_n <= b_n.
 
     For K-boards the in-box pairs are a true prefix of the infinite pair
     sequence, because the b-sequence is increasing; the bound only truncates.
     """
-    spec = table.spec if spec is None else spec
-    if spec != table.spec:
-        raise ValueError(f"table solved for {table.spec}, not {spec}")
+    spec = table.spec
     keep = (table.xs <= table.ys) & (table.xs + table.ys > spec.terminal_sum)
     return PposSequence(spec.ell, np.column_stack((table.xs[keep], table.ys[keep])))
 
@@ -360,8 +367,8 @@ def ppos_list(table: PNTable, spec: GameSpec | None = None) -> PposSequence:
 def _candidate_cells(candidate, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """A candidate P-set as its cells of [0,bound]^2, in PNTable order.
 
-    The candidate is a PNTable, a boolean array at least (bound+1)^2, a
-    predicate f(x, y), or an iterable of (x, y) pairs.
+    The candidate is a PNTable, a boolean array at least (bound+1)^2, or an
+    iterable of (x, y) pairs.
     """
     if bound < 0:
         raise ValueError(f"negative bound {bound}")
@@ -375,13 +382,9 @@ def _candidate_cells(candidate, bound: int) -> tuple[np.ndarray, np.ndarray]:
         if candidate.ndim != 2 or min(candidate.shape) <= bound:
             raise ValueError(f"candidate {candidate.shape} is not a 2-D array "
                              f"covering [0,{bound}]^2")
-        xs, ys = np.nonzero(candidate[: bound + 1, : bound + 1])
-    else:
-        if callable(candidate):
-            box = range(bound + 1)
-            candidate = [(x, y) for x in box for y in box if candidate(x, y)]
-        xs, ys = _int_pairs(list(candidate)).T
-    return _canonical(xs, ys, bound)
+        # nonzero lists the cells of the box once each, row-major
+        return np.nonzero(candidate[: bound + 1, : bound + 1])
+    return _canonical(*_int_pairs(list(candidate)).T, bound)
 
 
 def option_member_counts(mask: np.ndarray) -> np.ndarray:
@@ -516,19 +519,22 @@ _MAGIC = b"WYPN"
 _VERSION = 1
 
 
+def _cache_header(spec: GameSpec, bound: int) -> bytes:
+    """The header of a cache of spec's table on [0,bound]^2; a ValueError when
+    its uint32 fields cannot hold ell, k or the bound."""
+    param = spec.ell if spec.variant == "K" else spec.k
+    if max(param, bound) > 2**32 - 1:
+        raise ValueError(f"a table cache holds ell, k and bound up to "
+                         f"{2**32 - 1:,}: {spec.label()}, bound {bound}")
+    return _MAGIC + struct.pack("<BcII", _VERSION, spec.variant.encode(), param, bound)
+
+
 def write_table_cache(table: PNTable, path) -> None:
     """Write a solved table; layout is header, packed bits, checksum.
 
     Bit x * (bound + 1) + y, msb first, is set from each P-cell (x, y).
     """
-    spec = table.spec
-    param = spec.ell if spec.variant == "K" else spec.k
-    if max(param, table.bound) > 2**32 - 1:  # the header's uint32 fields
-        raise ValueError(f"a table cache holds ell, k and bound up to "
-                         f"{2**32 - 1:,}: {spec.label()}, bound {table.bound}")
-    header = _MAGIC + struct.pack(
-        "<BcII", _VERSION, spec.variant.encode(), param, table.bound
-    )
+    header = _cache_header(table.spec, table.bound)
     n = table.bound + 1
     payload = np.zeros((n * n + 7) // 8, dtype=np.uint8)
     at = table.xs * n + table.ys

@@ -256,7 +256,7 @@ class TestClosedFormK2ToK4:
 
     @pytest.mark.parametrize("ell", sorted(CLOSED_FORMS))
     def test_row_automaton_matches_an_independent_oracle(self, ell):
-        adjust, _, _, _ = CLOSED_FORMS[ell]
+        adjust, _, _ = CLOSED_FORMS[ell]
         oracle, first = ADJUST_ORACLES[ell]
         assert isinstance(adjust, DFAO)
         count = 10**4

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 import errno
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -114,8 +115,15 @@ class TestSolveCommand:
         assert "--format cache requires --out" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec_args", [["W", "--k", "10000000000", "--bound", "5"],
-                                           ["K", "--ell", "5000000000"]])
-    def test_cache_header_overflow_is_usage_error(self, capsys, tmp_path, spec_args):
+                                           ["K", "--ell", "5000000000"],
+                                           ["W", "--k", "10000000000", "--bound", "300"],
+                                           ["K", "--ell", "1", "--bound", "4294967296"]])
+    def test_cache_header_overflow_is_usage_error(self, capsys, tmp_path, spec_args,
+                                                  monkeypatch):
+        def no_solve(spec, bound):
+            raise AssertionError("solved before the header check")
+
+        monkeypatch.setattr("wythlab.cli.solve", no_solve)
         path = tmp_path / "x.pn"
         with pytest.raises(SystemExit) as ei:
             main(["solve", "--game", *spec_args, "--format", "cache", "--out", str(path)])
@@ -132,6 +140,18 @@ class TestSolveCommand:
         with pytest.raises(SystemExit) as ei:
             main(["solve", "--game", "W", "--bound", "10"])
         assert ei.value.code == 2
+
+    @pytest.mark.parametrize("spec_args,refusal", [
+        (["K", "--ell", "2", "--k", "3"], "K variant needs ell >= 0 and no k"),
+        (["W", "--k", "2", "--ell", "5"], "W variant needs k >= 1 and no ell"),
+    ])
+    def test_other_variants_flag_is_usage_error(self, capsys, spec_args, refusal):
+        # --k under --game K is not ignored: K^ell_k is a different rule-set
+        with pytest.raises(SystemExit) as ei:
+            main(["solve", "--game", *spec_args, "--bound", "10"])
+        out, err = capsys.readouterr()
+        assert ei.value.code == 2 and out == ""
+        assert refusal in err
 
     def test_invalid_parameter(self, capsys):
         with pytest.raises(SystemExit) as ei:
@@ -862,6 +882,15 @@ class TestFuzzedInputs:
         code, err = exit_code(["eval-dfao", str(path), "--upto", "3"])
         assert code == 1
         assert err.startswith(f"error: {path}: number too long")
+
+
+@pytest.mark.parametrize("module", ["games", "characterizations", "morphisms",
+                                    "fibnum", "walnut", "suites", "cli"])
+def test_every_public_name_resolves(module):
+    # bench/tracer.py wraps getattr(module, name) for each name in __all__ of
+    # these modules, so one stale entry would break every traced run
+    mod = importlib.import_module(f"wythlab.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 class TestConsoleScript:

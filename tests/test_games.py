@@ -191,11 +191,6 @@ class TestPairExtraction:
         assert (0, 1) in pp.pairs and (0, 2) in pp.pairs
         assert pp.ell is None
 
-    def test_ppos_list_spec_mismatch(self):
-        t = solve(kspec(1), 30)
-        with pytest.raises(ValueError):
-            ppos_list(t, kspec(2))
-
     @pytest.mark.parametrize("spec,bound", [
         (kspec(0), 150), (kspec(3), 150), (wspec(2), 150), (wspec(3), 90),
     ])
@@ -293,11 +288,19 @@ class TestPairExtraction:
 
     def test_sequence_refuses_values_past_int64(self):
         # the int64 copy would wrap 2**63 to -2**63
-        for pairs in (((2**63, 2**63 + 5),), np.array([[1, 2**64 - 1]], np.uint64)):
+        # numpy reads the three mixed lists as float64, object and object
+        for pairs in (((2**63, 2**63 + 5),), np.array([[1, 2**64 - 1]], np.uint64),
+                      [(2**63, 1)], [(2**64, 1)], [(1, -2**63 - 1)]):
             with pytest.raises(ValueError, match="outside the int64 range"):
                 PposSequence(0, pairs)
         top = 2**63 - 1
         assert PposSequence(0, np.array([[1, top]], np.uint64)).pairs == ((1, top),)
+
+    @pytest.mark.parametrize("pairs", [[(1.5, 2)], [(2**63, 1.5)],
+                                       np.array([[True, 2]], object)])
+    def test_non_integer_pair_is_refused(self, pairs):
+        with pytest.raises(ValueError, match="expected integer pairs"):
+            PposSequence(0, pairs)
 
     @pytest.mark.parametrize("spec", [kspec(e) for e in range(7)]
                              + [wspec(k) for k in (1, 2, 3)] + [kspec(50)])
@@ -413,10 +416,15 @@ class TestKernelChecks:
             for y in range(bound + 1)
             if mask[x, y]
         ]
-        for candidate in (table, solve(spec, bound + 10), mask, from_pairs,
-                          lambda x, y: bool(mask[x, y])):
+        for candidate in (table, solve(spec, bound + 10), mask, from_pairs):
             assert check_stable(candidate, spec, bound).ok
             assert check_absorbing(candidate, spec, bound).ok
+
+    def test_predicate_candidate_is_refused(self):
+        # a predicate is not a candidate form; a mask or pairs stand for it
+        for check in (check_stable, check_absorbing):
+            with pytest.raises(TypeError, match="'function' object is not iterable"):
+                check(lambda x, y: x == y, kspec(1), 5)
 
     def test_flat_candidate_is_refused(self):
         # a flat list is not read as the cells (1, 2) and (3, 4)
