@@ -25,7 +25,7 @@ import numpy as np
 
 from .catalog import adjust_dfao
 from .fibnum import floor_phi, floor_phi_range, rep_F
-from .games import CheckResult, GameSpec, PNTable, PposSequence, kspec, wspec
+from .games import CheckResult, GameSpec, PNTable, PposSequence, _is_int, kspec, wspec
 from .morphisms import (
     DFAO,
     Coding,
@@ -155,7 +155,7 @@ def closed_form_pairs(ell: int, count: int) -> PposSequence:
 def closed_form_table(spec: GameSpec, bound: int) -> PNTable:
     """The closed-form P-set of K^1..K^4 or W^2/W^3 on [0,bound]^2, as cells.
 
-    K^ell: the CLOSED_FORMS pairs plus the terminal triangle x + y <= ell.
+    K^ell: the CLOSED_FORMS pairs, and .ppos adds the terminal triangle.
     W^k: the explicit pair families plus (0, 0).  Both orientations.
     """
     if bound < 0:
@@ -413,22 +413,17 @@ def spectrum_bounds(prefix) -> tuple[Fraction, Fraction]:
     exactly when the first quantity stays below the second in the limit;
     both are computed over every gap length i of the given prefix.
     """
-    c = np.asarray(list(prefix), dtype=np.int64)
-    if c.ndim != 1 or c.size < 2:
-        raise ValueError("need at least two values")
-    if np.any(np.diff(c) <= 0):
+    c, lim = list(prefix), np.iinfo(np.int64)
+    if len(c) < 2 or not all(map(_is_int, c)):
+        raise ValueError(f"need at least two integer values, got {c!r:.60}")
+    if any(u >= v for u, v in zip(c, c[1:])):
         raise ValueError("prefix must be strictly increasing")
-    lower = None
-    upper = None
-    for i in range(1, c.size):
-        diffs = c[i:] - c[:-i]
-        lo = Fraction(int(diffs.max()) - 1, i)
-        hi = Fraction(int(diffs.min()) + 1, i)
-        if lower is None or lo > lower:
-            lower = lo
-        if upper is None or hi < upper:
-            upper = hi
-    return lower, upper
+    if c[0] < lim.min or c[-1] > lim.max or int(c[-1]) - int(c[0]) > lim.max:
+        raise ValueError(f"prefix {c[0]}..{c[-1]} leaves int64, or its differences do")
+    c = np.array(c, np.int64)
+    lower, upper = zip(*((Fraction(int(d.max()) - 1, i), Fraction(int(d.min()) + 1, i))
+                         for i in range(1, c.size) for d in [c[i:] - c[:-i]]))
+    return max(lower), min(upper)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +478,8 @@ def counting_check(pp: PposSequence, X: int) -> CheckResult:
         raise ValueError("counting identity applies to K rule-sets only")
     ell = pp.ell
     a, b = pp.arrays()
+    if np.any(a[1:] <= a[:-1]) or np.any(b[1:] <= b[:-1]):  # searchsorted needs it
+        raise ValueError("the a- and b-sequences must be strictly increasing")
     if a.size == 0 or a[-1] < X or b[-1] < X:
         raise ValueError(f"pair list horizon below X={X}")
     xs = np.arange(ell + 2, X + 1, dtype=np.int64)

@@ -19,9 +19,10 @@ the first such cell that is not one.  Exact counts, for stability (which
 concerns the members alone), the witness search, option_member_counts and
 the absorption check's report, come from binary search in the line keys
 that a PNTable builds once and keeps.  A P-set is kept as its O(bound)
-row-major cells, never as a box mask.  P-pairs
-(a_n, b_n) are kept as two int64 arrays; ppos_list turns a table's cells
-into pairs and PNTable.from_pairs turns pairs back into cells.
+row-major cells, never as a box mask, and the terminal triangle, P by the
+rule, as the one integer spec.terminal_sum.  P-pairs (a_n, b_n) are kept as
+two int64 arrays; ppos_list and PNTable.from_pairs turn cells into pairs
+and back.
 """
 from __future__ import annotations
 
@@ -59,8 +60,8 @@ MAX_SOLVE_BOUND = 32768
 
 class ResourceLimitError(RuntimeError):
     """Raised instead of attempting a solve past the bound cap.  The solve
-    is O(min(k, B) B) bits in memory, so the cap bounds its time: O(B^2 /
-    word) for a sparse P-set, growing with each row's members for large k."""
+    keeps min(k, 3B + 1) planes of B + 1 bits, so the cap bounds its time:
+    O(B^2 / word) for a sparse P-set, growing with each row's members for large k."""
 
 
 class CacheError(ValueError):
@@ -121,8 +122,8 @@ def wspec(k: int) -> GameSpec:
 class PNTable:
     """P/N classification of the full box [0,B]^2, kept as its P-cells.
 
-    xs, ys are read-only and list each P-position once, row-major: by x,
-    then by y.  ppos builds the box mask on each read; ppos[x,y] is True for P.
+    xs, ys are read-only and list each P-position with x + y > spec.terminal_sum
+    once, row-major: by x, then by y.  ppos builds the whole box mask on each read.
     """
 
     spec: GameSpec
@@ -135,45 +136,56 @@ class PNTable:
 
     @classmethod
     def from_cells(cls, spec: GameSpec, bound: int, xs, ys) -> PNTable:
-        """The table whose P-set is the cells (xs[i], ys[i]) inside the box."""
-        return cls(spec, bound, *_canonical(xs, ys, bound))
+        """The table of the cells (xs[i], ys[i]) in the box, less the terminal ones."""
+        return cls(spec, bound, *_canonical(xs, ys, spec, bound))
 
     @classmethod
     def from_pairs(cls, spec: GameSpec, bound: int, a, b) -> PNTable:
-        """The table of the pairs (a[i], b[i]) in both orientations plus the
-        terminal triangle x + y <= spec.terminal_sum; the inverse of ppos_list."""
-        tx, ty = _terminal_cells(spec, bound)
-        return cls.from_cells(spec, bound, np.r_[a, b, tx], np.r_[b, a, ty])
+        """The table of the pairs (a[i], b[i]) in both orientations; see ppos_list."""
+        return cls.from_cells(spec, bound, np.r_[a, b], np.r_[b, a])
 
     @property
     def ppos(self) -> np.ndarray:
         mask = np.zeros((self.bound + 1, self.bound + 1), dtype=bool)
         mask[self.xs, self.ys] = True
+        ell = _terminal_sum(self.spec, self.bound)
+        for x in range(min(ell, self.bound) + 1):
+            mask[x, : ell - x + 1] = True  # the terminal triangle
         mask.flags.writeable = False
         return mask
 
     @cached_property
     def _line_keys(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per line kind (row, column, difference x - y + bound), the sorted
-        keys line * (bound + 1) + at of the P-cells and where each line starts
-        among them; read-only."""
-        n = self.bound + 1
+        keys line * (bound + 1) + at of the P-cells, and where each line starts
+        among them less its terminal cells, which precede the rest; read-only."""
+        n, ell = self.bound + 1, _terminal_sum(self.spec, self.bound)
+        r = np.arange(2 * n)
+        edge = np.maximum(ell - r + 1, 0)  # terminal cells of row or column r
+        diag = np.maximum((ell - abs(r - self.bound)) // 2 + 1, 0)
         out = []
-        for line, at in ((self.xs, self.ys), (self.ys, self.xs),
-                         (self.xs - self.ys + self.bound, self.xs)):
+        for line, at, terminal in ((self.xs, self.ys, edge), (self.ys, self.xs, edge),
+                                   (self.xs - self.ys + self.bound, self.xs, diag)):
             keys = np.sort(line * n + at)
-            starts = np.searchsorted(keys, np.arange(2 * n) * n)
+            starts = np.searchsorted(keys, r * n) - terminal
             keys.flags.writeable = starts.flags.writeable = False
             out.append((keys, starts))
         return tuple(out)
 
 
-def _canonical(xs, ys, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct cells of (xs, ys) inside [0,bound]^2, row-major."""
+def _terminal_sum(spec: GameSpec, bound: int) -> int:
+    """spec.terminal_sum capped at 2 * bound, where it already covers the box."""
+    return min(spec.terminal_sum, 2 * bound)
+
+
+def _canonical(xs, ys, spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct cells of (xs, ys) inside [0,bound]^2 and outside spec's
+    terminal triangle, row-major."""
     if bound < 0:
         raise ValueError(f"negative bound {bound}")
     xs, ys = np.asarray(xs, np.int64), np.asarray(ys, np.int64)
     keep = (xs >= 0) & (xs <= bound) & (ys >= 0) & (ys <= bound)
+    keep &= xs + ys > _terminal_sum(spec, bound)
     n = bound + 1
     key = np.sort(xs[keep] * n + ys[keep])
     return np.divmod(key[np.diff(key, prepend=-1) > 0], n)
@@ -301,15 +313,9 @@ def _sweep(spec: GameSpec, bound: int, row) -> None:
         diags[:] = [(d << 1 | 1) & full for d in diags]
 
 
-def _terminal_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cells x + y <= spec.terminal_sum of [0,bound]^2, row-major."""
-    r = np.arange(min(spec.terminal_sum, bound) + 1)
-    return np.nonzero(r[:, None] <= spec.terminal_sum - r)
-
-
 def _p_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of every P-position of [0,bound]^2; there are O(bound)
-    outside the terminal triangle."""
+    """Coordinates of the O(bound) P-positions of [0,bound]^2 outside the
+    terminal triangle, row-major."""
     if bound > MAX_SOLVE_BOUND:
         raise ResourceLimitError(
             f"bound {bound} exceeds the solver cap {MAX_SOLVE_BOUND}; "
@@ -331,10 +337,7 @@ def _p_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
         return members
 
     _sweep(spec, bound, classify)
-    tx, ty = _terminal_cells(spec, bound)
-    xs, ys = np.array(xs, np.int64), np.array(ys, np.int64)
-    at = np.searchsorted(tx, xs, "right")  # a row's terminal cells come first
-    return np.insert(tx, at, xs), np.insert(ty, at, ys)
+    return np.array(xs, np.int64), np.array(ys, np.int64)
 
 
 @lru_cache(maxsize=64)
@@ -359,32 +362,31 @@ def ppos_list(table: PNTable) -> PposSequence:
     For K-boards the in-box pairs are a true prefix of the infinite pair
     sequence, because the b-sequence is increasing; the bound only truncates.
     """
-    spec = table.spec
-    keep = (table.xs <= table.ys) & (table.xs + table.ys > spec.terminal_sum)
-    return PposSequence(spec.ell, np.column_stack((table.xs[keep], table.ys[keep])))
+    keep = table.xs <= table.ys
+    return PposSequence(table.spec.ell, np.c_[table.xs[keep], table.ys[keep]])
 
 
-def _candidate_cells(candidate, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """A candidate P-set as its cells of [0,bound]^2, in PNTable order.
-
-    The candidate is a PNTable, a boolean array at least (bound+1)^2, or an
-    iterable of (x, y) pairs.
-    """
+def _candidate_table(candidate, spec: GameSpec, bound: int) -> PNTable:
+    """A candidate P-set, a PNTable, a boolean array at least (bound+1)^2 or an
+    iterable of (x, y) pairs, as the table of its cells of [0,bound]^2 less
+    the terminal ones, which the rule makes P."""
     if bound < 0:
         raise ValueError(f"negative bound {bound}")
     if isinstance(candidate, PNTable):
         if candidate.bound < bound:
             raise ValueError(f"candidate bound {candidate.bound} below {bound}")
         # a table's cells are distinct and row-major; clipping keeps that
-        keep = (candidate.xs <= bound) & (candidate.ys <= bound)
-        return candidate.xs[keep], candidate.ys[keep]
-    if isinstance(candidate, np.ndarray):
+        xs, ys = candidate.xs, candidate.ys
+    elif isinstance(candidate, np.ndarray):
         if candidate.ndim != 2 or min(candidate.shape) <= bound:
             raise ValueError(f"candidate {candidate.shape} is not a 2-D array "
                              f"covering [0,{bound}]^2")
         # nonzero lists the cells of the box once each, row-major
-        return np.nonzero(candidate[: bound + 1, : bound + 1])
-    return _canonical(*_int_pairs(list(candidate)).T, bound)
+        xs, ys = np.nonzero(candidate[: bound + 1, : bound + 1])
+    else:
+        return PNTable.from_cells(spec, bound, *_int_pairs(list(candidate)).T)
+    keep = (xs <= bound) & (ys <= bound) & (xs + ys > _terminal_sum(spec, bound))
+    return PNTable(spec, bound, xs[keep], ys[keep])
 
 
 def option_member_counts(mask: np.ndarray) -> np.ndarray:
@@ -392,8 +394,8 @@ def option_member_counts(mask: np.ndarray) -> np.ndarray:
     if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
         raise ValueError(f"expected a square mask, got shape {mask.shape}")
     bound = mask.shape[0] - 1
-    # counting reads no spec; nonzero lists the cells row-major, as a table does
-    table = PNTable(kspec(0), bound, *np.nonzero(mask))
+    # W has no terminal cells; nonzero lists the cells row-major, as a table does
+    table = PNTable(wspec(1), bound, *np.nonzero(mask))
     x, y = np.indices(mask.shape).reshape(2, -1)
     return _option_counts(table, x, y).reshape(mask.shape)
 
@@ -414,24 +416,21 @@ def check_stable(candidate, spec: GameSpec, bound: int) -> CheckResult:
 
     K variant: no move may connect two members when the source is outside
     the terminal region (terminal positions allow no moves).  W variant: a
-    member may have at most k-1 member options.  Only the non-terminal
-    members are visited, each counting its member options over the line keys.
-    The counterexample of the row-major first violator is (source, member
-    option) for K and (source, tuple of k member options) for W, in the
-    order of options(): column, row, then the diagonal by falling x.
+    member may have at most k-1 member options.  The rule makes the terminal
+    cells members; the others are visited, each counting its member options
+    over the line keys.  The counterexample of the row-major first violator
+    is (source, member option) for K and (source, tuple of k member options)
+    for W, in options() order: column, row, then the diagonal by falling x.
     """
-    table = PNTable(spec, bound, *_candidate_cells(candidate, bound))
-    live = table.xs + table.ys > spec.terminal_sum
-    xs, ys = table.xs[live], table.ys[live]
-    bad = np.flatnonzero(_option_counts(table, xs, ys) >= spec.need)
+    table = _candidate_table(candidate, spec, bound)
+    tx, ty = table.xs, table.ys
+    bad = np.flatnonzero(_option_counts(table, tx, ty) >= spec.need)
     if not bad.size:
         return CheckResult(True, f"stable on [0,{bound}]^2")
-    src = sx, sy = int(xs[bad[0]]), int(ys[bad[0]])
-    tx, ty = table.xs, table.ys
-    at = np.r_[np.flatnonzero((ty == sy) & (tx < sx)),
-               np.flatnonzero((tx == sx) & (ty < sy)),
-               np.flatnonzero((tx - ty == sx - sy) & (tx < sx))[::-1]]
-    members = list(zip(tx[at].tolist(), ty[at].tolist()))
+    src = sx, sy = int(tx[bad[0]]), int(ty[bad[0]])
+    on = (tx == sx) | (ty == sy) | (tx - ty == sx - sy)  # the violator's lines
+    cells = set(zip(tx[on].tolist(), ty[on].tolist()))
+    members = [q for q in options(src) if q in cells or sum(q) <= spec.terminal_sum]
     if spec.variant == "K":
         return CheckResult(False, f"member {src} moves to member {members[0]}",
                            (src, members[0]))
@@ -442,24 +441,21 @@ def check_stable(candidate, spec: GameSpec, bound: int) -> CheckResult:
 def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
     """Bounded absorption check of a candidate P-set.
 
-    K variant: every non-member must have a member option; a non-member
-    inside the terminal region has no moves at all and is reported directly.
+    K variant: every non-member must have a member option; the terminal
+    cells are members by the rule, whatever the candidate holds there.
     W variant: every non-member needs at least k member options.  This reads
     every cell, so it runs the counting sweep, in which a row's own member
     count is constant between its members, and stops at the first row with
     a non-member that the rule calls P: the row-major first violator.
     """
-    table = PNTable(spec, bound, *_candidate_cells(candidate, bound))
+    table = _candidate_table(candidate, spec, bound)
     starts = np.r_[0, np.bincount(table.xs, minlength=bound + 1).cumsum()].tolist()
     violator = None
 
     def read(x, first, open):
         nonlocal violator
         members = sum(1 << y for y in table.ys[starts[x] : starts[x + 1]].tolist())
-        bad = (1 << first) - 1 & ~members
-        found = (members & (1 << first) - 1).bit_count()
-        later = members >> first << first
-        y = first
+        later, bad, found, y = members, 0, first, first  # the first cells are terminal
         while free := open(found):
             nxt = later & -later  # the next member; 0 after the last
             bad |= free & (nxt - 1) >> y << y
@@ -471,7 +467,7 @@ def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
         if bad:
             violator = x, (bad & -bad).bit_length() - 1
             return None
-        return members
+        return members | (1 << first) - 1
 
     _sweep(spec, bound, read)
     if violator is None:
@@ -500,11 +496,13 @@ def non_redundant_witness(
         raise ValueError(f"move {move} is not of Wythoff shape")
     if dx > bound or dy > bound:
         return None
-    P = solve(spec, bound)
-    n = bound + 1
-    keep = ((P.xs <= bound - dx) & (P.ys <= bound - dy)
-            & (P.xs + P.ys + dx + dy > spec.terminal_sum))
-    x, y = P.xs[keep] + dx, P.ys[keep] + dy  # the move takes (x, y) to a P-cell
+    P, ell, n = solve(spec, bound), _terminal_sum(spec, bound), bound + 1
+    # a K witness has one P-option, so a terminal target is alone on its line
+    ends = np.array([t for t in ((ell, 0), (ell - 1, 0), (0, ell), (0, ell - 1))
+                     if min(t) >= 0 and sum(t) + dx + dy > ell], np.int64).reshape(-1, 2)
+    tx, ty = np.concatenate((P.xs, ends[:, 0])), np.concatenate((P.ys, ends[:, 1]))
+    keep = (tx <= bound - dx) & (ty <= bound - dy)
+    x, y = tx[keep] + dx, ty[keep] + dy  # the move takes (x, y) to a P-cell
     # (x, y) is non-terminal; count == spec.need leaves out every P-cell,
     # since the solver gives it no P-option in K and at most k - 1 in W
     hits = (x * n + y)[_option_counts(P, x, y) == spec.need]
@@ -516,7 +514,7 @@ def non_redundant_witness(
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"WYPN"
-_VERSION = 1
+_VERSION = 2  # version 1 also set the terminal bits, which from_cells drops
 
 
 def _cache_header(spec: GameSpec, bound: int) -> bytes:
@@ -532,7 +530,7 @@ def _cache_header(spec: GameSpec, bound: int) -> bytes:
 def write_table_cache(table: PNTable, path) -> None:
     """Write a solved table; layout is header, packed bits, checksum.
 
-    Bit x * (bound + 1) + y, msb first, is set from each P-cell (x, y).
+    Bit x * (bound + 1) + y, msb first, is set from each listed P-cell (x, y).
     """
     header = _cache_header(table.spec, table.bound)
     n = table.bound + 1
@@ -555,24 +553,20 @@ def read_table_cache(path) -> PNTable:
     version, variant, param, bound = struct.unpack(
         "<BcII", blob[len(_MAGIC) : head_len]
     )
-    if version != _VERSION:
+    if version not in (1, _VERSION):
         raise CacheError(f"{path}: unsupported cache version {version}")
-    payload = memoryview(blob)[head_len:-32]
-    digest = hashlib.sha256(blob[:head_len])
-    digest.update(payload)
-    if digest.digest() != blob[-32:]:
+    if hashlib.sha256(memoryview(blob)[:-32]).digest() != blob[-32:]:
         raise CacheError(f"{path}: checksum mismatch")
     try:
         spec = {b"K": kspec, b"W": wspec}[variant](param)
     except (KeyError, ValueError) as exc:
         raise CacheError(f"{path}: bad rule-set {variant!r} {param}") from exc
-    n = bound + 1
+    n, payload = bound + 1, np.frombuffer(blob, np.uint8)[head_len:-32]
     expect = (n * n + 7) // 8
-    if len(payload) != expect:
-        raise CacheError(f"{path}: payload length {len(payload)} != {expect}")
+    if payload.size != expect:
+        raise CacheError(f"{path}: payload length {payload.size} != {expect}")
     # unpack only the nonzero bytes; a padding bit past n * n reads as a
     # cell with x > bound, which from_cells drops
-    payload = np.frombuffer(payload, dtype=np.uint8)
     lit = np.flatnonzero(payload)
     byte, bit = np.nonzero(np.unpackbits(payload[lit]).reshape(-1, 8))
     return PNTable.from_cells(spec, bound, *np.divmod(lit[byte] * 8 + bit, n))

@@ -169,8 +169,14 @@ def suite_mex(ell=None, k=None, bound=None) -> list[SuiteItem]:
             v = int(np.setdiff1d(both, want)[0])
             return CheckResult(False, f"value {v} outside {e + 1}..{horizon}", v)
 
+        def counting():  # a refusal of the recursion's own pairs is its FAIL
+            try:
+                return ch.counting_check(pp, B)
+            except ValueError as exc:
+                return CheckResult(False, f"pairs refused: {exc}")
+
         for what, check in (("solver-equality", equality), ("partition", partition),
-                            ("counting", lambda: ch.counting_check(pp, B))):
+                            ("counting", counting)):
             items.append(_timed(f"mex/K{e}/{what}", spec.label(), B, check))
     return items
 
@@ -182,9 +188,10 @@ def suite_blocking(ell=None, k=None, bound=None) -> list[SuiteItem]:
     items = []
     for kk in ks:
         if kk == 1:
-            def w1_equals_k0():
-                return _set_equality(solve(wspec(1), B), solve(kspec(0), B),
-                                     "W^1 vs K^0", ("W^1", "K^0"))
+            def w1_equals_k0():  # K^0's table leaves out its terminal (0, 0)
+                k0 = solve(kspec(0), B)
+                k0 = PNTable(wspec(1), B, np.r_[0, k0.xs], np.r_[0, k0.ys])
+                return _set_equality(solve(wspec(1), B), k0, "W^1 vs K^0", ("W^1", "K^0"))
             items.append(_timed("blocking/W1-equals-K0", wspec(1).label(), B,
                                 w1_equals_k0))
         else:

@@ -542,6 +542,26 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum_bounds([3, 2])
 
+    @pytest.mark.parametrize("prefix", [
+        [1.5, 2.7, 4.1], ["1", "2", "4"],  # were truncated to (1, 2)
+        [True, 2, 3],  # gave (1/2, 3/2)
+    ])
+    def test_non_integers_are_refused(self, prefix):
+        with pytest.raises(ValueError, match="integer values"):
+            spectrum_bounds(prefix)
+
+    @pytest.mark.parametrize("prefix", [
+        [1, 2, 2**63],  # raised OverflowError
+        [-2**63 - 1, 0],
+        [-3 * 2**61, 0, 3 * 2**61],  # in int64, but c_2 - c_0 would wrap
+    ])
+    def test_values_past_int64_are_refused(self, prefix):
+        with pytest.raises(ValueError, match="leaves int64"):
+            spectrum_bounds(prefix)
+        top = 2**63 - 1
+        assert spectrum_bounds([0, top]) == (Fraction(top - 1), Fraction(top + 1))
+        assert spectrum_bounds(np.array([1, 2, 4])) == spectrum_bounds([1, 2, 4])
+
 
 class TestPartitionWords:
     @pytest.mark.parametrize("ell", [0, 1, 2, 3])
@@ -627,6 +647,14 @@ class TestCounting:
         pairs[40] = (a, b + 1)
         doctored = PposSequence(ell=2, pairs=tuple(pairs))
         assert not counting_check(doctored, 150).ok
+
+    def test_unsorted_pairs_are_refused(self):
+        # the set is K^2's, but searchsorted read the swapped list as
+        # pi_A(8) + pi_B(8) = 4 != 5, a false FAIL
+        pairs = list(mex_sequence(2, 60).pairs)
+        pairs[3], pairs[7] = pairs[7], pairs[3]
+        with pytest.raises(ValueError, match="must be strictly increasing"):
+            counting_check(PposSequence(2, pairs), 80)
 
     def test_swapped_values_fail_the_b_identity(self):
         # 4 and 5 change sequences: pi_A + pi_B still counts every value

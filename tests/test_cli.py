@@ -70,6 +70,17 @@ class TestSolveCommand:
         assert code == 0
         assert "0,1,2" in out and "1,3,5" in out and "2,4,7" in out
 
+    @pytest.mark.parametrize("ell", [2**63 - 1, 10**30])
+    def test_ell_past_the_box_runs(self, capsys, ell):
+        # every ell >= 2 * bound makes the whole box terminal; these used to
+        # end in an OverflowError traceback, exit 1, read as a FAIL
+        want = run(capsys, ["solve", "--game", "K", "--ell", "101", "--bound", "50"])
+        assert want == (0, "n,a_n,b_n\r\n", "")  # the header row alone
+        assert run(capsys, ["solve", "--game", "K", "--ell", str(ell),
+                            "--bound", "50"]) == want
+        code, out, _ = run(capsys, ["verify", "kernel", "--ell", str(ell), "--bound", "50"])
+        assert code == 0 and out.endswith("2/2 checks passed\n")
+
     def test_w3_includes_origin(self, capsys):
         code, out, _ = run(capsys, ["solve", "--game", "W", "--k", "3",
                                     "--bound", "20"])
@@ -525,6 +536,25 @@ class TestVerifyCommand:
         assert code == 1
         assert "value 0 outside 3.." in out
         assert "counterexample: 0" in out
+
+    def test_mex_counting_fails_on_pairs_out_of_order(self, capsys, monkeypatch):
+        # the set is K^2's, so the partition passes; counting_check refuses
+        # the order, which is a FAIL of the recursion, not a usage error
+        real = suites.ch.mex_sequence
+
+        def doctored(ell, count):
+            pairs = list(real(ell, count).pairs)
+            pairs[3], pairs[7] = pairs[7], pairs[3]
+            return PposSequence(ell, pairs)
+
+        monkeypatch.setattr(suites.ch, "mex_sequence", doctored)
+        code, out, _ = run(capsys, ["verify", "mex", "--ell", "2", "--bound", "40"])
+        assert code == 1
+        lines = {ln.split()[0]: ln for ln in out.splitlines()}
+        assert " PASS " in lines["mex/K2/partition"]
+        assert " FAIL " in lines["mex/K2/counting"]
+        assert lines["mex/K2/counting"].endswith("pairs refused: the a- and b-sequences "
+                                                 "must be strictly increasing")
 
     def test_mex_partition_names_a_missing_value(self, capsys, monkeypatch):
         real = suites.ch.mex_sequence

@@ -215,7 +215,7 @@ class TestPairExtraction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert table.xs.size == 2 * 1527 + 6  # both orientations, 6 terminals
+        assert table.xs.size == 2 * 1527  # both orientations; no terminal cell
         assert peak < 4 * 2**20
 
     def test_terminal_box_stays_small(self):
@@ -226,8 +226,9 @@ class TestPairExtraction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert table.xs.size == 1001**2  # the whole box is terminal
-        assert peak < 40 * 2**20
+        assert table.xs.size == 0  # the whole box is terminal: the rule's, not cells
+        assert table.ppos.all()
+        assert peak < 2**20
 
     def test_sequence_container(self):
         pp = ppos_list(solve(kspec(1), 60))
@@ -389,21 +390,32 @@ class TestKernelChecks:
         res = check_absorbing(mask, spec, 80)
         assert not res.ok
 
-    def test_absorption_detail_counts_past_need(self):
-        # (2, 2) is terminal for K^4; its six options are all terminal members
+    def test_terminal_cells_are_the_rules(self):
+        # the rule makes x + y <= ell P, so a candidate's cells there are not
+        # read: one missing, all missing or extra ones get the table's verdicts
+        spec, bound = kspec(2), 50
+        table = solve(spec, bound)
+        want = [check(table, spec, bound) for check in (check_stable, check_absorbing)]
+        missing, blank = table.ppos.copy(), table.ppos.copy()
+        missing[0, 2] = False
+        blank[:3, :3] = False
+        extra = [(2, 0), (0, 0), (1, 1), (0, 0), (1, 0)] + list(
+            zip(table.xs.tolist(), table.ys.tolist()))
+        wide = PNTable.from_cells(wspec(1), bound, *np.nonzero(table.ppos))
+        assert wide.xs.size == table.xs.size + 6  # W^1 keeps the six as cells
+        for candidate in (missing, blank, extra, wide):
+            got = [check(candidate, spec, bound) for check in (check_stable, check_absorbing)]
+            assert got == want == [CheckResult(True, f"stable on [0,{bound}]^2"),
+                                   CheckResult(True, f"absorbing on [0,{bound}]^2")]
+
+    def test_stability_report_names_a_terminal_option(self):
+        # a member's first member option in options() order may be terminal
         spec = kspec(4)
         mask = solve(spec, 10).ppos.copy()
-        mask[2, 2] = False
-        assert check_absorbing(mask, spec, 10) == CheckResult(
-            False, "non-member (2, 2) has 6 member options (needs 1)", (2, 2))
-
-    def test_excluded_terminal_reported(self):
-        spec = kspec(2)
-        mask = solve(spec, 50).ppos.copy()
-        mask[0, 2] = False     # terminal position, has no moves at all
-        res = check_absorbing(mask, spec, 50)
-        assert not res.ok
-        assert res.counterexample == (0, 2)
+        mask[2, 5] = True
+        for candidate in (mask, [(2, 5), (5, 10), (10, 5)]):
+            assert check_stable(candidate, spec, 10) == CheckResult(
+                False, "member (2, 5) moves to member (2, 0)", ((2, 5), (2, 0)))
 
     def test_candidate_forms_agree(self):
         spec = wspec(3)
@@ -468,14 +480,19 @@ class TestKernelChecks:
 
 
 def scan_over_options(mask, spec: GameSpec, bound: int, stable: bool):
-    """Row-major scan that counts member options with options() directly."""
+    """Row-major scan that counts member options with options() directly;
+    the terminal triangle, P by the rule, counts as members."""
     limit = spec.k - 1 if spec.variant == "W" else 0
+
+    def member(q):
+        return mask[q] or sum(q) <= spec.terminal_sum
+
     for x in range(bound + 1):
         for y in range(bound + 1):
             p = (x, y)
-            members = [q for q in options(p) if mask[q]]
+            members = [q for q in options(p) if member(q)]
             rule_p = x + y <= spec.terminal_sum or len(members) <= limit
-            if stable and mask[p] and not rule_p:
+            if stable and member(p) and not rule_p:
                 if spec.variant == "K":
                     return CheckResult(
                         False, f"member {p} moves to member {members[0]}",
@@ -484,7 +501,7 @@ def scan_over_options(mask, spec: GameSpec, bound: int, stable: bool):
                     False,
                     f"member {p} has {len(members)} member options (max {limit})",
                     (p, tuple(members[:spec.k])))
-            if not stable and not mask[p] and rule_p:
+            if not stable and not member(p) and rule_p:
                 return CheckResult(
                     False,
                     f"non-member {p} has {len(members)} member options "
@@ -497,7 +514,7 @@ def scan_over_options(mask, spec: GameSpec, bound: int, stable: bool):
 class TestKernelChecksAgainstOptions:
     @pytest.mark.parametrize("spec", [
         kspec(0), kspec(1), kspec(2), kspec(3), kspec(4),
-        wspec(1), wspec(2), wspec(3), wspec(4), wspec(5),
+        wspec(1), wspec(2), wspec(3), wspec(4), wspec(5), kspec(8), kspec(40),
     ])
     @pytest.mark.parametrize("bound", [0, 1, 2, 29])
     def test_verdicts_match_scan(self, spec, bound):
@@ -537,7 +554,9 @@ class TestKernelChecksAgainstOptions:
 
     @pytest.mark.parametrize("bound", [20, 40])
     def test_terminal_cells_are_never_counted(self, bound, monkeypatch):
-        spec, sums = kspec(50), []  # every cell of [0,20]^2 is terminal
+        # every cell of [0,20]^2 is terminal; at bound 40 the witness search
+        # counts (39, 2), the move (0, 2) from the terminal target (39, 0)
+        spec, sums = kspec(40), []
 
         def spy(table, x, y):
             sums.extend((x + y).tolist())
@@ -622,8 +641,7 @@ class TestWitnesses:
         # the row-major first non-member with exactly spec.need P-options,
         # one of them reached by the move, counted over options() one by one
         bound = 60
-        table = solve(spec, bound)
-        cells = set(zip(table.xs.tolist(), table.ys.tolist()))
+        cells = set(zip(*np.nonzero(solve(spec, bound).ppos)))
         box = [(x, y) for x in range(bound + 1) for y in range(bound + 1)]
         needs = [p for p in box if p not in cells
                  and sum(q in cells for q in options(p)) == spec.need]
@@ -658,6 +676,54 @@ class TestWitnesses:
                 non_redundant_witness(kspec(1), move, -1)
 
 
+MOVES_90 = [m for i in range(1, 31) for m in ((i, 0), (0, i), (i, i))]
+
+
+class TestTerminalTriangle:
+    def test_huge_ell_holds_no_cell(self):
+        # K^(10^9) makes all of [0,2000]^2 terminal; the rule keeps that as
+        # one integer, so neither the solve, the checks nor the witness
+        # search holds a cell of it
+        spec, bound = kspec(10**9), 2000
+        _solve_cached.cache_clear()
+        runs = {
+            "solve": lambda: solve(spec, bound).xs.size == 0,
+            "stable": lambda: check_stable(solve(spec, bound), spec, bound).ok,
+            "absorbing": lambda: check_absorbing(solve(spec, bound), spec, bound).ok,
+            "witnesses": lambda: all(non_redundant_witness(spec, m, bound) is None
+                                     for m in MOVES_90),
+        }
+        for name, run in runs.items():
+            tracemalloc.start()
+            try:
+                assert run(), name
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, name
+
+    @pytest.mark.parametrize("ell", [2**63 - 1, 10**30])
+    @pytest.mark.parametrize("bound", [0, 1, 12])
+    def test_ell_past_the_box_acts_as_the_whole_box(self, ell, bound):
+        # every ell >= 2 * bound makes the whole box terminal, so ell reaches
+        # numpy capped at 2 * bound: 10^30 used to raise OverflowError, and
+        # at 2^63 - 1 the line keys' ell - r + 1 would wrap
+        spec, same = kspec(ell), kspec(2 * bound + 1)
+        got, want = solve(spec, bound), solve(same, bound)
+        assert got.xs.size == want.xs.size == 0
+        assert got.ppos.all() and got.ppos.shape == (bound + 1, bound + 1)
+        for (keys, starts), (keys2, starts2) in zip(got._line_keys, want._line_keys):
+            assert np.array_equal(keys, keys2) and np.array_equal(starts, starts2)
+        ones, pairs = np.ones((bound + 1, bound + 1), bool), [(bound, bound)]
+        for candidate in (got, want, ones, pairs):
+            for check in (check_stable, check_absorbing):
+                assert check(candidate, spec, bound) == check(candidate, same, bound)
+                assert check(candidate, spec, bound).ok
+        for move in MOVES_90[:6]:
+            assert non_redundant_witness(spec, move, bound) is None
+            assert non_redundant_witness(same, move, bound) is None
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
         for spec in (kspec(2), wspec(3)):
@@ -670,11 +736,11 @@ class TestCache:
             assert np.array_equal(back.ppos, t.ppos)
 
     def test_round_trip_keeps_orientation(self, tmp_path):
-        t = PNTable.from_cells(kspec(1), 6, [0, 5, 2], [0, 1, 6])
+        t = PNTable.from_cells(kspec(1), 6, [0, 5, 2], [3, 1, 6])
         path = tmp_path / "table.pn"
         write_table_cache(t, path)
         back = read_table_cache(path)
-        assert back.xs.tolist() == [0, 2, 5] and back.ys.tolist() == [0, 6, 1]
+        assert back.xs.tolist() == [0, 2, 5] and back.ys.tolist() == [3, 6, 1]
 
     def test_checksum_detects_corruption(self, tmp_path):
         t = solve(kspec(1), 30)
@@ -690,6 +756,26 @@ class TestCache:
         path = tmp_path / "table.pn"
         path.write_bytes(b"WYPN\x01")
         with pytest.raises(CacheError):
+            read_table_cache(path)
+
+    def test_version_1_file_with_the_triangle_reads(self, tmp_path):
+        # version 1 wrote the terminal cells' bits; from_cells drops them
+        want = solve(kspec(2), 20)
+        path = tmp_path / "table.pn"
+        write_table_cache(want, path)
+        blob = bytearray(path.read_bytes())
+        assert blob[VERSION_AT] == 2
+        blob[VERSION_AT] = 1
+        for x, y in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)):
+            at = HEAD_LEN * 8 + x * 21 + y
+            blob[at // 8] |= 0x80 >> (at % 8)
+        path.write_bytes(resealed(bytes(blob)))
+        back = read_table_cache(path)
+        assert back.spec == want.spec and back.bound == want.bound
+        assert np.array_equal(back.xs, want.xs) and np.array_equal(back.ys, want.ys)
+        blob[VERSION_AT] = 3
+        path.write_bytes(resealed(bytes(blob)))
+        with pytest.raises(CacheError, match="unsupported cache version 3"):
             read_table_cache(path)
 
     def test_wrong_magic(self, tmp_path):
@@ -772,7 +858,7 @@ def read_blob(tmp_path, blob: bytes):
 
 
 # Header: magic (4 bytes), version, variant, param (uint32), bound (uint32).
-VARIANT_AT, PARAM_AT, BOUND_AT = 5, 6, 10
+VERSION_AT, VARIANT_AT, PARAM_AT, BOUND_AT, HEAD_LEN = 4, 5, 6, 10, 14
 
 
 class TestCacheHeaders:
