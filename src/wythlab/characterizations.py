@@ -25,7 +25,7 @@ import numpy as np
 
 from .catalog import adjust_dfao
 from .fibnum import floor_phi, floor_phi_range, rep_F
-from .games import CheckResult, GameSpec, PNTable, PposSequence, _is_int, kspec, wspec
+from .games import CheckResult, GameSpec, PNTable, PposSequence, _bound, _is_int, kspec, wspec
 from .morphisms import (
     DFAO,
     Coding,
@@ -158,8 +158,7 @@ def closed_form_table(spec: GameSpec, bound: int) -> PNTable:
     K^ell: the CLOSED_FORMS pairs, and .ppos adds the terminal triangle.
     W^k: the explicit pair families plus (0, 0).  Both orientations.
     """
-    if bound < 0:
-        raise ValueError(f"negative bound {bound}")
+    bound = _bound(bound)
     if spec.variant == "K":
         # adj >= 0 and alpha >= -1 give a > m phi - 2, so every pair with
         # a <= bound has m < (bound + 2) / phi, below this stop

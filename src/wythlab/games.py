@@ -14,15 +14,15 @@ rows in that order, keeps each column's and each diagonal's member count as
 bit-planes in Python ints, and applies the rule: it sizes the planes and
 gives each row its first non-terminal cell and the cells the rule calls P.
 The solver takes those cells as members; the absorption check reads members
-from the candidate, a PNTable, a box mask or a list of pairs, and reports
-the first such cell that is not one.  Exact counts, for stability (which
-concerns the members alone), the witness search, option_member_counts and
-the absorption check's report, come from binary search in the line keys
-that a PNTable builds once and keeps.  A P-set is kept as its O(bound)
-row-major cells, never as a box mask, and the terminal triangle, P by the
-rule, as the one integer spec.terminal_sum.  P-pairs (a_n, b_n) are kept as
-two int64 arrays; ppos_list and PNTable.from_pairs turn cells into pairs
-and back.
+from a candidate, a PNTable, a boolean mask or integer pairs that list their
+whole set, and reports the first such cell that is not one.  Other sets enter
+a PNTable by from_cells, which never casts.  Exact counts, for stability (of
+the members alone), the witness search, option_member_counts and the
+absorption check's report, come from binary search in the line keys that a
+PNTable builds once and keeps.  A P-set is kept as its O(bound) row-major
+cells, never as a box mask, and the terminal triangle, P by the rule, as the
+one integer spec.terminal_sum.  P-pairs (a_n, b_n) are two int64 arrays;
+ppos_list and PNTable.from_pairs turn cells into pairs and back.
 """
 from __future__ import annotations
 
@@ -106,8 +106,8 @@ class GameSpec:
         return f"W k={self.k}"
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+def _is_int(v) -> bool:  # the type test spares a plain int the slower ABC test
+    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def kspec(ell: int) -> GameSpec:
@@ -136,13 +136,23 @@ class PNTable:
 
     @classmethod
     def from_cells(cls, spec: GameSpec, bound: int, xs, ys) -> PNTable:
-        """The table of the cells (xs[i], ys[i]) in the box, less the terminal ones."""
-        return cls(spec, bound, *_canonical(xs, ys, spec, bound))
+        """The table of the integer cells (xs[i], ys[i]) in the box, less terminal ones;
+        columns of two dtypes are zipped, not stacked, so numpy casts neither."""
+        bound = _bound(bound)
+        same = type(xs) is type(ys) is np.ndarray and xs.dtype == ys.dtype
+        xs, ys = _int_pairs(np.column_stack((xs, ys)) if same
+                            else list(zip(xs, ys, strict=True))).T
+        keep = (xs >= 0) & (xs <= bound) & (ys >= 0) & (ys <= bound)
+        keep &= xs + ys > _terminal_sum(spec, bound)
+        n = bound + 1
+        key = np.sort(xs[keep] * n + ys[keep])
+        return cls(spec, bound, *np.divmod(key[np.diff(key, prepend=-1) > 0], n))
 
     @classmethod
     def from_pairs(cls, spec: GameSpec, bound: int, a, b) -> PNTable:
         """The table of the pairs (a[i], b[i]) in both orientations; see ppos_list."""
-        return cls.from_cells(spec, bound, np.r_[a, b], np.r_[b, a])
+        t = cls.from_cells(spec, bound, a, b)  # the box and the triangle are symmetric
+        return cls.from_cells(spec, bound, np.r_[t.xs, t.ys], np.r_[t.ys, t.xs])
 
     @property
     def ppos(self) -> np.ndarray:
@@ -178,52 +188,46 @@ def _terminal_sum(spec: GameSpec, bound: int) -> int:
     return min(spec.terminal_sum, 2 * bound)
 
 
-def _canonical(xs, ys, spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct cells of (xs, ys) inside [0,bound]^2 and outside spec's
-    terminal triangle, row-major."""
-    if bound < 0:
-        raise ValueError(f"negative bound {bound}")
-    xs, ys = np.asarray(xs, np.int64), np.asarray(ys, np.int64)
-    keep = (xs >= 0) & (xs <= bound) & (ys >= 0) & (ys <= bound)
-    keep &= xs + ys > _terminal_sum(spec, bound)
-    n = bound + 1
-    key = np.sort(xs[keep] * n + ys[keep])
-    return np.divmod(key[np.diff(key, prepend=-1) > 0], n)
+def _bound(bound) -> int:
+    """bound as a Python int >= 0, by GameSpec's rule, which refuses a bool."""
+    if not _is_int(bound) or bound < 0:
+        raise ValueError(f"negative bound {bound}" if _is_int(bound)
+                         else f"bound {bound!r} is not an integer")
+    return int(bound)
 
 
 def _int_pairs(pairs) -> np.ndarray:
-    """Integer pairs or an (n, 2) integer array as an (n, 2) array; any other
-    shape or dtype is a ValueError, never a silent reshape."""
-    arr = np.asarray(pairs)
-    if arr.shape == (0,):
-        arr = arr.reshape(0, 2).astype(np.int64)
-    ints = arr.dtype.kind in "iu"
-    if arr.dtype.kind in "fO" and arr.size:
-        # numpy reads integers past the int64 range as float64 or object
-        exact = np.asarray(pairs, object)
-        if ints := all(map(_is_int, exact.flat)):
-            arr = exact
-    if arr.ndim != 2 or arr.shape[1] != 2 or not ints:
+    """Integer pairs or an (n, 2) integer array as a new (n, 2) int64 array;
+    anything else is read as Python objects, and a bool, a float, a str, a
+    value outside int64 or a shape but (n, 2) is a ValueError naming it."""
+    arr = pairs
+    if not (isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu"):
+        arr = np.asarray(pairs, object)
+        for v in arr.flat:  # a plain int skips the call to _is_int
+            if type(v) is not int and not _is_int(v):
+                raise ValueError(f"expected integer pairs, got {type(v).__name__} {v!r}")
+    if arr.shape != (0,) and (arr.ndim != 2 or arr.shape[1] != 2):  # () holds no pairs
         raise ValueError(f"expected integer pairs, got {arr.dtype} {arr.shape}")
-    lim = np.iinfo(np.int64)  # the int64 cast of each caller must not wrap
-    if arr.dtype.kind in "uO" and arr.size:
-        worst = arr.max() if arr.max() > lim.max else arr.min()
-        if not lim.min <= worst <= lim.max:
-            raise ValueError(f"pair value {worst} outside the int64 range "
-                             f"[{lim.min}, {lim.max}]")
-    return arr
+    lim = np.iinfo(np.int64)
+    try:  # the cast raises for an object past int64; a uint64 array would wrap
+        if arr.dtype != np.uint64 or not arr.size or arr.max() <= lim.max:
+            return arr.reshape(-1, 2).astype(np.int64)
+    except OverflowError:
+        pass
+    worst = next(v for v in arr.flat if not lim.min <= v <= lim.max)
+    raise ValueError(f"pair value {worst} outside the int64 range [{lim.min}, {lim.max}]")
 
 
 class PposSequence:
     """Sorted non-terminal P-pairs (a_n, b_n), a_n <= b_n, indexed from 0.
 
-    pairs, integer pairs or an (n, 2) integer array, is copied into the
-    read-only int64 arrays a and b; .pairs builds the tuples on each read.
+    pairs, integer pairs or an (n, 2) integer array, is read by _int_pairs
+    into the read-only int64 arrays a and b; .pairs builds the tuples on each read.
     """
 
     def __init__(self, ell: int | None, pairs) -> None:
         self.ell = ell
-        self.a, self.b = np.array(_int_pairs(pairs).T, np.int64, order="C")
+        self.a, self.b = _int_pairs(pairs).T.copy()
         self.a.flags.writeable = self.b.flags.writeable = False
 
     @property
@@ -282,10 +286,8 @@ def _sweep(spec: GameSpec, bound: int, row) -> None:
     the cells that the rule calls P after found members of the row, at
     O(need - found) big-int operations; it returns the bitmask of row x's
     members, or None to stop the sweep.  Updating the planes costs O(need)
-    operations on B/30-digit ints per row.
+    operations on B/30-digit ints per row.  bound is a Python int >= 0.
     """
-    if bound < 0:
-        raise ValueError(f"negative bound {bound}")
     need, n = min(spec.need, 3 * bound + 1), bound + 1
     full = (1 << n) - 1
     cols = [full] * need
@@ -348,11 +350,12 @@ def _solve_cached(spec: GameSpec, bound: int) -> PNTable:
 def solve(spec: GameSpec, bound: int) -> PNTable:
     """Exact classification of the full box [0,bound]^2, memoised as P-cells;
     the table is immutable and safe to share."""
-    return _solve_cached(spec, bound)
+    return _solve_cached(spec, _bound(bound))
 
 
 def solve_pairs(spec: GameSpec, bound: int) -> list[tuple[int, int]]:
     """Sorted non-terminal P-pairs of the box, computed afresh, not memoised."""
+    bound = _bound(bound)
     return list(ppos_list(PNTable(spec, bound, *_p_cells(spec, bound))).pairs)
 
 
@@ -367,35 +370,33 @@ def ppos_list(table: PNTable) -> PposSequence:
 
 
 def _candidate_table(candidate, spec: GameSpec, bound: int) -> PNTable:
-    """A candidate P-set, a PNTable, a boolean array at least (bound+1)^2 or an
-    iterable of (x, y) pairs, as the table of its cells of [0,bound]^2 less
-    the terminal ones, which the rule makes P."""
-    if bound < 0:
-        raise ValueError(f"negative bound {bound}")
+    """A candidate's whole set as spec's table on [0,bound]^2, through from_cells:
+    a PNTable's cells and triangle, a bool array's nonzero cells or integer pairs."""
+    bound = _bound(bound)
     if isinstance(candidate, PNTable):
         if candidate.bound < bound:
             raise ValueError(f"candidate bound {candidate.bound} below {bound}")
-        # a table's cells are distinct and row-major; clipping keeps that
         xs, ys = candidate.xs, candidate.ys
-    elif isinstance(candidate, np.ndarray):
+        if _terminal_sum(candidate.spec, bound) > _terminal_sum(spec, bound):
+            tri = PNTable.from_cells(candidate.spec, bound, [], []).ppos  # its own triangle
+            xs, ys = np.hstack((np.nonzero(tri), (xs, ys)))
+    elif isinstance(candidate, np.ndarray) and candidate.dtype == bool:
         if candidate.ndim != 2 or min(candidate.shape) <= bound:
             raise ValueError(f"candidate {candidate.shape} is not a 2-D array "
                              f"covering [0,{bound}]^2")
-        # nonzero lists the cells of the box once each, row-major
         xs, ys = np.nonzero(candidate[: bound + 1, : bound + 1])
     else:
-        return PNTable.from_cells(spec, bound, *_int_pairs(list(candidate)).T)
-    keep = (xs <= bound) & (ys <= bound) & (xs + ys > _terminal_sum(spec, bound))
-    return PNTable(spec, bound, xs[keep], ys[keep])
+        xs, ys = _int_pairs(candidate if isinstance(candidate, np.ndarray)
+                            else list(candidate)).T
+    return PNTable.from_cells(spec, bound, xs, ys)
 
 
 def option_member_counts(mask: np.ndarray) -> np.ndarray:
-    """cnt[x,y] = number of options of (x,y) that lie in the square mask."""
-    if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
-        raise ValueError(f"expected a square mask, got shape {mask.shape}")
-    bound = mask.shape[0] - 1
-    # W has no terminal cells; nonzero lists the cells row-major, as a table does
-    table = PNTable(wspec(1), bound, *np.nonzero(mask))
+    """cnt[x,y] = number of options of (x,y) that lie in the square boolean mask."""
+    if mask.dtype != bool or mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
+        raise ValueError(f"expected a square mask of bools, got {mask.dtype} {mask.shape}")
+    # W has no terminal cells; an empty mask counts over the box [0,0]^2
+    table = PNTable.from_cells(wspec(1), max(mask.shape[0] - 1, 0), *np.nonzero(mask))
     x, y = np.indices(mask.shape).reshape(2, -1)
     return _option_counts(table, x, y).reshape(mask.shape)
 
@@ -449,7 +450,7 @@ def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
     a non-member that the rule calls P: the row-major first violator.
     """
     table = _candidate_table(candidate, spec, bound)
-    starts = np.r_[0, np.bincount(table.xs, minlength=bound + 1).cumsum()].tolist()
+    starts = np.r_[0, np.bincount(table.xs, minlength=table.bound + 1).cumsum()].tolist()
     violator = None
 
     def read(x, first, open):
@@ -469,7 +470,7 @@ def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
             return None
         return members | (1 << first) - 1
 
-    _sweep(spec, bound, read)
+    _sweep(spec, table.bound, read)
     if violator is None:
         return CheckResult(True, f"absorbing on [0,{bound}]^2")
     x, y = violator
@@ -489,10 +490,9 @@ def non_redundant_witness(
     the box, which is inconclusive, never a redundancy proof.  The answer is
     the row-major first witness.
     """
-    if bound < 0:
-        raise ValueError(f"negative bound {bound}")
+    bound = _bound(bound)
     dx, dy = move
-    if not ((dx > 0 and dy in (0, dx)) or (dx == 0 and dy > 0)):
+    if not (_is_int(dx) and _is_int(dy) and (dx > 0 and dy in (0, dx) or dx == 0 < dy)):
         raise ValueError(f"move {move} is not of Wythoff shape")
     if dx > bound or dy > bound:
         return None

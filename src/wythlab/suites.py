@@ -190,7 +190,7 @@ def suite_blocking(ell=None, k=None, bound=None) -> list[SuiteItem]:
         if kk == 1:
             def w1_equals_k0():  # K^0's table leaves out its terminal (0, 0)
                 k0 = solve(kspec(0), B)
-                k0 = PNTable(wspec(1), B, np.r_[0, k0.xs], np.r_[0, k0.ys])
+                k0 = PNTable.from_cells(wspec(1), B, np.r_[0, k0.xs], np.r_[0, k0.ys])
                 return _set_equality(solve(wspec(1), B), k0, "W^1 vs K^0", ("W^1", "K^0"))
             items.append(_timed("blocking/W1-equals-K0", wspec(1).label(), B,
                                 w1_equals_k0))

@@ -232,6 +232,9 @@ class TestClosedFormK2ToK4:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError, match="^negative bound -1$"):
             closed_form_table(kspec(1), -1)
+        for bound in (2.0, True):  # refused before any array is sized from it
+            with pytest.raises(ValueError, match=f"^bound {bound} is not an integer$"):
+                closed_form_table(kspec(1), bound)
 
     def test_k2_mask_equals_solver(self):
         assert np.array_equal(k2_closed_form_mask(300), solve(kspec(2), 300).ppos)

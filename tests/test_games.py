@@ -171,6 +171,21 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(kspec(1), -1)
 
+    def test_bound_is_read_by_the_spec_rule(self):
+        # a numpy integer is the int it holds, in the memo too; a bool or a
+        # float is no bound, for every entry point that takes one
+        table = solve(kspec(1), np.int64(5))
+        assert table is solve(kspec(1), 5) and type(table.bound) is int
+        assert solve_pairs(kspec(1), np.int64(30)) == solve_pairs(kspec(1), 30)
+        for bound in (True, 2.0):
+            for call in (lambda: solve(kspec(1), bound), lambda: solve_pairs(kspec(1), bound),
+                         lambda: check_stable([], kspec(1), bound),
+                         lambda: check_absorbing(np.zeros((6, 6), bool), kspec(1), bound),
+                         lambda: non_redundant_witness(kspec(1), (1, 0), bound),
+                         lambda: PNTable.from_cells(kspec(1), bound, [], [])):
+                with pytest.raises(ValueError, match=re.escape(f"bound {bound} is not")):
+                    call()
+
     def test_classic_wythoff_pairs(self):
         # terminal (0, 0) is excluded from the listing
         pp = ppos_list(solve(kspec(0), 60))
@@ -298,10 +313,30 @@ class TestPairExtraction:
         assert PposSequence(0, np.array([[1, top]], np.uint64)).pairs == ((1, top),)
 
     @pytest.mark.parametrize("pairs", [[(1.5, 2)], [(2**63, 1.5)],
-                                       np.array([[True, 2]], object)])
+                                       np.array([[True, 2]], object), [(True, 2)],
+                                       [(1, "2")], np.array([[1.7, 2.9]])])
     def test_non_integer_pair_is_refused(self, pairs):
-        with pytest.raises(ValueError, match="expected integer pairs"):
-            PposSequence(0, pairs)
+        # refused by the value's own type, never cast: a bool is not read as 1
+        name = r"expected integer pairs, got \w+ .*(1\.[57]|True|'2')"
+        xs, ys = zip(*pairs)
+        for read in (lambda: PposSequence(0, pairs),
+                     lambda: check_stable(pairs, kspec(0), 5),
+                     lambda: check_absorbing(pairs, kspec(0), 5),
+                     lambda: PNTable.from_cells(kspec(0), 10, xs, ys),
+                     lambda: PNTable.from_pairs(kspec(0), 10, xs, ys),
+                     lambda: PNTable.from_cells(kspec(0), 10, np.array(xs), np.array(ys))):
+            with pytest.raises(ValueError, match=name):
+                read()
+
+    def test_numpy_integer_pairs_are_read(self):
+        pairs = [(np.int64(1), np.uint8(2)), (3, np.int32(5))]
+        assert PposSequence(0, pairs).pairs == ((1, 2), (3, 5))
+        table = PNTable.from_pairs(kspec(0), 6, *zip(*pairs))
+        assert table.xs.tolist() == [1, 2, 3, 5] and table.ys.tolist() == [2, 1, 5, 3]
+        assert PNTable.from_cells(kspec(0), 6, np.array([1, 3]), np.array([2, 5], np.uint8)
+                                  ).xs.tolist() == [1, 3]
+        for check in (check_stable, check_absorbing):
+            assert check(pairs + [(2, 1), (5, 3)], kspec(0), 6) == check(table, kspec(0), 6)
 
     @pytest.mark.parametrize("spec", [kspec(e) for e in range(7)]
                              + [wspec(k) for k in (1, 2, 3)] + [kspec(50)])
@@ -339,6 +374,12 @@ class TestOptionCounts:
         mask = np.zeros(shape, bool)
         mask[(0,) * mask.ndim] = True
         with pytest.raises(ValueError, match="expected a square mask"):
+            option_member_counts(mask)
+
+    @pytest.mark.parametrize("mask", [np.full((4, 4), 0.5), np.eye(4, dtype=int)])
+    def test_mask_of_numbers_is_refused(self, mask):
+        # nonzero would count each 0.5 as a member
+        with pytest.raises(ValueError, match=f"got {mask.dtype} "):
             option_member_counts(mask)
 
 
@@ -431,6 +472,19 @@ class TestKernelChecks:
         for candidate in (table, solve(spec, bound + 10), mask, from_pairs):
             assert check_stable(candidate, spec, bound).ok
             assert check_absorbing(candidate, spec, bound).ok
+        # a table stands for its whole set, its own terminal triangle included,
+        # whatever the checked spec: it, its mask, the mask's cells and a table
+        # of a larger box get one result, verdict, detail and counterexample
+        for table_spec in (kspec(0), kspec(3), kspec(40), wspec(1), wspec(3)):
+            for spec in (kspec(0), kspec(2), wspec(1), wspec(3)):
+                for bound in (0, 1, 7, 30):
+                    table = solve(table_spec, bound)
+                    cells = np.argwhere(table.ppos).tolist()
+                    for check in (check_stable, check_absorbing):
+                        want = check(table.ppos, spec, bound)
+                        for candidate in (table, cells, solve(table_spec, bound + 5)):
+                            got = check(candidate, spec, bound)
+                            assert got == want, (table_spec, spec, bound, check)
 
     def test_predicate_candidate_is_refused(self):
         # a predicate is not a candidate form; a mask or pairs stand for it
@@ -477,6 +531,15 @@ class TestKernelChecks:
         for check in (check_stable, check_absorbing):
             with pytest.raises(ValueError, match=re.escape(f"candidate {shape}")):
                 check(np.zeros(shape, bool), kspec(1), 2)
+
+    @pytest.mark.parametrize("mask,name", [(np.full((6, 6), 0.5), "float 0.5"),
+                                           (np.ones((6, 6), int), "int64 (6, 6)")])
+    def test_mask_of_numbers_is_refused(self, mask, name):
+        # only a boolean mask is a mask; a float one is not read as its nonzero
+        # cells, and an int one is not (n, 2) pairs
+        for check in (check_stable, check_absorbing):
+            with pytest.raises(ValueError, match=re.escape(f"expected integer pairs, got {name}")):
+                check(mask, kspec(1), 5)
 
 
 def scan_over_options(mask, spec: GameSpec, bound: int, stable: bool):
@@ -601,7 +664,7 @@ class TestKernelChecksAgainstOptions:
 
 class TestWitnesses:
     def test_move_validation(self):
-        for bad in ((0, 0), (1, 2), (-1, 0), (0, -2), (2, 3)):
+        for bad in ((0, 0), (1, 2), (-1, 0), (0, -2), (2, 3), (1.5, 0), (True, 0), (2, 2.0)):
             with pytest.raises(ValueError):
                 non_redundant_witness(kspec(1), bad, 50)
 
