@@ -20,9 +20,10 @@ a PNTable by from_cells, which never casts.  Exact counts, for stability (of
 the members alone), the witness search, option_member_counts and the
 absorption check's report, come from binary search in the line keys that a
 PNTable builds once and keeps.  A P-set is kept as its O(bound) row-major
-cells, never as a box mask, and the terminal triangle, P by the rule, as the
-one integer spec.terminal_sum.  P-pairs (a_n, b_n) are two int64 arrays;
-ppos_list and PNTable.from_pairs turn cells into pairs and back.
+cells, never as a box mask, and a table cache file holds the same cells; the
+terminal triangle, P by the rule, stays the one integer spec.terminal_sum.
+P-pairs (a_n, b_n) are two int64 arrays; ppos_list and PNTable.from_pairs
+turn cells into pairs and back.
 """
 from __future__ import annotations
 
@@ -139,6 +140,8 @@ class PNTable:
         """The table of the integer cells (xs[i], ys[i]) in the box, less terminal ones;
         columns of two dtypes are zipped, not stacked, so numpy casts neither."""
         bound = _bound(bound)
+        if bound > 2**31 - 1:  # the diagonal keys reach 2 * bound * (bound + 1) + bound
+            raise ValueError(f"bound {bound} past {2**31 - 1:,} overflows a table's int64 keys")
         same = type(xs) is type(ys) is np.ndarray and xs.dtype == ys.dtype
         xs, ys = _int_pairs(np.column_stack((xs, ys)) if same
                             else list(zip(xs, ys, strict=True))).T
@@ -510,11 +513,11 @@ def non_redundant_witness(
 
 
 # ---------------------------------------------------------------------------
-# Table cache files: fixed header, bit-packed rows, sha256 trailer.
+# Table cache files: fixed header, the table's cells, sha256 trailer.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"WYPN"
-_VERSION = 2  # version 1 also set the terminal bits, which from_cells drops
+_VERSION = 3
 
 
 def _cache_header(spec: GameSpec, bound: int) -> bytes:
@@ -528,23 +531,17 @@ def _cache_header(spec: GameSpec, bound: int) -> bytes:
 
 
 def write_table_cache(table: PNTable, path) -> None:
-    """Write a solved table; layout is header, packed bits, checksum.
-
-    Bit x * (bound + 1) + y, msb first, is set from each listed P-cell (x, y).
-    """
-    header = _cache_header(table.spec, table.bound)
-    n = table.bound + 1
-    payload = np.zeros((n * n + 7) // 8, dtype=np.uint8)
-    at = table.xs * n + table.ys
-    np.bitwise_or.at(payload, at >> 3, (0x80 >> (at & 7)).astype(np.uint8))
-    digest = hashlib.sha256(header)
-    digest.update(payload)
+    """Write a table: the header, its cells xs, ys as little-endian uint32
+    (x, y) pairs in row-major order, and the sha256 of both."""
+    header = _cache_header(table.spec, table.bound)  # so every cell fits uint32
+    payload = np.column_stack((table.xs, table.ys)).astype("<u4").tobytes()
     with open(path, "wb") as fh:
-        fh.writelines((header, payload, digest.digest()))
+        fh.writelines((header, payload, hashlib.sha256(header + payload).digest()))
 
 
 def read_table_cache(path) -> PNTable:
-    """Read a table written by write_table_cache, verifying the checksum."""
+    """Read a table written by write_table_cache, verifying the checksum; its
+    cells enter through PNTable.from_cells and must already be that table's."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head_len = len(_MAGIC) + struct.calcsize("<BcII")
@@ -553,20 +550,22 @@ def read_table_cache(path) -> PNTable:
     version, variant, param, bound = struct.unpack(
         "<BcII", blob[len(_MAGIC) : head_len]
     )
-    if version not in (1, _VERSION):
-        raise CacheError(f"{path}: unsupported cache version {version}")
+    if version != _VERSION:
+        raise CacheError(f"{path}: cache version {version} is not {_VERSION}; write it again")
     if hashlib.sha256(memoryview(blob)[:-32]).digest() != blob[-32:]:
         raise CacheError(f"{path}: checksum mismatch")
     try:
         spec = {b"K": kspec, b"W": wspec}[variant](param)
     except (KeyError, ValueError) as exc:
         raise CacheError(f"{path}: bad rule-set {variant!r} {param}") from exc
-    n, payload = bound + 1, np.frombuffer(blob, np.uint8)[head_len:-32]
-    expect = (n * n + 7) // 8
-    if payload.size != expect:
-        raise CacheError(f"{path}: payload length {payload.size} != {expect}")
-    # unpack only the nonzero bytes; a padding bit past n * n reads as a
-    # cell with x > bound, which from_cells drops
-    lit = np.flatnonzero(payload)
-    byte, bit = np.nonzero(np.unpackbits(payload[lit]).reshape(-1, 8))
-    return PNTable.from_cells(spec, bound, *np.divmod(lit[byte] * 8 + bit, n))
+    payload = memoryview(blob)[head_len:-32]
+    if len(payload) % 8:
+        raise CacheError(f"{path}: payload of {len(payload)} bytes is not whole (x, y) pairs")
+    cells = np.frombuffer(payload, "<u4").reshape(-1, 2)
+    try:
+        table = PNTable.from_cells(spec, bound, *cells.T)
+    except ValueError as exc:
+        raise CacheError(f"{path}: {exc}") from exc
+    if not np.array_equal(np.c_[table.xs, table.ys], cells):
+        raise CacheError(f"{path}: cells not distinct, non-terminal, row-major in [0,{bound}]^2")
+    return table

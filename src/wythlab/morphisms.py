@@ -155,9 +155,9 @@ def eval_dfao(d: DFAO, n: int):
 def eval_dfao_range(d: DFAO, n_max: int) -> np.ndarray:
     """Array of eval_dfao(d, n) for n = 0..n_max, one digit column at a time.
 
-    The column of weight fib(j) steps only the rows n >= fib(j), the ones
-    that have started.  A missing transition raises the ValueError
-    eval_dfao gives for the least such n.
+    The column of weight fib(j) steps only the rows n >= fib(j), the ones that
+    have started.  A missing transition raises the ValueError eval_dfao gives
+    for the least such n.  Outputs of mixed types stay objects, as eval_dfao's.
     """
     if n_max < 0:
         raise ValueError(f"negative argument {n_max}")
@@ -171,7 +171,8 @@ def eval_dfao_range(d: DFAO, n_max: int) -> np.ndarray:
     stuck = np.flatnonzero(state == sink)
     if stuck.size:
         eval_dfao(d, int(stuck[0]))  # raises the scalar error for that n
-    return np.asarray(d.outputs)[state]
+    mixed = len(set(map(type, d.outputs))) > 1  # numpy would cast them to one type
+    return np.array(d.outputs, object if mixed else None)[state]
 
 
 def block_span(i: int, n: int) -> tuple[int, int]:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wythlab.games import (
+    _cache_header,
     _option_counts,
     _solve_cached,
     CacheError,
@@ -337,6 +338,17 @@ class TestPairExtraction:
                                   ).xs.tolist() == [1, 3]
         for check in (check_stable, check_absorbing):
             assert check(pairs + [(2, 1), (5, 3)], kspec(0), 6) == check(table, kspec(0), 6)
+
+    def test_from_cells_refuses_a_bound_past_the_int64_keys(self):
+        # a diagonal key reaches 2B(B + 1) + B, which fits int64 up to B = 2**31 - 1;
+        # past it the key x(B + 1) + y of (3e9 + 5, 1) wrapped and the cell was lost
+        with pytest.raises(ValueError, match="past 2,147,483,647"):
+            PNTable.from_cells(wspec(1), 4 * 10**9, [3 * 10**9 + 5, 1], [3 * 10**9, 2])
+        with pytest.raises(ValueError, match="past 2,147,483,647"):
+            PNTable.from_cells(kspec(1), 2**31, [], [])
+        top = 2**31 - 1
+        t = PNTable.from_cells(wspec(1), top, [top, 1, top], [top - 3, 2, 5])
+        assert t.xs.tolist() == [1, top, top] and t.ys.tolist() == [2, 5, top - 3]
 
     @pytest.mark.parametrize("spec", [kspec(e) for e in range(7)]
                              + [wspec(k) for k in (1, 2, 3)] + [kspec(50)])
@@ -789,14 +801,17 @@ class TestTerminalTriangle:
 
 class TestCache:
     def test_round_trip(self, tmp_path):
-        for spec in (kspec(2), wspec(3)):
-            t = solve(spec, 37)
-            path = tmp_path / "table.pn"
+        tables = [solve(spec, bound) for spec in [kspec(e) for e in range(5)]
+                  + [wspec(k) for k in (1, 2, 3)] for bound in (0, 1, 7, 40, 300)]
+        tables.append(PNTable.from_cells(kspec(1), 6, [0, 5, 2], [3, 1, 6]))
+        for t in tables:
+            path = fresh(tmp_path / "table.pn")
             write_table_cache(t, path)
             back = read_table_cache(path)
-            assert back.spec == spec
-            assert back.bound == 37
-            assert np.array_equal(back.ppos, t.ppos)
+            assert back.spec == t.spec and back.bound == t.bound, (t.spec, t.bound)
+            assert np.array_equal(back.xs, t.xs) and np.array_equal(back.ys, t.ys)
+            assert back.xs.dtype == back.ys.dtype == np.int64
+            assert path.stat().st_size == HEAD_LEN + 8 * t.xs.size + 32
 
     def test_round_trip_keeps_orientation(self, tmp_path):
         t = PNTable.from_cells(kspec(1), 6, [0, 5, 2], [3, 1, 6])
@@ -821,25 +836,20 @@ class TestCache:
         with pytest.raises(CacheError):
             read_table_cache(path)
 
-    def test_version_1_file_with_the_triangle_reads(self, tmp_path):
-        # version 1 wrote the terminal cells' bits; from_cells drops them
-        want = solve(kspec(2), 20)
-        path = tmp_path / "table.pn"
-        write_table_cache(want, path)
-        blob = bytearray(path.read_bytes())
-        assert blob[VERSION_AT] == 2
-        blob[VERSION_AT] = 1
-        for x, y in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)):
-            at = HEAD_LEN * 8 + x * 21 + y
-            blob[at // 8] |= 0x80 >> (at % 8)
-        path.write_bytes(resealed(bytes(blob)))
-        back = read_table_cache(path)
-        assert back.spec == want.spec and back.bound == want.bound
-        assert np.array_equal(back.xs, want.xs) and np.array_equal(back.ys, want.ys)
-        blob[VERSION_AT] = 3
-        path.write_bytes(resealed(bytes(blob)))
-        with pytest.raises(CacheError, match="unsupported cache version 3"):
-            read_table_cache(path)
+    def test_versions_1_and_2_are_refused(self, tmp_path):
+        # versions 1 and 2 held the (B + 1)^2-bit box, msb first; version 1
+        # also set the terminal bits.  Neither reads: the file is written again.
+        t = solve(kspec(2), 20)
+        cells = np.zeros((21, 21), bool)
+        cells[t.xs, t.ys] = True
+        for version, box in ((1, t.ppos), (2, cells), (4, cells)):
+            body = (b"WYPN" + struct.pack("<BcII", version, b"K", 2, 20)
+                    + np.packbits(box).tobytes())
+            path = fresh(tmp_path / "table.pn")
+            path.write_bytes(resealed(body + bytes(32)))
+            with pytest.raises(CacheError, match=f"cache version {version} is not 3; "
+                                                 "write it again"):
+                read_table_cache(path)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "table.pn"
@@ -850,10 +860,14 @@ class TestCache:
     @pytest.mark.parametrize("spec,bound", [(wspec(10**10), 5), (kspec(2**32), 3),
                                             (kspec(1), 2**32)])
     def test_header_field_past_uint32(self, tmp_path, spec, bound):
-        path = tmp_path / "table.pn"
         with pytest.raises(ValueError, match="up to 4,294,967,295"):
-            write_table_cache(PNTable.from_cells(spec, bound, [], []), path)
-        assert not path.exists()
+            _cache_header(spec, bound)
+        if bound <= 2**31 - 1:  # a PNTable holds no larger bound
+            path = tmp_path / "table.pn"
+            with pytest.raises(ValueError, match="up to 4,294,967,295"):
+                write_table_cache(PNTable.from_cells(spec, bound, [], []), path)
+            assert not path.exists()
+        path = tmp_path / "largest.pn"
         t = PNTable.from_cells(kspec(2**32 - 1), 3, [0], [0])  # the largest that fits
         write_table_cache(t, path)
         assert read_table_cache(path).spec == t.spec
@@ -865,11 +879,13 @@ class TestCache:
         back = read_table_cache(path)
         with pytest.raises(ValueError):
             back.ppos[0, 0] = False
-
+        with pytest.raises(ValueError):
+            back.xs[0] = 0
 
     def test_no_box_sized_buffer(self, tmp_path):
-        # the packed file is (B+1)^2 / 8 bytes; a one-byte-per-cell mask
-        # would be eight times that
+        # the file is 8 bytes per listed cell, where the (B+1)^2-bit box of
+        # versions 1 and 2 took 1,125,797 bytes at this bound; reading goes
+        # through from_cells, at some 60 bytes per cell
         t = solve(kspec(2), 3000)
         path = tmp_path / "table.pn"
         tracemalloc.start()
@@ -882,9 +898,9 @@ class TestCache:
         finally:
             tracemalloc.stop()
         size = path.stat().st_size
-        assert size == 1_125_797
-        assert write_peak < 3 * size
-        assert read_peak < 3 * size
+        assert size == HEAD_LEN + 8 * t.xs.size + 32 == 18_366
+        assert write_peak < 16 * size
+        assert read_peak < 16 * size
         assert np.array_equal(back.xs, t.xs) and np.array_equal(back.ys, t.ys)
 
 
@@ -920,6 +936,12 @@ def read_blob(tmp_path, blob: bytes):
         tracemalloc.stop()
 
 
+def with_cells(cells) -> bytes:
+    """cache_blob's header with the given (x, y) cells as its payload, resealed."""
+    return resealed(b"WYPN" + struct.pack("<BcII", 3, b"K", 1, 20)
+                    + np.array(cells, "<u4").tobytes() + bytes(32))
+
+
 # Header: magic (4 bytes), version, variant, param (uint32), bound (uint32).
 VERSION_AT, VARIANT_AT, PARAM_AT, BOUND_AT, HEAD_LEN = 4, 5, 6, 10, 14
 
@@ -937,20 +959,44 @@ class TestCacheHeaders:
         with pytest.raises(CacheError, match="bad rule-set"):
             read_table_cache(path)
 
-    @pytest.mark.parametrize("bound", [21, 20000, 2**32 - 1])
+    @pytest.mark.parametrize("bound", [5, 21, 20000, 2**32 - 1])
     def test_oversized_bound_allocates_nothing(self, tmp_path, bound):
+        # a larger box holds the same cells; a bound below a listed cell is
+        # refused, and so is one past what a PNTable holds
         blob = bytearray(cache_blob(tmp_path))
         blob[BOUND_AT:BOUND_AT + 4] = struct.pack("<I", bound)
         table, peak = read_blob(tmp_path, resealed(bytes(blob)))
-        assert table is None
+        if bound in (5, 2**32 - 1):
+            assert table is None
+        else:
+            want = solve(kspec(1), 20)
+            assert table.bound == bound
+            assert np.array_equal(table.xs, want.xs) and np.array_equal(table.ys, want.ys)
         assert peak < 2**16
 
-    def test_padding_bits_are_not_cells(self, tmp_path):
-        blob = bytearray(cache_blob(tmp_path))  # 21^2 = 441 bits: 7 padding
-        blob[-33] |= 0x7F
-        table, _ = read_blob(tmp_path, resealed(bytes(blob)))
+    def test_half_pair_is_refused(self, tmp_path):
+        for cut in (4, 1, 7):
+            blob = bytearray(cache_blob(tmp_path))
+            del blob[-32 - cut : -32]
+            path = fresh(tmp_path / "crafted.pn")
+            path.write_bytes(resealed(bytes(blob)))
+            with pytest.raises(CacheError, match="is not whole"):
+                read_table_cache(path)
+
+    @pytest.mark.parametrize("cells", [
+        [(1, 2), (21, 0)], [(1, 2), (0, 21)], [(1, 2), (2**32 - 1, 5)],  # outside the box
+        [(0, 1), (1, 2)], [(1, 0), (1, 2)], [(0, 0)],                    # terminal
+        [(1, 2), (1, 2)], [(1, 2), (2, 1), (1, 2)],                      # repeated
+        [(2, 1), (1, 2)], [(1, 5), (1, 2)],                              # out of row-major order
+    ])
+    def test_non_canonical_cells_are_refused(self, tmp_path, cells):
+        # from_cells would drop, dedupe or sort these, so the file is not a table's
         want = solve(kspec(1), 20)
-        assert np.array_equal(table.xs, want.xs) and np.array_equal(table.ys, want.ys)
+        assert with_cells(np.c_[want.xs, want.ys]) == cache_blob(tmp_path)
+        path = fresh(tmp_path / "crafted.pn")
+        path.write_bytes(with_cells(cells))
+        with pytest.raises(CacheError, match="not distinct, non-terminal, row-major"):
+            read_table_cache(path)
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -973,7 +1019,10 @@ class TestCacheHeaders:
         table, peak = read_blob(tmp_path, bytes(blob))
         if table is not None:
             assert table.spec.variant.encode() == blob[VARIANT_AT:VARIANT_AT + 1]
-            n = table.bound + 1
-            assert table.ppos.shape == (n, n)
-            assert (n * n + 7) // 8 <= len(blob)
+            assert table.bound == struct.unpack("<I", blob[BOUND_AT:BOUND_AT + 4])[0]
+            assert 8 * table.xs.size == len(blob) - HEAD_LEN - 32  # every cell is kept
+            x, y = table.xs, table.ys
+            assert np.all((0 <= x) & (x <= table.bound) & (0 <= y) & (y <= table.bound))
+            assert np.all(x + y > table.spec.terminal_sum)
+            assert np.all(np.diff(x * (table.bound + 1) + y) > 0)
         assert peak < 2**16

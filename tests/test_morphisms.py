@@ -139,10 +139,16 @@ class TestPromoteAndEval:
 
     def test_range_matches_scalar(self):
         # the last automaton leaves state 0 on a 0, so a fed leading zero shows
-        cases = {**builtin_dfaos(), "zero-moves": DFAO(((1, 1), (0, 1)), (5, 6))}
+        # mixed outputs keep their own types: numpy would cast them to one
+        cases = {**builtin_dfaos(), "zero-moves": DFAO(((1, 1), (0, 1)), (5, 6)),
+                 **{f"mixed {outs}": DFAO(((0, 1), (0, None)), outs)
+                    for outs in (("a", 2), (1, 2.5), (True, 2))}}
         for name, d in cases.items():
             got = eval_dfao_range(d, 3000).tolist()
-            assert got == [eval_dfao(d, n) for n in range(3001)], name
+            want = [eval_dfao(d, n) for n in range(3001)]
+            assert got == want, name
+            assert list(map(type, got)) == list(map(type, want)), name
+        assert eval_dfao_range(adjust_dfao(2), 10).dtype == "int64"  # the fast path stays
         d = adjust_dfao(2)
         assert eval_dfao_range(d, 0).tolist() == [eval_dfao(d, 0)]
         for n_max in (-1, -5):
