@@ -7,9 +7,10 @@ DFAO.  The inference heuristic runs the other way, recovering a candidate
 substitution and coding from a sequence prefix by grouping positions whose
 iterated image blocks agree.
 
-`eval_dfao_range` steps all of 0..N at once on the greedy digit columns of
-`fibnum`, each column only on the rows that have started; like `eval_dfao`
-it never reads the substitution.
+`eval_dfao` reads n's greedy digits off the integer, msd first, with no
+string; `eval_dfao_range` steps all of 0..N at once on the greedy digit
+columns of `fibnum`, each column only on the rows that have started.  They
+share no code, so one checks the other; neither reads the substitution.
 
 Positions and image blocks are connected through the numeration system:
 appending i zeros to rep_F(n) gives the first position of the i-th iterated
@@ -18,12 +19,14 @@ past its last position; `shift_range(L, i)` lists them for every n.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fibnum import _digit_columns, fib, floor_phi_range, rep_F, shift_range, val_F
+from .fibnum import (_digit_columns, _fibs_through, fib, floor_phi_range, rep_F,
+                     shift_range, val_F)
 
 __all__ = [
     "Morphism",
@@ -91,8 +94,8 @@ class Coding:
 class DFAO:
     """Automaton with output; state s reads digit d into transitions[s][d].
 
-    A missing transition is None.  Evaluation feeds rep_F(n) msd first from
-    state 0 and returns the output of the final state.
+    A missing transition is None.  Evaluation feeds the greedy digits of n,
+    rep_F(n), msd first from state 0 and returns the output of the final state.
     """
 
     transitions: tuple[tuple[int | None, int | None], ...]
@@ -140,10 +143,21 @@ def promote(m: Morphism, c: Coding) -> DFAO:
 
 
 def eval_dfao(d: DFAO, n: int):
-    """Output of d on input rep_F(n), msd first."""
+    """Output of d on input rep_F(n), msd first, read off n by one greedy walk
+    with no string; it shares no code with the eval_dfao_range it checks."""
+    if n < 0:
+        raise ValueError(f"negative argument {n}")
+    transitions = d.transitions
+    fs = _fibs_through(n)
+    rest = n
     state = 0
-    for digit in rep_F(n):
-        nxt = d.transitions[state][int(digit)]
+    for j in range(bisect_right(fs, n) - 1, -1, -1):
+        if fs[j] <= rest:
+            rest -= fs[j]
+            digit = 1
+        else:
+            digit = 0
+        nxt = transitions[state][digit]
         if nxt is None:
             raise ValueError(
                 f"undefined transition from state {state} on {digit} at n={n}"

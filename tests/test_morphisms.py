@@ -1,6 +1,7 @@
 """Substitution systems, automata, block structure, and inference."""
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,6 +38,27 @@ from wythlab.morphisms import (
 )
 
 TABLE1_G = (1, 0, 1, 1, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1)
+
+
+@st.composite
+def dfaos(draw):
+    k = draw(st.integers(1, 6))
+    edge = st.sampled_from([None, *range(k)])
+    transitions = draw(st.lists(st.tuples(edge, edge), min_size=k, max_size=k))
+    outputs = draw(st.lists(st.one_of(st.integers(), st.text(max_size=2), st.none()),
+                            min_size=k, max_size=k))
+    return DFAO(tuple(transitions), tuple(outputs))
+
+
+def walk_rep_F(d, n):
+    """Output of d on the characters of rep_F(n), or the error eval_dfao gives."""
+    state = 0
+    for bit in rep_F(n):
+        nxt = d.transitions[state][int(bit)]
+        if nxt is None:
+            return f"undefined transition from state {state} on {bit} at n={n}"
+        state = nxt
+    return d.outputs[state]
 
 
 class TestMorphism:
@@ -171,6 +193,30 @@ class TestPromoteAndEval:
         for bit in rep_F(4):
             state = d.transitions[state][int(bit)]
         assert d.outputs[state] == eval_dfao(d, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dfaos(), st.integers(0, 10**30))
+    def test_eval_matches_the_rep_F_walk(self, d, n):
+        try:
+            got = eval_dfao(d, n)
+        except ValueError as e:
+            got = str(e)
+        assert got == walk_rep_F(d, n)
+
+    def test_eval_takes_numpy_integers(self):
+        d = adjust_dfao(3)
+        assert eval_dfao(d, np.int64(10**18)) == walk_rep_F(d, 10**18)
+        for n in (-1, np.int64(-5)):
+            with pytest.raises(ValueError, match="negative argument"):
+                eval_dfao(d, n)
+
+    def test_eval_builds_no_string(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("eval_dfao built rep_F")
+        monkeypatch.setattr("wythlab.morphisms.rep_F", refuse)
+        for name, d in builtin_dfaos().items():
+            want = eval_dfao_range(d, 3000).tolist()
+            assert [eval_dfao(d, n) for n in range(3001)] == want, name
 
 
 class TestK2Adjust:
