@@ -19,9 +19,11 @@ whole set, and reports the first such cell that is not one.  Other sets enter
 a PNTable by from_cells, which never casts.  Exact counts, for stability (of
 the members alone), the witness search, option_member_counts and the
 absorption check's report, come from binary search in the line keys that a
-PNTable builds once and keeps.  A P-set is kept as its O(bound) row-major
-cells, never as a box mask, and a table cache file holds the same cells; the
-terminal triangle, P by the rule, stays the one integer spec.terminal_sum.
+PNTable builds once and keeps; the witness search counts its row-major
+candidates in growing chunks and stops at the first chunk with a witness.
+A P-set is kept as its O(bound) row-major cells, never as a box mask, and a
+table cache file holds the same cells; the terminal triangle, P by the
+rule, stays the one integer spec.terminal_sum.
 P-pairs (a_n, b_n) are two int64 arrays; ppos_list and PNTable.from_pairs
 turn cells into pairs and back.
 """
@@ -57,6 +59,7 @@ __all__ = [
 ]
 
 MAX_SOLVE_BOUND = 32768
+_WITNESS_CHUNK = 64  # candidates in the witness search's first chunk
 
 
 class ResourceLimitError(RuntimeError):
@@ -168,21 +171,16 @@ class PNTable:
         return mask
 
     @cached_property
-    def _line_keys(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    def _line_keys(self) -> tuple[np.ndarray, ...]:
         """Per line kind (row, column, difference x - y + bound), the sorted
-        keys line * (bound + 1) + at of the P-cells, and where each line starts
-        among them less its terminal cells, which precede the rest; read-only."""
-        n, ell = self.bound + 1, _terminal_sum(self.spec, self.bound)
-        r = np.arange(2 * n)
-        edge = np.maximum(ell - r + 1, 0)  # terminal cells of row or column r
-        diag = np.maximum((ell - abs(r - self.bound)) // 2 + 1, 0)
+        keys line * (bound + 1) + at of the P-cells; read-only."""
+        n = self.bound + 1
         out = []
-        for line, at, terminal in ((self.xs, self.ys, edge), (self.ys, self.xs, edge),
-                                   (self.xs - self.ys + self.bound, self.xs, diag)):
+        for line, at in ((self.xs, self.ys), (self.ys, self.xs),
+                         (self.xs - self.ys + self.bound, self.xs)):
             keys = np.sort(line * n + at)
-            starts = np.searchsorted(keys, r * n) - terminal
-            keys.flags.writeable = starts.flags.writeable = False
-            out.append((keys, starts))
+            keys.flags.writeable = False
+            out.append(keys)
         return tuple(out)
 
 
@@ -406,12 +404,16 @@ def option_member_counts(mask: np.ndarray) -> np.ndarray:
 
 def _option_counts(table: PNTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Number of P-cells of table among the options of each cell (x[i], y[i])
-    of its box: the P-cells before it on its row, column and difference."""
-    n = table.bound + 1
-    count = 0
-    cell_keys = ((x, y), (y, x), (x - y + table.bound, x))
-    for (keys, starts), (line, at) in zip(table._line_keys, cell_keys):
-        count += np.searchsorted(keys, line * n + at) - starts[line]
+    of its box: the P-cells before it on its row, column and difference.  A
+    line's terminal cells precede the rest, and a binary search in the line
+    keys finds where the rest start, so a count holds O(len(x)) memory."""
+    n, ell = table.bound + 1, _terminal_sum(table.spec, table.bound)
+    d = x - y
+    count = (np.maximum(ell + 1 - x, 0) + np.maximum(ell + 1 - y, 0)
+             + np.maximum((ell - abs(d)) // 2 + 1, 0))  # the terminal cells
+    for keys, line, at in zip(table._line_keys, (x, y, d + table.bound), (y, x, x)):
+        start = line * n
+        count += keys.searchsorted(start + at) - keys.searchsorted(start)
     return count
 
 
@@ -454,11 +456,12 @@ def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
     """
     table = _candidate_table(candidate, spec, bound)
     starts = np.r_[0, np.bincount(table.xs, minlength=table.bound + 1).cumsum()].tolist()
+    ys = table.ys.tolist()
     violator = None
 
     def read(x, first, open):
         nonlocal violator
-        members = sum(1 << y for y in table.ys[starts[x] : starts[x + 1]].tolist())
+        members = sum(1 << y for y in ys[starts[x] : starts[x + 1]])
         later, bad, found, y = members, 0, first, first  # the first cells are terminal
         while free := open(found):
             nxt = later & -later  # the next member; 0 after the last
@@ -491,7 +494,12 @@ def non_redundant_witness(
     W variant: a witness has exactly k P-options, one reached by this move
     (blocking the other k-1 would leave only it).  None means no witness in
     the box, which is inconclusive, never a redundancy proof.  The answer is
-    the row-major first witness.
+    the row-major first witness.  The candidates, the cells that the move
+    takes to a P-cell, are listed in row-major order and counted in chunks,
+    64 cells and then each chunk 4 times larger than the one before; a call
+    stops at the first chunk that holds a witness.  A witness near the start
+    of the box costs one small chunk, and no call counts more than one pass
+    over the candidates.
     """
     bound = _bound(bound)
     dx, dy = move
@@ -499,17 +507,23 @@ def non_redundant_witness(
         raise ValueError(f"move {move} is not of Wythoff shape")
     if dx > bound or dy > bound:
         return None
-    P, ell, n = solve(spec, bound), _terminal_sum(spec, bound), bound + 1
-    # a K witness has one P-option, so a terminal target is alone on its line
-    ends = np.array([t for t in ((ell, 0), (ell - 1, 0), (0, ell), (0, ell - 1))
-                     if min(t) >= 0 and sum(t) + dx + dy > ell], np.int64).reshape(-1, 2)
-    tx, ty = np.concatenate((P.xs, ends[:, 0])), np.concatenate((P.ys, ends[:, 1]))
+    P, ell = solve(spec, bound), _terminal_sum(spec, bound)
+    # a K witness has one P-option, so a terminal target is alone on its line;
+    # a non-terminal P-cell lies past row and column ell, so the targets come first
+    ends = np.array(sorted({t for t in ((ell, 0), (ell - 1, 0), (0, ell), (0, ell - 1))
+                            if min(t) >= 0 and sum(t) + dx + dy > ell}), np.int64).reshape(-1, 2)
+    tx, ty = np.concatenate((ends[:, 0], P.xs)), np.concatenate((ends[:, 1], P.ys))
     keep = (tx <= bound - dx) & (ty <= bound - dy)
-    x, y = tx[keep] + dx, ty[keep] + dy  # the move takes (x, y) to a P-cell
-    # (x, y) is non-terminal; count == spec.need leaves out every P-cell,
-    # since the solver gives it no P-option in K and at most k - 1 in W
-    hits = (x * n + y)[_option_counts(P, x, y) == spec.need]
-    return divmod(int(hits.min()), n) if hits.size else None
+    x, y = tx[keep] + dx, ty[keep] + dy  # row-major; the move takes (x, y) to a P-cell
+    lo, hi = 0, _WITNESS_CHUNK
+    while lo < x.size:
+        # (x, y) is non-terminal; count == spec.need leaves out every P-cell,
+        # since the solver gives it no P-option in K and at most k - 1 in W
+        hit = np.flatnonzero(_option_counts(P, x[lo:hi], y[lo:hi]) == spec.need)
+        if hit.size:
+            return int(x[lo + hit[0]]), int(y[lo + hit[0]])
+        lo, hi = hi, 5 * hi - 4 * lo  # the next chunk is 4 times larger
+    return None
 
 
 # ---------------------------------------------------------------------------

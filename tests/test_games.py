@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wythlab.games import (
+    _WITNESS_CHUNK,
     _cache_header,
     _option_counts,
     _solve_cached,
@@ -380,6 +381,24 @@ class TestOptionCounts:
             cnt = option_member_counts(np.zeros((size, size), bool))
             assert cnt.shape == (size, size) and not cnt.any()
 
+    @pytest.mark.parametrize("bound", [10**6, 2**31 - 1])
+    def test_counts_hold_no_bound_sized_array(self, bound):
+        # three cells in a huge box: each count holds memory for its cells,
+        # where per-line start arrays of 2 * (bound + 1) entries took 107 MiB
+        # at 10^6 and raised MemoryError at 2^31 - 1
+        table = PNTable.from_cells(wspec(1), bound, [bound, 1, bound], [bound - 3, 2, 5])
+        tracemalloc.start()
+        try:
+            counts = _option_counts(table, table.xs, table.ys)
+            stable = check_stable(table, wspec(2), bound)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # row-major (1, 2), (bound, 5), (bound, bound - 3): the last sees one on its row
+        assert counts.tolist() == [0, 0, 1]
+        assert stable.ok  # W^2 allows each member one member option
+        assert peak < 2**20
+
     @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4,), (2, 2, 2)])
     def test_non_square_mask_is_refused(self, shape):
         # a 3x5 mask holding (0, 0) once gave 0 at (0, 3) and (0, 4)
@@ -674,6 +693,41 @@ class TestKernelChecksAgainstOptions:
         assert peak < 5 * 2**20
 
 
+WITNESS_SPECS = [kspec(e) for e in range(5)] + [wspec(k) for k in (1, 2, 3)]
+
+
+def assert_row_major_first_witnesses(spec):
+    want = 1 if spec.variant == "K" else spec.k
+    moves = [m for i in range(1, 13) for m in ((i, 0), (0, i), (i, i))]
+    for bound in range(41):
+        table = solve(spec, bound).ppos
+        needs = ~table & (option_member_counts(table) == want)
+        n = bound + 1
+        for dx, dy in moves:
+            got = non_redundant_witness(spec, (dx, dy), bound)
+            if dx > bound or dy > bound:
+                assert got is None
+                continue
+            hits = np.argwhere(needs[dx:, dy:] & table[: n - dx, : n - dy])
+            first = (int(hits[0, 0]) + dx, int(hits[0, 1]) + dy) if hits.size else None
+            assert got == first, (bound, (dx, dy))
+
+
+def assert_90_witnesses_match_brute_force(spec):
+    # the row-major first non-member with exactly spec.need P-options,
+    # one of them reached by the move, counted over options() one by one
+    bound = 60
+    cells = set(zip(*np.nonzero(solve(spec, bound).ppos)))
+    box = [(x, y) for x in range(bound + 1) for y in range(bound + 1)]
+    needs = [p for p in box if p not in cells
+             and sum(q in cells for q in options(p)) == spec.need]
+    for i in range(1, 31):
+        for dx, dy in ((i, 0), (0, i), (i, i)):
+            first = next(((x, y) for x, y in needs if (x - dx, y - dy) in cells), None)
+            assert first is not None
+            assert non_redundant_witness(spec, (dx, dy), bound) == first, (dx, dy)
+
+
 class TestWitnesses:
     def test_move_validation(self):
         for bad in ((0, 0), (1, 2), (-1, 0), (0, -2), (2, 3), (1.5, 0), (True, 0), (2, 2.0)):
@@ -693,39 +747,37 @@ class TestWitnesses:
             assert cnt[x, y] == want
             assert table[x - move[0], y - move[1]]
 
-    @pytest.mark.parametrize("spec", [kspec(e) for e in range(5)]
-                             + [wspec(k) for k in (1, 2, 3)], ids=GameSpec.label)
+    @pytest.mark.parametrize("spec", WITNESS_SPECS, ids=GameSpec.label)
     def test_witness_is_row_major_first(self, spec):
-        want = 1 if spec.variant == "K" else spec.k
-        moves = [m for i in range(1, 13) for m in ((i, 0), (0, i), (i, i))]
-        for bound in range(41):
-            table = solve(spec, bound).ppos
-            needs = ~table & (option_member_counts(table) == want)
-            n = bound + 1
-            for dx, dy in moves:
-                got = non_redundant_witness(spec, (dx, dy), bound)
-                if dx > bound or dy > bound:
-                    assert got is None
-                    continue
-                hits = np.argwhere(needs[dx:, dy:] & table[: n - dx, : n - dy])
-                first = (int(hits[0, 0]) + dx, int(hits[0, 1]) + dy) if hits.size else None
-                assert got == first, (bound, (dx, dy))
+        assert_row_major_first_witnesses(spec)
 
     @pytest.mark.parametrize("spec", [kspec(2), wspec(3)], ids=GameSpec.label)
     def test_all_90_witnesses_match_brute_force(self, spec):
-        # the row-major first non-member with exactly spec.need P-options,
-        # one of them reached by the move, counted over options() one by one
-        bound = 60
-        cells = set(zip(*np.nonzero(solve(spec, bound).ppos)))
-        box = [(x, y) for x in range(bound + 1) for y in range(bound + 1)]
-        needs = [p for p in box if p not in cells
-                 and sum(q in cells for q in options(p)) == spec.need]
-        for i in range(1, 31):
-            for dx, dy in ((i, 0), (0, i), (i, i)):
-                first = next(((x, y) for x, y in needs if (x - dx, y - dy) in cells),
-                             None)
-                assert first is not None
-                assert non_redundant_witness(spec, (dx, dy), bound) == first, (dx, dy)
+        assert_90_witnesses_match_brute_force(spec)
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_chunk_boundaries_keep_the_first_witness(self, chunk, monkeypatch):
+        monkeypatch.setattr("wythlab.games._WITNESS_CHUNK", chunk)
+        for spec in WITNESS_SPECS:
+            assert_row_major_first_witnesses(spec)
+        for spec in (kspec(2), wspec(3)):
+            assert_90_witnesses_match_brute_force(spec)
+        # K^1 on [0,6]^2, move (0, 3): the candidates start with the terminal
+        # targets (0, 3), (0, 4), (1, 3), and only the third is a witness, so
+        # it lies past the first chunk
+        assert non_redundant_witness(kspec(1), (0, 3), 6) == (1, 3)
+        assert non_redundant_witness(kspec(1), (3, 0), 6) == (3, 1)
+
+    def test_work_does_not_grow_with_the_bound(self, monkeypatch):
+        counted = []
+
+        def spy(table, x, y):
+            counted.append(x.size)
+            return _option_counts(table, x, y)
+
+        monkeypatch.setattr("wythlab.games._option_counts", spy)
+        assert all(non_redundant_witness(kspec(1), m, 6476) for m in MOVES_90)
+        assert sum(counted) < 90 * (_WITNESS_CHUNK + 4)
 
     def test_witness_stays_linear_in_memory(self):
         tracemalloc.start()
@@ -782,13 +834,15 @@ class TestTerminalTriangle:
     def test_ell_past_the_box_acts_as_the_whole_box(self, ell, bound):
         # every ell >= 2 * bound makes the whole box terminal, so ell reaches
         # numpy capped at 2 * bound: 10^30 used to raise OverflowError, and
-        # at 2^63 - 1 the line keys' ell - r + 1 would wrap
+        # at 2^63 - 1 the counts' ell + 1 - x would wrap
         spec, same = kspec(ell), kspec(2 * bound + 1)
         got, want = solve(spec, bound), solve(same, bound)
         assert got.xs.size == want.xs.size == 0
         assert got.ppos.all() and got.ppos.shape == (bound + 1, bound + 1)
-        for (keys, starts), (keys2, starts2) in zip(got._line_keys, want._line_keys):
-            assert np.array_equal(keys, keys2) and np.array_equal(starts, starts2)
+        for keys, keys2 in zip(got._line_keys, want._line_keys, strict=True):
+            assert np.array_equal(keys, keys2)
+        x, y = np.indices((bound + 1, bound + 1)).reshape(2, -1)
+        assert np.array_equal(_option_counts(got, x, y), _option_counts(want, x, y))
         ones, pairs = np.ones((bound + 1, bound + 1), bool), [(bound, bound)]
         for candidate in (got, want, ones, pairs):
             for check in (check_stable, check_absorbing):
