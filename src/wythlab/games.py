@@ -9,14 +9,17 @@ option is P" losing test into "at least k options are P".
 
 Every option of a position lies in an earlier row of the box, or earlier
 in its own row, so solving the positions in row-major order is exact on the
-full box with no truncation at the boundary.  One counting sweep visits the
-rows in that order, keeps each column's and each diagonal's member count as
-bit-planes in Python ints, and applies the rule: it sizes the planes and
-gives each row its first non-terminal cell and the cells the rule calls P.
-The solver takes those cells as members; the absorption check reads members
-from a candidate, a PNTable, a boolean mask or integer pairs that list their
-whole set, and reports the first such cell that is not one.  Other sets enter
-a PNTable by from_cells, which never casts.  Exact counts, for stability (of
+full box with no truncation at the boundary.  One counting sweep, a single
+loop with the rule inline, visits the rows in that order.  It keeps each
+column's and each diagonal's member count as "used" bit-planes in Python
+ints, bit y of plane c set when the line through cell y of the current row
+holds more than c members, and in each row finds the lowest cell after the
+last member that the rule calls P.  It has two modes.  The solver takes
+each such cell as a member and gets the P-cells back.  The absorption
+check takes the members from a candidate's row-major cells, a PNTable, a
+boolean mask or integer pairs that list their whole set, and gets the first
+such cell that is not one.  Other sets enter a PNTable by from_cells, which
+never casts.  Exact counts, for stability (of
 the members alone), the witness search, option_member_counts and the
 absorption check's report, come from binary search in the line keys that a
 PNTable builds once and keeps; the witness search counts its row-major
@@ -34,6 +37,7 @@ import numbers
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -63,9 +67,11 @@ _WITNESS_CHUNK = 64  # candidates in the witness search's first chunk
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised instead of attempting a solve past the bound cap.  The solve
-    keeps min(k, 3B + 1) planes of B + 1 bits, so the cap bounds its time:
-    O(B^2 / word) for a sparse P-set, growing with each row's members for large k."""
+    """Raised instead of attempting a solve past the bound cap.  The sweep
+    keeps min(k, 3B + 1) "used" bit-planes, each no longer than the box's B + 1
+    bits plus the 64 rows between the cuts of the diagonal planes, so the cap
+    bounds its time: O(B^2 / word) for a sparse P-set, growing with each
+    row's members for large k."""
 
 
 class CacheError(ValueError):
@@ -274,46 +280,77 @@ def options(p: tuple[int, int]) -> list[tuple[int, int]]:
     return out
 
 
-def _sweep(spec: GameSpec, bound: int, row) -> None:
-    """Visit the rows x = 0..bound of [0,bound]^2 in order under spec's rule.
+def _sweep(spec: GameSpec, bound: int, given: tuple[list[int], list[int]] | None = None):
+    """The one row-major counting sweep of [0,bound]^2 under spec's rule.
 
     Every option of (x, y) lies in an earlier row, or earlier in row x, so
     row-major order is exact.  A cell has at most 3 * bound options, so the
-    sweep keeps need = min(spec.need, 3 * bound + 1) unary bit-planes in
-    Python ints: bit y of cols[c] is set when column y holds at most c
+    sweep keeps need = min(spec.need, 3 * bound + 1) "used" bit-planes in
+    Python ints: bit y of cols[c] is set when column y holds more than c
     members of the earlier rows, and bit y of diags[c] when the difference
-    y - x of the current row x does.  row(x, first, open) gets row x's first
-    non-terminal cell and open(found), a bitmask whose bits y >= first are
-    the cells that the rule calls P after found members of the row, at
-    O(need - found) big-int operations; it returns the bitmask of row x's
-    members, or None to stop the sweep.  Updating the planes costs O(need)
-    operations on B/30-digit ints per row.  bound is a Python int >= 0.
+    y - x of the current row x does.  The rule calls a cell P when its lines
+    hold fewer than t = need - found members, found counting the row's
+    members before it, terminal ones included: a zero bit of the AND over
+    a < t of cols[a] | diags[t - 1 - a].  Each row's lowest such cell after
+    its last member costs O(t) big-int operations.
+
+    With given None that cell is the next member, and the sweep returns the
+    P-cells outside the terminal triangle as lists xs, ys, row-major.  With
+    given (starts, ys), a candidate's row-major non-terminal cells, row x's
+    members are ys[starts[x]:starts[x + 1]], and the sweep returns the
+    row-major first non-member (x, y) that the rule calls P, or None.
+
+    Updating the planes costs O(need) operations a row on ints no longer
+    than the highest column or diagonal that holds a member; the diagonal
+    planes shift one bit a row and are cut to the box every 64 rows.  bound
+    is a Python int >= 0.
     """
     need, n = min(spec.need, 3 * bound + 1), bound + 1
-    full = (1 << n) - 1
-    cols = [full] * need
-    diags = [full] * need
-
-    def open(found: int) -> int:
-        t = need - found
-        out = 0
-        for a in range(t):
-            out |= cols[a] & diags[t - 1 - a]
-        return out
-
+    ell, full = _terminal_sum(spec, bound), (1 << n) - 1
+    cols, diags = [0] * need, [0] * need
+    planes = range(need - 1, 0, -1)
+    starts, cells = given or ((), ())
+    xs: list[int] = []
+    ys: list[int] = []
     for x in range(n):
-        first = min(max(spec.terminal_sum - x + 1, 0), n)
-        members = row(x, first, open)
-        if members is None:
-            return
-        others = ~members
-        for c in range(need - 1, 0, -1):
-            cols[c] = cols[c] & others | cols[c - 1] & members
-            diags[c] = diags[c] & others | diags[c - 1] & members
-        cols[0] &= others
-        diags[0] &= others
-        # row x + 1 reads difference y - x - 1 at bit y; the new one at bit 0 is empty
-        diags[:] = [(d << 1 | 1) & full for d in diags]
+        first = 0 if x > ell else min(ell - x + 1, n)  # the row's terminal cells are P
+        members = (1 << first) - 1
+        found = y = first
+        if given:
+            i, end = starts[x], starts[x + 1]
+        while True:
+            z = n
+            if found < need:
+                t = need - found
+                used = cols[0] | diags[t - 1]
+                for a in range(1, t):
+                    used &= cols[a] | diags[t - 1 - a]
+                used >>= y  # its lowest zero bit is the lowest open cell >= y
+                z = y + (used ^ (used + 1)).bit_length() - 1
+            if given:
+                m = cells[i] if i < end else n
+                if z < m:
+                    return x, z
+                if m == n:
+                    break
+                i += 1
+            else:
+                if z > bound:
+                    break
+                m = z
+                xs.append(x)
+                ys.append(z)
+            members |= 1 << m
+            found += 1
+            y = m + 1
+        for c in planes:
+            cols[c] |= cols[c - 1] & members
+            diags[c] = (diags[c] | diags[c - 1] & members) << 1
+        cols[0] |= members
+        diags[0] = (diags[0] | members) << 1  # row x + 1 reads difference y - x - 1 at bit y
+        if x & 63 == 63:
+            diags = [d & full for d in diags]
+    return None if given else (xs, ys)
 
 
 def _p_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -324,22 +361,7 @@ def _p_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
             f"bound {bound} exceeds the solver cap {MAX_SOLVE_BOUND}; "
             "no partial table is produced"
         )
-    xs: list[int] = []
-    ys: list[int] = []
-
-    def classify(x, first, open):
-        members = (1 << first) - 1  # terminal cells are P
-        found = y = first  # the row's members so far, and the next cell
-        while free := open(found) >> y:
-            y += (free & -free).bit_length() - 1
-            members |= 1 << y
-            xs.append(x)
-            ys.append(y)
-            found += 1
-            y += 1
-        return members
-
-    _sweep(spec, bound, classify)
+    xs, ys = _sweep(spec, bound)
     return np.array(xs, np.int64), np.array(ys, np.int64)
 
 
@@ -427,6 +449,8 @@ def check_stable(candidate, spec: GameSpec, bound: int) -> CheckResult:
     over the line keys.  The counterexample of the row-major first violator
     is (source, member option) for K and (source, tuple of k member options)
     for W, in options() order: column, row, then the diagonal by falling x.
+    The report reads the candidate's cells on the violator's three lines and
+    the terminal cells on them, never the violator's whole option list.
     """
     table = _candidate_table(candidate, spec, bound)
     tx, ty = table.xs, table.ys
@@ -434,12 +458,21 @@ def check_stable(candidate, spec: GameSpec, bound: int) -> CheckResult:
     if not bad.size:
         return CheckResult(True, f"stable on [0,{bound}]^2")
     src = sx, sy = int(tx[bad[0]]), int(ty[bad[0]])
-    on = (tx == sx) | (ty == sy) | (tx - ty == sx - sy)  # the violator's lines
-    cells = set(zip(tx[on].tolist(), ty[on].tolist()))
-    members = [q for q in options(src) if q in cells or sum(q) <= spec.terminal_sum]
-    if spec.variant == "K":
-        return CheckResult(False, f"member {src} moves to member {members[0]}",
-                           (src, members[0]))
+    # the violator's member options: the candidate's cells on its three lines
+    # and the terminal cells, which lie nearest the origin, so they come first
+    # on the column and the row and last on the diagonal, walked by falling x
+    ell, before = _terminal_sum(spec, table.bound), tx < sx
+    lo = max(-((ell - sx - sy) // 2), 1)  # (sx - t, sy - t) is terminal for t >= lo
+    col = chain(range(min(sx, ell - sy + 1)), tx[before & (ty == sy)].tolist())
+    row = chain(range(min(sy, ell - sx + 1)), ty[(tx == sx) & (ty < sy)].tolist())
+    diag = chain(tx[before & (tx - ty == sx - sy)][::-1].tolist(),
+                 range(sx - lo, max(sx - sy, 0) - 1, -1))
+    members = chain(((c, sy) for c in col), ((sx, c) for c in row),
+                    ((c, c - sx + sy) for c in diag))
+    if spec.variant == "K":  # one option: a terminal range may hold O(bound) cells
+        option = next(members)
+        return CheckResult(False, f"member {src} moves to member {option}", (src, option))
+    members = list(members)
     return CheckResult(False, f"member {src} has {len(members)} member options "
                        f"(max {spec.k - 1})", (src, tuple(members[: spec.k])))
 
@@ -450,33 +483,16 @@ def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
     K variant: every non-member must have a member option; the terminal
     cells are members by the rule, whatever the candidate holds there.
     W variant: every non-member needs at least k member options.  This reads
-    every cell, so it runs the counting sweep, in which a row's own member
-    count is constant between its members, and stops at the first row with
-    a non-member that the rule calls P: the row-major first violator.
+    every cell, so it runs the solver's counting sweep with the candidate's
+    row-major cells as the members, walking each row's cells by index; the
+    row's own member count is constant between them, so the sweep tests only
+    the lowest open cell before each one, and it stops at the first
+    non-member that the rule calls P: the row-major first violator.  The
+    report reads that cell's exact count from the candidate's line keys.
     """
     table = _candidate_table(candidate, spec, bound)
     starts = np.r_[0, np.bincount(table.xs, minlength=table.bound + 1).cumsum()].tolist()
-    ys = table.ys.tolist()
-    violator = None
-
-    def read(x, first, open):
-        nonlocal violator
-        members = sum(1 << y for y in ys[starts[x] : starts[x + 1]])
-        later, bad, found, y = members, 0, first, first  # the first cells are terminal
-        while free := open(found):
-            nxt = later & -later  # the next member; 0 after the last
-            bad |= free & (nxt - 1) >> y << y
-            if not nxt:
-                break
-            later ^= nxt
-            y = nxt.bit_length()
-            found += 1
-        if bad:
-            violator = x, (bad & -bad).bit_length() - 1
-            return None
-        return members | (1 << first) - 1
-
-    _sweep(spec, table.bound, read)
+    violator = _sweep(spec, table.bound, (starts, table.ys.tolist()))
     if violator is None:
         return CheckResult(True, f"absorbing on [0,{bound}]^2")
     x, y = violator

@@ -637,7 +637,7 @@ class TestKernelChecksAgainstOptions:
         flipped = mask.copy()
         flipped[7, 12] = not flipped[7, 12]
 
-        def no_sweep(spec, bound, row):
+        def no_sweep(spec, bound, given=None):
             raise AssertionError("check_stable swept the box")
 
         monkeypatch.setattr("wythlab.games._sweep", no_sweep)
@@ -679,6 +679,47 @@ class TestKernelChecksAgainstOptions:
             tracemalloc.stop()
         assert (res.ok, res.counterexample) == (False, want)
         assert peak < 120 * 2**20
+
+    @pytest.mark.parametrize("spec,xs,ys,want", [
+        (wspec(1), [10**6, 1, 10**6], [10**6 - 3, 2, 5], ((10**6, 10**6 - 3), ((10**6, 5),))),
+        (kspec(2), [10**6], [1], ((10**6, 1), (0, 1))),  # a terminal member option
+    ], ids=["W1", "K2"])
+    def test_violator_far_from_the_origin_reads_its_lines(self, spec, xs, ys, want):
+        # a report that listed options(src) held 3 * 10^6 tuples: 313 MiB
+        table = PNTable.from_cells(spec, 10**6, xs, ys)
+        tracemalloc.start()
+        try:
+            res = check_stable(table, spec, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (res.ok, res.counterexample) == (False, want)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("spec", [kspec(e) for e in range(5)]
+                             + [wspec(k) for k in range(1, 6)], ids=GameSpec.label)
+    def test_flip_past_the_diagonal_cut_matches_counts(self, spec):
+        # the sweep cuts its diagonal planes to the box every 64 rows; one
+        # flipped cell in a later row must give the row-major first
+        # non-member that the rule calls P by a count that never sweeps
+        bound = 200
+        table = solve(spec, bound)
+        non_terminal = np.indices((bound + 1, bound + 1)).sum(axis=0) > spec.terminal_sum
+        rule_p = ~non_terminal | (option_member_counts(table.ppos) < spec.need)
+        assert np.array_equal(table.ppos, rule_p)  # the solve is the rule's fixed point
+        assert check_absorbing(table, spec, bound).ok
+        for x in {int(table.xs[table.xs > 64][0]), int(table.xs[table.xs > 128][0]),
+                  int(table.xs[-1])}:  # rows that hold a P-cell
+            row = table.ys[table.xs == x].tolist()
+            added = next(y for y in range(bound + 1) if y not in row)
+            for y in (row[0], added):  # a removal, then an addition
+                mask = table.ppos.copy()
+                mask[x, y] = not mask[x, y]
+                lacks = ~mask & non_terminal & (option_member_counts(mask) < spec.need)
+                cells = np.argwhere(lacks)  # row-major
+                want = tuple(cells[0].tolist()) if len(cells) else None
+                res = check_absorbing(mask, spec, bound)
+                assert (res.ok, res.counterexample) == (want is None, want)
 
     def test_checkers_stay_linear_in_memory(self):
         spec, bound = kspec(2), 2000
