@@ -205,7 +205,6 @@ def _partition_dfao(part: MorphicPartition) -> DFAO:
 def builtin_dfaos() -> dict[str, DFAO]:
     """Named automata available to the command-line export and eval tools."""
     out = {f"k{ell}-adjust": adjust_dfao(ell) for ell in ADJUST_SYSTEMS}
-    out["wythoff-partition"] = _partition_dfao(PARTITION_SYSTEMS[0])
-    for ell in (1, 2, 3):
-        out[f"k{ell}-partition"] = _partition_dfao(PARTITION_SYSTEMS[ell])
+    for ell, part in PARTITION_SYSTEMS.items():
+        out[f"k{ell}-partition" if ell else "wythoff-partition"] = _partition_dfao(part)
     return out

@@ -24,8 +24,8 @@ from math import isqrt
 import numpy as np
 
 from .catalog import adjust_dfao
-from .fibnum import floor_phi, floor_phi_range, rep_F
-from .games import CheckResult, GameSpec, PNTable, PposSequence, _bound, _is_int, kspec, wspec
+from .fibnum import _is_int, _natural, floor_phi, floor_phi_range, rep_F
+from .games import CheckResult, GameSpec, PNTable, PposSequence, kspec, wspec
 from .morphisms import (
     DFAO,
     Coding,
@@ -76,6 +76,7 @@ def _mex_arrays(ell: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     values between the last a and the last b are exactly the next a's, in
     order.  Each block takes them at once, growing the count about phi-fold.
     """
+    ell, count = _natural(ell, "ell", None), _natural(count, "count", None)
     if ell < 0 or count < 0:
         raise ValueError(f"ell and count must be naturals: {ell}, {count}")
     # a_n <= 2n + ell + 1 by pigeonhole, so b_n <= 3n + 2 ell + 2 < size
@@ -137,8 +138,7 @@ def _closed_form_arrays(ell: int, first: int, stop: int) -> tuple[np.ndarray, np
 def _closed_form_pair(ell: int, n: int, shift: int) -> tuple[int, int]:
     """Pair n of a K^ell family that starts at Beatty index shift: the
     CLOSED_FORMS row at the one index m = n + shift, in O(log m)."""
-    if n < 0:
-        raise ValueError(f"negative pair index {n}")
+    n = _natural(n, "pair index")
     adjust, lag, alpha = CLOSED_FORMS[ell]
     m = n + shift
     a = floor_phi(m) + eval_dfao(adjust, m - lag) + alpha
@@ -147,8 +147,7 @@ def _closed_form_pair(ell: int, n: int, shift: int) -> tuple[int, int]:
 
 def closed_form_pairs(ell: int, count: int) -> PposSequence:
     """First count non-terminal pairs of K^ell from its closed form."""
-    if count < 0:
-        raise ValueError(f"negative pair count {count}")
+    count = _natural(count, "pair count")
     return PposSequence(ell, np.column_stack(_closed_form_arrays(ell, 2, count + 2)))
 
 
@@ -158,7 +157,7 @@ def closed_form_table(spec: GameSpec, bound: int) -> PNTable:
     K^ell: the CLOSED_FORMS pairs, and .ppos adds the terminal triangle.
     W^k: the explicit pair families plus (0, 0).  Both orientations.
     """
-    bound = _bound(bound)
+    bound = _natural(bound, "bound")
     if spec.variant == "K":
         # adj >= 0 and alpha >= -1 give a > m phi - 2, so every pair with
         # a <= bound has m < (bound + 2) / phi, below this stop
@@ -185,6 +184,7 @@ def closed_form_K1(a: int, b: int) -> bool:
     True on the terminal pairs (a+b <= 1) and when the representation of b
     is the representation of a, ending in 0, with a 1 appended.
     """
+    a, b = _natural(a, "coordinate"), _natural(b, "coordinate")
     if a > b:
         raise ValueError(f"expected a <= b, got ({a}, {b})")
     if a + b <= 1:
@@ -262,9 +262,8 @@ def k4_adjust_prefix_bruteforce(count: int) -> tuple[int, ...]:
 def ppos_W2(x: int, y: int) -> bool:
     """Membership in the W^2 P-set: (0,0), the pairs {n, 2n+1}, and the
     all-even pairs {2 floor(n phi)+2, 2 floor(n phi^2)+2}."""
+    x, y = _natural(x, "coordinate"), _natural(y, "coordinate")
     u, v = (x, y) if x <= y else (y, x)
-    if u < 0:
-        raise ValueError(f"negative coordinate in ({x}, {y})")
     if u == 0 and v == 0:
         return True
     if v == 2 * u + 1:
@@ -278,9 +277,8 @@ def ppos_W2(x: int, y: int) -> bool:
 
 def ppos_W3(x: int, y: int) -> bool:
     """Membership in the W^3 P-set: (0,0) and the pairs {n, 2n+1}, {n, 2n+2}."""
+    x, y = _natural(x, "coordinate"), _natural(y, "coordinate")
     u, v = (x, y) if x <= y else (y, x)
-    if u < 0:
-        raise ValueError(f"negative coordinate in ({x}, {y})")
     if u == 0 and v == 0:
         return True
     return v == 2 * u + 1 or v == 2 * u + 2
@@ -320,6 +318,7 @@ class DiscrepancyProfile:
 
 def discrepancy_profile(ell: int, horizon: int) -> DiscrepancyProfile:
     """Profile of K^ell pairs for all indices n <= horizon."""
+    ell, horizon = _natural(ell, "ell", None), _natural(horizon, "horizon", None)
     if ell < 0 or horizon < 0:
         raise ValueError(f"ell and horizon must be naturals: {ell}, {horizon}")
     count = horizon + 1
@@ -395,8 +394,8 @@ def check_discrepancy(profile: DiscrepancyProfile) -> CheckResult:
 def density_certificate(a_n: int, n: int, num: int, den: int) -> bool:
     """Exact truth of |a_n/n - phi| <= num/den for positive n, den: den a_n -
     num n <= den n phi <= den a_n + num n, decided by the floor of den n phi."""
-    if n <= 0 or den <= 0:
-        raise ValueError("n and den must be positive")
+    a_n, num = _natural(a_n, "a_n", None), _natural(num, "num", None)
+    n, den = _natural(n, "n", 1), _natural(den, "den", 1)
     return den * a_n - num * n <= floor_phi(den * n) < den * a_n + num * n
 
 

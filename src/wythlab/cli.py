@@ -17,6 +17,7 @@ import json
 import sys
 
 from .catalog import builtin_dfaos
+from .fibnum import _natural
 from .games import (
     GameSpec,
     PposSequence,
@@ -152,15 +153,12 @@ def _write_text(path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(parser, args) -> int:
-    try:  # refuses a missing parameter and the other variant's
+    try:  # refuses a missing parameter, the other variant's and a negative bound
         spec = GameSpec(args.game, ell=args.ell, k=args.k)
+        default = K_BOUND_DEFAULT if spec.variant == "K" else W_BOUND_DEFAULT
+        bound = _natural(default if args.bound is None else args.bound, "bound")
     except ValueError as exc:
         parser.error(str(exc))
-    bound = args.bound
-    if bound is None:
-        bound = K_BOUND_DEFAULT if spec.variant == "K" else W_BOUND_DEFAULT
-    if bound < 0:
-        parser.error(f"negative bound {bound}")
     if args.format == "cache":
         if args.out is None:
             parser.error("--format cache requires --out")

@@ -14,6 +14,7 @@ also provides the Hofstadter G-sequence, mex, and reference sqrt(5) certificates
 """
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_right
 from collections.abc import Sequence
 from math import isqrt
@@ -41,6 +42,24 @@ __all__ = [
 _FIBS: list[int] = [1, 2]
 
 
+def _is_int(v) -> bool:  # the type test spares a plain int the slower ABC test
+    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _natural(value, what: str, least: int | None = 0) -> int:
+    """One rule for every natural argument: value, numpy integers too, as an int >= least
+    (any int if least is None); a bool, a float, another non-integer or a smaller value
+    is a ValueError naming it.  Hot callers skip the call for a plain int >= least."""
+    if type(value) is not int:
+        if not _is_int(value):
+            raise ValueError(f"{what} {value!r} is not an integer")
+        value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"negative {what} {value}" if least == 0
+                         else f"{what} must be >= {least}, got {value}")
+    return value
+
+
 def _fibs_through(n: int, i: int = 0) -> list[int]:
     """Extend the weight table until it holds fib(i) and a weight above n."""
     while len(_FIBS) <= i or _FIBS[-1] <= n:
@@ -50,15 +69,13 @@ def _fibs_through(n: int, i: int = 0) -> list[int]:
 
 def fib(i: int) -> int:
     """The i-th numeration weight: fib(0)=1, fib(1)=2, fib(2)=3, ..."""
-    if i < 0:
-        raise ValueError(f"negative index {i}")
+    i = _natural(i, "index")
     return _fibs_through(0, i)[i]
 
 
 def rep_F(n: int) -> str:
     """Greedy Zeckendorf representation of n, msd first; rep_F(0) = ''."""
-    if n < 0:
-        raise ValueError(f"negative argument {n}")
+    n = _natural(n, "argument")
     if n == 0:
         return ""
     fs = _fibs_through(n)
@@ -86,8 +103,7 @@ def _digit_columns(n_max: int):
 
 def zeckendorf_digits(n_max: int) -> np.ndarray:
     """(n_max+1, L) uint8 matrix whose row n is rep_F(n), msd first, zero-padded."""
-    if n_max < 0:
-        raise ValueError(f"negative argument {n_max}")
+    n_max = _natural(n_max, "argument")
     cols = [take for _, take in _digit_columns(n_max)]
     return np.array(cols, dtype=np.uint8).reshape(len(cols), n_max + 1).T
 
@@ -122,8 +138,7 @@ def shift_range(n_max: int, i: int = 1) -> np.ndarray:
     """Array of val_F(rep_F(n) + "0" * i) for n = 0..n_max; i=1 gives shift.
     rep_F(fib(j) + r) is rep_F(r) under a leading 1 when r < fib(j - 1), so
     out[fib(j) + r] = out[r] + fib(j + i): one slice per weight."""
-    if min(n_max, i) < 0:
-        raise ValueError(f"negative argument {min(n_max, i)}")
+    n_max, i = _natural(n_max, "argument"), _natural(i, "argument")
     top = bisect_right(_fibs_through(n_max), n_max)  # weights <= n_max
     if top and fib(top + i) > np.iinfo(np.int64).max:  # bounds every value
         raise ValueError(f"shift_range({n_max}, {i}) overflows int64")
@@ -137,14 +152,14 @@ def shift_range(n_max: int, i: int = 1) -> np.ndarray:
 def floor_phi(n: int) -> int:
     """floor(n * phi) = floor((n + n sqrt(5)) / 2), by isqrt: independent of
     floor_phi_range, which it checks."""
-    if n < 0:
-        raise ValueError(f"negative argument {n}")
+    if type(n) is not int or n < 0:
+        n = _natural(n, "argument")
     return (n + isqrt(5 * n * n)) // 2
 
 
 def floor_phi2(n: int) -> int:
     """floor(n * phi^2) = floor(n * phi) + n, exactly, as phi^2 = phi + 1."""
-    return floor_phi(n) + n
+    return floor_phi(n) + _natural(n, "argument")  # floor_phi has refused a non-natural
 
 
 def floor_phi_range(n_max: int) -> np.ndarray:
@@ -160,8 +175,10 @@ def is_floor_phi(n: int, m: int) -> bool:
 
     m <= n*phi < m+1 is equivalent to (2m-n)^2 < 5n^2 and (2m+2-n)^2 > 5n^2
     for n >= 1 (both sides of each comparison are integers; equality cannot
-    occur because sqrt(5) is irrational).
+    occur because sqrt(5) is irrational).  m may be any integer.
     """
+    if type(n) is not int or n < 0 or type(m) is not int:
+        n, m = _natural(n, "argument"), _natural(m, "argument", None)
     if n == 0:
         return m == 0
     return (2 * m - n) ** 2 < 5 * n * n and (2 * m + 2 - n) ** 2 > 5 * n * n
@@ -169,6 +186,7 @@ def is_floor_phi(n: int, m: int) -> bool:
 
 def hofstadter_h(n: int) -> int:
     """Hofstadter G-sequence: h(n) = floor((n+1)/phi) = floor((n+1)*phi) - n - 1."""
+    n = _natural(n, "argument")
     return floor_phi(n + 1) - n - 1
 
 

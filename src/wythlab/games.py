@@ -33,13 +33,14 @@ turn cells into pairs and back.
 from __future__ import annotations
 
 import hashlib
-import numbers
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
+
+from .fibnum import _is_int, _natural
 
 __all__ = [
     "GameSpec",
@@ -116,10 +117,6 @@ class GameSpec:
         return f"W k={self.k}"
 
 
-def _is_int(v) -> bool:  # the type test spares a plain int the slower ABC test
-    return type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def kspec(ell: int) -> GameSpec:
     return GameSpec("K", ell=ell)
 
@@ -148,7 +145,7 @@ class PNTable:
     def from_cells(cls, spec: GameSpec, bound: int, xs, ys) -> PNTable:
         """The table of the integer cells (xs[i], ys[i]) in the box, less terminal ones;
         columns of two dtypes are zipped, not stacked, so numpy casts neither."""
-        bound = _bound(bound)
+        bound = _natural(bound, "bound")
         if bound > 2**31 - 1:  # the diagonal keys reach 2 * bound * (bound + 1) + bound
             raise ValueError(f"bound {bound} past {2**31 - 1:,} overflows a table's int64 keys")
         same = type(xs) is type(ys) is np.ndarray and xs.dtype == ys.dtype
@@ -170,9 +167,7 @@ class PNTable:
     def ppos(self) -> np.ndarray:
         mask = np.zeros((self.bound + 1, self.bound + 1), dtype=bool)
         mask[self.xs, self.ys] = True
-        ell = _terminal_sum(self.spec, self.bound)
-        for x in range(min(ell, self.bound) + 1):
-            mask[x, : ell - x + 1] = True  # the terminal triangle
+        mask[_triangle(self.spec, self.bound)] = True
         mask.flags.writeable = False
         return mask
 
@@ -195,12 +190,14 @@ def _terminal_sum(spec: GameSpec, bound: int) -> int:
     return min(spec.terminal_sum, 2 * bound)
 
 
-def _bound(bound) -> int:
-    """bound as a Python int >= 0, by GameSpec's rule, which refuses a bool."""
-    if not _is_int(bound) or bound < 0:
-        raise ValueError(f"negative bound {bound}" if _is_int(bound)
-                         else f"bound {bound!r} is not an integer")
-    return int(bound)
+def _triangle(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row-major cells (xs, ys) of [0,bound]^2 with x + y <= _terminal_sum."""
+    ell = _terminal_sum(spec, bound)
+    rows = np.arange(min(ell, bound) + 1)
+    sizes = np.minimum(ell - rows, bound) + 1
+    ys = np.arange(sizes.sum())
+    ys -= np.repeat(sizes.cumsum() - sizes, sizes)  # less the row's first index
+    return np.repeat(rows, sizes), ys
 
 
 def _int_pairs(pairs) -> np.ndarray:
@@ -353,33 +350,25 @@ def _sweep(spec: GameSpec, bound: int, given: tuple[list[int], list[int]] | None
     return None if given else (xs, ys)
 
 
-def _p_cells(spec: GameSpec, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of the O(bound) P-positions of [0,bound]^2 outside the
-    terminal triangle, row-major."""
+@lru_cache(maxsize=64)
+def _solve_cached(spec: GameSpec, bound: int) -> PNTable:
     if bound > MAX_SOLVE_BOUND:
         raise ResourceLimitError(
             f"bound {bound} exceeds the solver cap {MAX_SOLVE_BOUND}; "
             "no partial table is produced"
         )
-    xs, ys = _sweep(spec, bound)
-    return np.array(xs, np.int64), np.array(ys, np.int64)
-
-
-@lru_cache(maxsize=64)
-def _solve_cached(spec: GameSpec, bound: int) -> PNTable:
-    return PNTable(spec, bound, *_p_cells(spec, bound))
+    return PNTable(spec, bound, *(np.array(c, np.int64) for c in _sweep(spec, bound)))
 
 
 def solve(spec: GameSpec, bound: int) -> PNTable:
     """Exact classification of the full box [0,bound]^2, memoised as P-cells;
     the table is immutable and safe to share."""
-    return _solve_cached(spec, _bound(bound))
+    return _solve_cached(spec, _natural(bound, "bound"))
 
 
 def solve_pairs(spec: GameSpec, bound: int) -> list[tuple[int, int]]:
-    """Sorted non-terminal P-pairs of the box, computed afresh, not memoised."""
-    bound = _bound(bound)
-    return list(ppos_list(PNTable(spec, bound, *_p_cells(spec, bound))).pairs)
+    """Sorted non-terminal P-pairs of the box, from solve's memo."""
+    return list(ppos_list(solve(spec, bound)).pairs)
 
 
 def ppos_list(table: PNTable) -> PposSequence:
@@ -395,14 +384,13 @@ def ppos_list(table: PNTable) -> PposSequence:
 def _candidate_table(candidate, spec: GameSpec, bound: int) -> PNTable:
     """A candidate's whole set as spec's table on [0,bound]^2, through from_cells:
     a PNTable's cells and triangle, a bool array's nonzero cells or integer pairs."""
-    bound = _bound(bound)
+    bound = _natural(bound, "bound")
     if isinstance(candidate, PNTable):
         if candidate.bound < bound:
             raise ValueError(f"candidate bound {candidate.bound} below {bound}")
         xs, ys = candidate.xs, candidate.ys
         if _terminal_sum(candidate.spec, bound) > _terminal_sum(spec, bound):
-            tri = PNTable.from_cells(candidate.spec, bound, [], []).ppos  # its own triangle
-            xs, ys = np.hstack((np.nonzero(tri), (xs, ys)))
+            xs, ys = np.hstack((_triangle(candidate.spec, bound), (xs, ys)))
     elif isinstance(candidate, np.ndarray) and candidate.dtype == bool:
         if candidate.ndim != 2 or min(candidate.shape) <= bound:
             raise ValueError(f"candidate {candidate.shape} is not a 2-D array "
@@ -517,7 +505,7 @@ def non_redundant_witness(
     of the box costs one small chunk, and no call counts more than one pass
     over the candidates.
     """
-    bound = _bound(bound)
+    bound = _natural(bound, "bound")
     dx, dy = move
     if not (_is_int(dx) and _is_int(dy) and (dx > 0 and dy in (0, dx) or dx == 0 < dy)):
         raise ValueError(f"move {move} is not of Wythoff shape")

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fibnum import (_digit_columns, _fibs_through, fib, floor_phi_range, rep_F,
-                     shift_range, val_F)
+from .fibnum import (_digit_columns, _fibs_through, _natural, fib, floor_phi_range,
+                     rep_F, shift_range, val_F)
 
 __all__ = [
     "Morphism",
@@ -112,8 +112,7 @@ def fixed_point_prefix(m: Morphism, seed: int, length: int) -> Word:
     Requires m(seed) to start with seed and have length >= 2, which makes the
     iteration limit well defined.
     """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    length = _natural(length, "length", 1)
     first = m.images[seed]
     if first[0] != seed or len(first) < 2:
         raise ValueError(f"letter {seed} is not prolongable: image {first}")
@@ -145,8 +144,8 @@ def promote(m: Morphism, c: Coding) -> DFAO:
 def eval_dfao(d: DFAO, n: int):
     """Output of d on input rep_F(n), msd first, read off n by one greedy walk
     with no string; it shares no code with the eval_dfao_range it checks."""
-    if n < 0:
-        raise ValueError(f"negative argument {n}")
+    if type(n) is not int or n < 0:
+        n = _natural(n, "argument")
     transitions = d.transitions
     fs = _fibs_through(n)
     rest = n
@@ -173,8 +172,7 @@ def eval_dfao_range(d: DFAO, n_max: int) -> np.ndarray:
     have started.  A missing transition raises the ValueError eval_dfao gives
     for the least such n.  Outputs of mixed types stay objects, as eval_dfao's.
     """
-    if n_max < 0:
-        raise ValueError(f"negative argument {n_max}")
+    n_max = _natural(n_max, "argument")
     sink = d.state_count  # absorbs every missing transition
     table = np.array([[sink if t is None else t for t in edges]
                       for edges in d.transitions] + [[sink, sink]])
@@ -194,8 +192,7 @@ def block_span(i: int, n: int) -> tuple[int, int]:
 
     Returns (val_F(rep_F(n)*0^i), val_F(rep_F(n+1)*0^i) - 1).
     """
-    if i < 1:
-        raise ValueError(f"iteration depth must be >= 1, got {i}")
+    i = _natural(i, "iteration depth", 1)
     zeros = "0" * i
     return val_F(rep_F(n) + zeros), val_F(rep_F(n + 1) + zeros) - 1
 
@@ -232,8 +229,7 @@ def infer_morphism(prefix: Sequence, t: int) -> InferenceResult:
     fixed point must reproduce the prefix exactly.  Failures raise
     InferenceError with advice.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    t = _natural(t, "t", 1)
     seq = tuple(prefix)
     L = len(seq)
     # the depth-t block of position 1 ends at fib(t+1) - 1; fib(t+1) > L is read
@@ -328,7 +324,7 @@ def k2_adjust_prefix(count: int) -> tuple[int, ...]:
     All targets floor(n phi) - 1 are looked up among floor(m phi^2) at once.
     A match has m < n, so one pass in increasing n reads only settled values.
     """
-    if count <= 0:
+    if _natural(count, "count", None) <= 0:
         return ()
     fp = floor_phi_range(count)
     fp2 = fp + np.arange(count + 1)
@@ -343,7 +339,7 @@ def k2_adjust_prefix(count: int) -> tuple[int, ...]:
 
 def k2_adjust(n: int) -> int:
     """Value at n from the primary definition."""
-    return k2_adjust_prefix(n + 1)[n]
+    return k2_adjust_prefix(_natural(n, "argument") + 1)[n]
 
 
 def k2_adjust_prefix_by_recurrence(count: int) -> tuple[int, ...]:
@@ -353,7 +349,7 @@ def k2_adjust_prefix_by_recurrence(count: int) -> tuple[int, ...]:
     h(n-2) < h(n-1) and is 1 otherwise, with h the Hofstadter G-sequence and
     base values 1, 0.
     """
-    if count <= 0:
+    if _natural(count, "count", None) <= 0:
         return ()
     h = [0] * max(count, 2)
     for n in range(1, count):

@@ -14,6 +14,7 @@ from wythlab.games import (
     _cache_header,
     _option_counts,
     _solve_cached,
+    _triangle,
     CacheError,
     CheckResult,
     GameSpec,
@@ -148,6 +149,16 @@ class TestSolve:
 
     def test_memoized(self):
         assert solve(kspec(1), 50) is solve(kspec(1), 50)
+
+    def test_pairs_read_the_solve_memo(self, monkeypatch):
+        table = solve(kspec(3), 300)
+
+        def no_sweep(*args):
+            raise AssertionError("solve_pairs swept a box that solve had memoised")
+
+        monkeypatch.setattr("wythlab.games._sweep", no_sweep)
+        assert solve_pairs(kspec(3), 300) == list(ppos_list(table).pairs)
+        assert solve_pairs(kspec(3), np.int64(300)) == list(ppos_list(table).pairs)
 
     def test_huge_k_keeps_few_planes(self):
         # no cell of [0,20]^2 has more than 60 options, so with k = 10^9 every
@@ -848,6 +859,29 @@ MOVES_90 = [m for i in range(1, 31) for m in ((i, 0), (0, i), (i, i))]
 
 
 class TestTerminalTriangle:
+    @pytest.mark.parametrize("spec", [wspec(2), kspec(0), kspec(3), kspec(9), kspec(17),
+                                      kspec(10**30)])
+    @pytest.mark.parametrize("bound", [0, 1, 8])
+    def test_triangle_lists_the_capped_cells_row_major(self, spec, bound):
+        xs, ys = _triangle(spec, bound)
+        want = [(x, y) for x in range(bound + 1) for y in range(bound + 1)
+                if x + y <= spec.terminal_sum]
+        assert list(zip(xs.tolist(), ys.tolist())) == want
+        assert xs.dtype == ys.dtype == np.int64
+
+    def test_larger_triangle_of_a_candidate_is_listed_not_masked(self):
+        # K^3's ten terminal cells against W^1, which has none: the check reads
+        # those cells, never a (B + 1)^2 mask of the candidate's box
+        candidate = PNTable.from_cells(kspec(3), 20000, [], [])
+        tracemalloc.start()
+        try:
+            res = check_stable(candidate, wspec(1), 20000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (res.ok, res.counterexample) == (False, ((0, 1), ((0, 0),)))
+        assert peak < 2**20
+
     def test_huge_ell_holds_no_cell(self):
         # K^(10^9) makes all of [0,2000]^2 terminal; the rule keeps that as
         # one integer, so neither the solve, the checks nor the witness

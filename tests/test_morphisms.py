@@ -405,6 +405,15 @@ class TestCatalog:
             "k3-partition",
         }
 
+    def test_partition_automata_follow_the_table(self, monkeypatch):
+        names = [n for n in builtin_dfaos() if n.endswith("-partition")]
+        assert names == ["wythoff-partition", "k1-partition", "k2-partition", "k3-partition"]
+        # a fourth row appears under its own name, promoted from its own system
+        monkeypatch.setitem(PARTITION_SYSTEMS, 4, PARTITION_SYSTEMS[1])
+        dfaos = builtin_dfaos()
+        assert list(dfaos)[-2:] == ["k3-partition", "k4-partition"]
+        assert dfaos["k4-partition"] == dfaos["k1-partition"]
+
     def test_adjust_dfao_unknown_ell(self):
         with pytest.raises(ValueError):
             adjust_dfao(7)
