@@ -357,9 +357,11 @@ def check_discrepancy(profile: DiscrepancyProfile) -> CheckResult:
     defect eps equal to ell-n below index ell-1 and in {0,1} from ell-1 on;
     |S_n - n/phi| <= phi ell; and |lam_n| <= sqrt(5) ell + 2.  The two bounds
     are decided exactly with Beatty floors, so every int64 profile gets a
-    verdict.
+    verdict.  The bound is stated for ell >= 1; an ell 0 profile is refused.
     """
     ell = profile.ell
+    if ell < 1:
+        raise ValueError(f"the discrepancy bound is stated for ell >= 1, not {ell}")
     S, eps, lam = profile.S, profile.eps, profile.lam
     N = len(S) - 1
     n = np.arange(N + 1)

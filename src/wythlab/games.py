@@ -18,7 +18,8 @@ last member that the rule calls P.  It has two modes.  The solver takes
 each such cell as a member and gets the P-cells back.  The absorption
 check takes the members from a candidate's row-major cells, a PNTable, a
 boolean mask or integer pairs that list their whole set, and gets the first
-such cell that is not one.  Other sets enter a PNTable by from_cells, which
+such cell that is not one.  A mask's cells come from one flat scan of its
+rows, never a 2-D nonzero.  Other sets enter a PNTable by from_cells, which
 never casts.  Exact counts, for stability (of
 the members alone), the witness search, option_member_counts and the
 absorption check's report, come from binary search in the line keys that a
@@ -130,7 +131,8 @@ class PNTable:
     """P/N classification of the full box [0,B]^2, kept as its P-cells.
 
     xs, ys are read-only and list each P-position with x + y > spec.terminal_sum
-    once, row-major: by x, then by y.  ppos builds the whole box mask on each read.
+    once, row-major: by x, then by y.  ppos builds the whole box mask on each read,
+    the terminal triangle a row slice at a time.
     """
 
     spec: GameSpec
@@ -165,9 +167,11 @@ class PNTable:
 
     @property
     def ppos(self) -> np.ndarray:
-        mask = np.zeros((self.bound + 1, self.bound + 1), dtype=bool)
-        mask[self.xs, self.ys] = True
-        mask[_triangle(self.spec, self.bound)] = True
+        n, ell = self.bound + 1, _terminal_sum(self.spec, self.bound)
+        mask = np.zeros((n, n), dtype=bool)
+        mask.reshape(-1)[self.xs * n + self.ys] = True
+        for x in range(min(ell, self.bound) + 1):  # the terminal triangle, a slice a row
+            mask[x, : min(ell - x, self.bound) + 1] = True
         mask.flags.writeable = False
         return mask
 
@@ -381,9 +385,17 @@ def ppos_list(table: PNTable) -> PposSequence:
     return PposSequence(table.spec.ell, np.c_[table.xs[keep], table.ys[keep]])
 
 
+def _mask_cells(mask: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row-major cells (xs, ys) of a 2-D bool mask's first rows rows, by one
+    flat scan: numpy's 1-D nonzero is many times faster than its 2-D one, and a
+    slice of rows alone is a view of a C-ordered mask, not a copy."""
+    return np.divmod(np.flatnonzero(mask[:rows]), mask.shape[1])
+
+
 def _candidate_table(candidate, spec: GameSpec, bound: int) -> PNTable:
     """A candidate's whole set as spec's table on [0,bound]^2, through from_cells:
-    a PNTable's cells and triangle, a bool array's nonzero cells or integer pairs."""
+    a PNTable's cells and triangle, the cells of a bool array's first bound + 1
+    rows (from_cells drops those past column bound) or integer pairs."""
     bound = _natural(bound, "bound")
     if isinstance(candidate, PNTable):
         if candidate.bound < bound:
@@ -395,7 +407,7 @@ def _candidate_table(candidate, spec: GameSpec, bound: int) -> PNTable:
         if candidate.ndim != 2 or min(candidate.shape) <= bound:
             raise ValueError(f"candidate {candidate.shape} is not a 2-D array "
                              f"covering [0,{bound}]^2")
-        xs, ys = np.nonzero(candidate[: bound + 1, : bound + 1])
+        xs, ys = _mask_cells(candidate, bound + 1)
     else:
         xs, ys = _int_pairs(candidate if isinstance(candidate, np.ndarray)
                             else list(candidate)).T
@@ -407,7 +419,8 @@ def option_member_counts(mask: np.ndarray) -> np.ndarray:
     if mask.dtype != bool or mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
         raise ValueError(f"expected a square mask of bools, got {mask.dtype} {mask.shape}")
     # W has no terminal cells; an empty mask counts over the box [0,0]^2
-    table = PNTable.from_cells(wspec(1), max(mask.shape[0] - 1, 0), *np.nonzero(mask))
+    n = mask.shape[0]
+    table = PNTable.from_cells(wspec(1), max(n - 1, 0), *_mask_cells(mask, n))
     x, y = np.indices(mask.shape).reshape(2, -1)
     return _option_counts(table, x, y).reshape(mask.shape)
 

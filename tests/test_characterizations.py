@@ -453,8 +453,13 @@ class TestDiscrepancy:
         assert len(seen) == 4  # both verdicts on both bounds
 
         # the first failing index through the whole check, on profiles whose
-        # other identities hold: S still rises from 1 at index ell + 1
+        # other identities hold: S still rises from 1 at index ell + 1; the
+        # bound is stated for ell >= 1, so the check refuses an ell 0 profile
         prof = discrepancy_profile(ell, N)
+        if ell == 0:
+            with pytest.raises(ValueError, match="stated for ell >= 1, not 0"):
+                check_discrepancy(prof)
+            return
         doctored = [(prof.S, lam)]
         for _ in range(10):
             S, j = prof.S.copy(), rng.integers(ell + 2, N + 1)

@@ -528,6 +528,51 @@ class TestKernelChecks:
                             got = check(candidate, spec, bound)
                             assert got == want, (table_spec, spec, bound, check)
 
+    @pytest.mark.parametrize("spec", [kspec(0), kspec(2), wspec(1), wspec(3)])
+    def test_mask_layouts_agree(self, spec):
+        # a mask's cells are its first bound + 1 rows, read row-major whatever
+        # its shape or memory order; cells past the box are not read
+        rng = np.random.default_rng(spec.ell if spec.ell is not None else 10 + spec.k)
+        bound, n = 40, 41
+        failed = set()
+        for flips in (0, 1, 3):
+            box = solve(spec, bound).ppos.copy()
+            box[rng.integers(0, n, flips), rng.integers(0, n, flips)] ^= True
+            wide = rng.random((n, 2 * bound + 3)) < 0.3
+            wide[:, :n] = box
+            tall = rng.random((2 * bound + 3, n)) < 0.3
+            tall[:n] = box
+            big = rng.random((2 * n, 2 * n)) < 0.3
+            big[::2, ::2] = box
+            forms = {"wide": wide, "tall": tall, "fortran": np.asfortranarray(box),
+                     "strided": big[::2, ::2], "pairs": np.argwhere(box).tolist()}
+            assert wide.flags.c_contiguous and not big[::2, ::2].flags.contiguous
+            for check in (check_stable, check_absorbing):
+                want = check(box, spec, bound)
+                failed.add(want.ok)
+                for name, candidate in forms.items():
+                    assert check(candidate, spec, bound) == want, (flips, check, name)
+        assert failed == {True, False}  # both verdicts occur
+
+    def test_wide_mask_rows_are_not_copied(self):
+        # the first bound + 1 rows of a C-ordered mask are a view that one flat
+        # scan reads in place; a flat scan of a rows-and-columns slice would
+        # copy its 4 MB first
+        bound = 2000
+        mask = np.zeros((bound + 1, 2 * bound + 1), dtype=bool)
+        mask[:, : bound + 1] = solve(kspec(2), bound).ppos
+        mask[::97, bound + 1 :: 89] = True  # cells past the box's columns
+        for check in (check_stable, check_absorbing):
+            want = check(mask[:, : bound + 1].copy(), kspec(2), bound)
+            tracemalloc.start()
+            try:
+                got = check(mask, kspec(2), bound)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got == want and got.ok
+            assert peak < 2**20, check
+
     def test_predicate_candidate_is_refused(self):
         # a predicate is not a candidate form; a mask or pairs stand for it
         for check in (check_stable, check_absorbing):
@@ -881,6 +926,24 @@ class TestTerminalTriangle:
             tracemalloc.stop()
         assert (res.ok, res.counterexample) == (False, ((0, 1), ((0, 0),)))
         assert peak < 2**20
+
+    @pytest.mark.parametrize("spec,bound", [(kspec(2000), 1000), (kspec(1500), 1000),
+                                            (kspec(4), 1000), (wspec(3), 300)])
+    def test_ppos_writes_the_triangle_by_rows(self, spec, bound):
+        # the triangle is written a row slice at a time, so the read holds
+        # the mask and the cells, not a list of the triangle's cells
+        table = solve(spec, bound)
+        tracemalloc.start()
+        try:
+            got = table.ppos
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        r = np.arange(bound + 1)
+        want = np.add.outer(r, r) <= spec.terminal_sum
+        want[table.xs, table.ys] = True
+        assert np.array_equal(got, want)
+        assert peak < 2 * 2**20
 
     def test_huge_ell_holds_no_cell(self):
         # K^(10^9) makes all of [0,2000]^2 terminal; the rule keeps that as
