@@ -53,6 +53,7 @@ from .games import (
     check_stable,
     kspec,
     non_redundant_witness,
+    non_redundant_witnesses,
     option_member_counts,
     options,
     ppos_list,

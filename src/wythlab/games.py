@@ -23,8 +23,10 @@ rows, never a 2-D nonzero.  Other sets enter a PNTable by from_cells, which
 never casts.  Exact counts, for stability (of
 the members alone), the witness search, option_member_counts and the
 absorption check's report, come from binary search in the line keys that a
-PNTable builds once and keeps; the witness search counts its row-major
-candidates in growing chunks and stops at the first chunk with a witness.
+PNTable builds once and keeps.  The witness search takes a list of moves
+and solves once; it reads the row-major targets in growing chunks, counts
+each chunk's candidates of every move still open in one call, and drops a
+move at the first chunk with its witness.
 A P-set is kept as its O(bound) row-major cells, never as a box mask, and a
 table cache file holds the same cells; the terminal triangle, P by the
 rule, stays the one integer spec.terminal_sum.
@@ -60,6 +62,7 @@ __all__ = [
     "check_stable",
     "check_absorbing",
     "non_redundant_witness",
+    "non_redundant_witnesses",
     "write_table_cache",
     "read_table_cache",
 ]
@@ -432,8 +435,10 @@ def _option_counts(table: PNTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     keys finds where the rest start, so a count holds O(len(x)) memory."""
     n, ell = table.bound + 1, _terminal_sum(table.spec, table.bound)
     d = x - y
-    count = (np.maximum(ell + 1 - x, 0) + np.maximum(ell + 1 - y, 0)
-             + np.maximum((ell - abs(d)) // 2 + 1, 0))  # the terminal cells
+    count = 0
+    if ell >= 0:  # the terminal cells; W has none
+        count = (np.maximum(ell + 1 - x, 0) + np.maximum(ell + 1 - y, 0)
+                 + np.maximum((ell + 2 - abs(d)) // 2, 0))
     for keys, line, at in zip(table._line_keys, (x, y, d + table.bound), (y, x, x)):
         start = line * n
         count += keys.searchsorted(start + at) - keys.searchsorted(start)
@@ -502,45 +507,66 @@ def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
                        f"(needs {spec.need})", violator)
 
 
-def non_redundant_witness(
-    spec: GameSpec, move: tuple[int, int], bound: int
-) -> tuple[int, int] | None:
-    """Search for an N-position that needs the given move.
+def non_redundant_witnesses(
+    spec: GameSpec, moves: list[tuple[int, int]], bound: int
+) -> list[tuple[int, int] | None]:
+    """The witness, or None, of each move, in the order given: an N-position
+    that needs the move.
 
     K variant: a witness has exactly one P-option, reached by this move.
     W variant: a witness has exactly k P-options, one reached by this move
     (blocking the other k-1 would leave only it).  None means no witness in
-    the box, which is inconclusive, never a redundancy proof.  The answer is
-    the row-major first witness.  The candidates, the cells that the move
-    takes to a P-cell, are listed in row-major order and counted in chunks,
-    64 cells and then each chunk 4 times larger than the one before; a call
-    stops at the first chunk that holds a witness.  A witness near the start
-    of the box costs one small chunk, and no call counts more than one pass
-    over the candidates.
+    the box, which is inconclusive, never a redundancy proof.  Each answer
+    is the move's row-major first witness.  Every move is checked before the
+    one solve, and a repeated move is searched once.  The targets, the
+    terminal corners and then the P-cells, are listed once in row-major
+    order; a target plus the move is a candidate.  The targets are read in
+    chunks, 64 and then each chunk 4 times larger than the one before, and
+    one count covers a chunk's candidates of every move still without a
+    witness; a move drops out at the chunk that holds its first witness.  A
+    witness near the start of the box costs one small chunk, no move's
+    candidates are counted twice, and a chunk holds the moves still open
+    times its targets.
     """
     bound = _natural(bound, "bound")
-    dx, dy = move
-    if not (_is_int(dx) and _is_int(dy) and (dx > 0 and dy in (0, dx) or dx == 0 < dy)):
-        raise ValueError(f"move {move} is not of Wythoff shape")
-    if dx > bound or dy > bound:
-        return None
-    P, ell = solve(spec, bound), _terminal_sum(spec, bound)
-    # a K witness has one P-option, so a terminal target is alone on its line;
-    # a non-terminal P-cell lies past row and column ell, so the targets come first
-    ends = np.array(sorted({t for t in ((ell, 0), (ell - 1, 0), (0, ell), (0, ell - 1))
-                            if min(t) >= 0 and sum(t) + dx + dy > ell}), np.int64).reshape(-1, 2)
-    tx, ty = np.concatenate((ends[:, 0], P.xs)), np.concatenate((ends[:, 1], P.ys))
-    keep = (tx <= bound - dx) & (ty <= bound - dy)
-    x, y = tx[keep] + dx, ty[keep] + dy  # row-major; the move takes (x, y) to a P-cell
-    lo, hi = 0, _WITNESS_CHUNK
-    while lo < x.size:
-        # (x, y) is non-terminal; count == spec.need leaves out every P-cell,
-        # since the solver gives it no P-option in K and at most k - 1 in W
-        hit = np.flatnonzero(_option_counts(P, x[lo:hi], y[lo:hi]) == spec.need)
-        if hit.size:
-            return int(x[lo + hit[0]]), int(y[lo + hit[0]])
-        lo, hi = hi, 5 * hi - 4 * lo  # the next chunk is 4 times larger
-    return None
+    keys = []
+    for move in moves:
+        dx, dy = move
+        if not (_is_int(dx) and _is_int(dy) and (dx > 0 and dy in (0, dx) or dx == 0 < dy)):
+            raise ValueError(f"move {move} is not of Wythoff shape")
+        keys.append((int(dx), int(dy)))
+    found = dict.fromkeys(keys)
+    todo = [m for m in found if max(m) <= bound]  # a longer move has no witness in the box
+    if todo:
+        P, ell = solve(spec, bound), _terminal_sum(spec, bound)
+        # a K witness has one P-option, so a terminal target is alone on its line;
+        # a non-terminal P-cell lies past row and column ell, so the targets come first
+        ends = np.array(sorted({t for t in ((ell, 0), (ell - 1, 0), (0, ell), (0, ell - 1))
+                                if min(t) >= 0}), np.int64).reshape(-1, 2)
+        tx, ty = np.concatenate((ends[:, 0], P.xs)), np.concatenate((ends[:, 1], P.ys))
+        lo, hi = 0, _WITNESS_CHUNK
+        while todo and lo < tx.size:
+            # one row per move still open, row-major: the move takes (x, y) to the target
+            dx, dy = np.array(todo, np.int64).T[:, :, None]
+            x, y = tx[lo:hi] + dx, ty[lo:hi] + dy
+            hit = (np.maximum(x, y) <= bound) & (x + y > ell)  # in the box, non-terminal
+            # count == spec.need leaves out every P-cell, since the solver
+            # gives it no P-option in K and at most k - 1 in W
+            hit[hit] = _option_counts(P, x[hit], y[hit]) == spec.need
+            for r, (move, i) in enumerate(zip(todo, hit.argmax(1).tolist())):
+                if hit[r, i]:  # the row's first hit is the move's row-major first witness
+                    found[move] = int(x[r, i]), int(y[r, i])
+            todo = [m for m in todo if found[m] is None]
+            lo, hi = hi, 5 * hi - 4 * lo  # the next chunk is 4 times larger
+    return [found[m] for m in keys]
+
+
+def non_redundant_witness(
+    spec: GameSpec, move: tuple[int, int], bound: int
+) -> tuple[int, int] | None:
+    """The row-major first N-position that needs the given move, or None:
+    non_redundant_witnesses for the one move."""
+    return non_redundant_witnesses(spec, [move], bound)[0]
 
 
 # ---------------------------------------------------------------------------

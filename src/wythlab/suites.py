@@ -22,7 +22,7 @@ from .games import (
     check_absorbing,
     check_stable,
     kspec,
-    non_redundant_witness,
+    non_redundant_witnesses,
     solve,
     wspec,
 )
@@ -232,7 +232,9 @@ def suite_discrepancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
 
 
 def suite_redundancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
-    """Every elementary move admits a witness position that needs it."""
+    """Every elementary move admits a witness position that needs it: one
+    non_redundant_witnesses call a rule-set, whose first move without a
+    witness in the box is a usage error (inconclusive, never a FAIL)."""
     B = REDUNDANCY_BOUND_DEFAULT if bound is None else bound
     if B < REDUNDANCY_MAX_DELTA:  # a move longer than the box has no witness in it
         raise ValueError(f"suite 'redundancy' needs --bound >= {REDUNDANCY_MAX_DELTA}, "
@@ -246,11 +248,12 @@ def suite_redundancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
         tag = spec.label().replace(" ", "-")
 
         def all_moves():
-            for move in moves:
-                if non_redundant_witness(spec, move, B) is None:  # inconclusive
-                    raise ValueError(f"suite 'redundancy': no {spec.label()} witness "
-                                     f"for move {move} in [0,{B}]^2; the box is too "
-                                     "small, raise --bound")
+            witnesses = non_redundant_witnesses(spec, moves, B)
+            if None in witnesses:  # inconclusive
+                move = moves[witnesses.index(None)]
+                raise ValueError(f"suite 'redundancy': no {spec.label()} witness "
+                                 f"for move {move} in [0,{B}]^2; the box is too "
+                                 "small, raise --bound")
             return CheckResult(True, f"witnesses for all {len(moves)} moves")
 
         items.append(_timed(f"redundancy/{tag}", spec.label(), B, all_moves))

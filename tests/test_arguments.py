@@ -70,6 +70,8 @@ CASES = [
     ("check_absorbing", lambda v: g.check_absorbing([(3, 5)], g.kspec(1), v), 6, NATURAL),
     ("non_redundant_witness",
      lambda v: g.non_redundant_witness(g.kspec(2), (1, 1), v), 60, NATURAL),
+    ("non_redundant_witnesses",
+     lambda v: g.non_redundant_witnesses(g.kspec(2), [(1, 1), (0, 2)], v), 60, NATURAL),
     ("PposSequence", lambda v: g.PposSequence(1, [(v, 2 * v + 1)]), 3, INTEGER),
 ]
 

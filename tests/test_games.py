@@ -26,6 +26,7 @@ from wythlab.games import (
     check_stable,
     kspec,
     non_redundant_witness,
+    non_redundant_witnesses,
     option_member_counts,
     options,
     ppos_list,
@@ -791,6 +792,7 @@ class TestKernelChecksAgainstOptions:
 
 
 WITNESS_SPECS = [kspec(e) for e in range(5)] + [wspec(k) for k in (1, 2, 3)]
+MOVES_90 = [m for i in range(1, 31) for m in ((i, 0), (0, i), (i, i))]
 
 
 def assert_row_major_first_witnesses(spec):
@@ -799,15 +801,16 @@ def assert_row_major_first_witnesses(spec):
     for bound in range(41):
         table = solve(spec, bound).ppos
         needs = ~table & (option_member_counts(table) == want)
-        n = bound + 1
+        n, firsts = bound + 1, []
         for dx, dy in moves:
-            got = non_redundant_witness(spec, (dx, dy), bound)
-            if dx > bound or dy > bound:
-                assert got is None
-                continue
-            hits = np.argwhere(needs[dx:, dy:] & table[: n - dx, : n - dy])
-            first = (int(hits[0, 0]) + dx, int(hits[0, 1]) + dy) if hits.size else None
-            assert got == first, (bound, (dx, dy))
+            first = None
+            if dx <= bound and dy <= bound:
+                hits = np.argwhere(needs[dx:, dy:] & table[: n - dx, : n - dy])
+                if hits.size:
+                    first = int(hits[0, 0]) + dx, int(hits[0, 1]) + dy
+            assert non_redundant_witness(spec, (dx, dy), bound) == first, (bound, (dx, dy))
+            firsts.append(first)
+        assert non_redundant_witnesses(spec, moves, bound) == firsts, bound
 
 
 def assert_90_witnesses_match_brute_force(spec):
@@ -818,11 +821,13 @@ def assert_90_witnesses_match_brute_force(spec):
     box = [(x, y) for x in range(bound + 1) for y in range(bound + 1)]
     needs = [p for p in box if p not in cells
              and sum(q in cells for q in options(p)) == spec.need]
-    for i in range(1, 31):
-        for dx, dy in ((i, 0), (0, i), (i, i)):
-            first = next(((x, y) for x, y in needs if (x - dx, y - dy) in cells), None)
-            assert first is not None
-            assert non_redundant_witness(spec, (dx, dy), bound) == first, (dx, dy)
+    firsts = []
+    for dx, dy in MOVES_90:
+        first = next(((x, y) for x, y in needs if (x - dx, y - dy) in cells), None)
+        assert first is not None
+        assert non_redundant_witness(spec, (dx, dy), bound) == first, (dx, dy)
+        firsts.append(first)
+    assert non_redundant_witnesses(spec, MOVES_90, bound) == firsts
 
 
 class TestWitnesses:
@@ -876,6 +881,19 @@ class TestWitnesses:
         assert all(non_redundant_witness(kspec(1), m, 6476) for m in MOVES_90)
         assert sum(counted) < 90 * (_WITNESS_CHUNK + 4)
 
+    def test_batch_counts_once_a_round(self, monkeypatch):
+        # one count a chunk round for all the moves still open, not one a move
+        counted = []
+
+        def spy(table, x, y):
+            counted.append(x.size)
+            return _option_counts(table, x, y)
+
+        monkeypatch.setattr("wythlab.games._option_counts", spy)
+        assert all(non_redundant_witnesses(kspec(1), MOVES_90, 6476))
+        assert len(counted) <= 3
+        assert sum(counted) < 90 * (_WITNESS_CHUNK + 4)
+
     def test_witness_stays_linear_in_memory(self):
         tracemalloc.start()
         try:
@@ -885,6 +903,44 @@ class TestWitnesses:
             tracemalloc.stop()
         assert witness is not None
         assert peak < 4 * 2**20
+
+    def test_batch_stays_linear_in_memory(self):
+        _solve_cached.cache_clear()  # the peak holds the solve too
+        tracemalloc.start()
+        try:
+            witnesses = non_redundant_witnesses(kspec(2), MOVES_90, 4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert None not in witnesses
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("spec", [kspec(2), wspec(3)], ids=GameSpec.label)
+    def test_batch_answers_in_the_order_given(self, spec):
+        # out of order, repeated, a numpy integer, and moves longer than the box
+        # (a count of 2**70 would overflow int64) among moves that have witnesses
+        bound = 40
+        moves = [(30, 30), (1, 0), (45, 0), (0, 3), (1, 0), (12, 12), (0, 41),
+                 (np.int64(2), 0), (0, 3), (2**70, 0), (0, 2**70), (5, 5)]
+        want = [non_redundant_witness(spec, m, bound) for m in moves]
+        assert non_redundant_witnesses(spec, moves, bound) == want
+        assert want[2] is want[6] is want[9] is want[10] is None
+        assert want[1] == want[4] and want[3] == want[8] and None not in want[:2]
+
+    def test_batch_solves_nothing_it_does_not_need(self, monkeypatch):
+        def no_solve(spec, bound):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr("wythlab.games.solve", no_solve)
+        assert non_redundant_witnesses(kspec(1), [], 50) == []
+        assert non_redundant_witnesses(kspec(1), [(2**70, 0), (0, 51)], 50) == [None, None]
+        assert non_redundant_witness(kspec(1), (2**70, 2**70), 50) is None
+        # every move is checked before the one solve; the first bad one is named
+        for moves, bad in [([(1, 0), (1, 2), (0, 0)], r"\(1, 2\)"),
+                           ([(2**70, 0), (True, 0)], r"\(True, 0\)"),
+                           ([(3, 3), (2, 2.0)], r"\(2, 2.0\)")]:
+            with pytest.raises(ValueError, match=f"^move {bad} is not of Wythoff shape$"):
+                non_redundant_witnesses(kspec(1), moves, 50)
 
     def test_unreachable_move_returns_none(self):
         # bound 2 is too small for any witness of a length-30 slide
@@ -898,9 +954,9 @@ class TestWitnesses:
         for move in ((1, 0), (0, 3), (2, 2)):
             with pytest.raises(ValueError, match="negative bound"):
                 non_redundant_witness(kspec(1), move, -1)
-
-
-MOVES_90 = [m for i in range(1, 31) for m in ((i, 0), (0, i), (i, i))]
+        for moves in ([], [(1, 0), (0, 3)]):
+            with pytest.raises(ValueError, match="^negative bound -1$"):
+                non_redundant_witnesses(kspec(1), moves, -1)
 
 
 class TestTerminalTriangle:
