@@ -10,7 +10,8 @@ closed_form_table turns the K^1..K^4 and W^2/W^3 forms into the P-cells of a
 box, the shape the solver's tables and the kernel checks use.  This module
 implements all of them together with the finite checks that compare them to
 each other and to solver ground truth, plus discrepancy and counting
-quantities.
+quantities.  Each check lists its properties in order and reports the
+first failure: the first failing index of the first property that fails.
 
 Comparisons against irrational thresholds (multiples of phi and sqrt(5))
 are decided exactly by Beatty floors floor(n phi), never by floating point.
@@ -25,7 +26,8 @@ import numpy as np
 
 from .catalog import adjust_dfao
 from .fibnum import _is_int, _natural, floor_phi, floor_phi_range, rep_F
-from .games import CheckResult, GameSpec, PNTable, PposSequence, kspec, wspec
+from .games import (CheckResult, GameSpec, PNTable, PposSequence, _first_failure, kspec,
+                    wspec)
 from .morphisms import (
     DFAO,
     Coding,
@@ -79,21 +81,26 @@ def _mex_arrays(ell: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     ell, count = _natural(ell, "ell", None), _natural(count, "count", None)
     if ell < 0 or count < 0:
         raise ValueError(f"ell and count must be naturals: {ell}, {count}")
-    # a_n <= 2n + ell + 1 by pigeonhole, so b_n <= 3n + 2 ell + 2 < size
-    size = 3 * count + 2 * ell + 16
-    # the b's; ell and every a lie below the next block's range
-    used = np.zeros(size, bool)
+    # No b lies below base = 2 ell + 2, so pairs 0..ell are (ell + 1 + n,
+    # base + 2n); the blocks start after them and used[v] marks b = base + v.
+    # a_n <= 2n + ell + 1 by pigeonhole, so b_n - base <= 3n < len(used)
+    base, n = 2 * ell + 2, min(count, ell + 1)
+    used = np.zeros(3 * count + 16, bool)
+    used[: 2 * n : 2] = True
     a = np.empty(count, np.int64)
     b = np.empty(count, np.int64)
-    n, last_a, last_b = 0, ell, ell
+    a[:n] = np.arange(ell + 1, ell + 1 + n)
+    b[:n] = 2 * a[:n]
+    last_a, last_b = ell + n, 2 * (ell + n)
     while n < count:
-        new = np.flatnonzero(~used[last_a + 1 : last_b + 1])[: count - n] + last_a + 1
-        if not new.size:
+        new = np.flatnonzero(~used[last_a + 1 - base : last_b + 1 - base])[: count - n]
+        new += last_a + 1
+        if not new.size:  # ell 0's pair (1, 2) leaves no value between
             new = np.array([last_b + 1])
         m = n + new.size
         a[n:m] = new
         b[n:m] = new + np.arange(n + ell + 1, m + ell + 1)
-        used[b[n:m]] = True
+        used[b[n:m] - base] = True
         n, last_a, last_b = m, int(a[m - 1]), int(b[m - 1])
     return a, b
 
@@ -363,34 +370,21 @@ def check_discrepancy(profile: DiscrepancyProfile) -> CheckResult:
     if ell < 1:
         raise ValueError(f"the discrepancy bound is stated for ell >= 1, not {ell}")
     S, eps, lam = profile.S, profile.eps, profile.lam
-    N = len(S) - 1
-    n = np.arange(N + 1)
-    head = S[: ell + 1]
-    if head.size and head.any():
-        return CheckResult(False, f"S must vanish through index {ell}",
-                           int(np.flatnonzero(head)[0]))
-    if N >= ell + 1 and S[ell + 1] != 1:
-        return CheckResult(False, f"S[{ell + 1}] = {int(S[ell + 1])}, expected 1",
-                           ell + 1)
-    if np.any(np.diff(S) < 0):
-        bad = int(np.flatnonzero(np.diff(S) < 0)[0])
-        return CheckResult(False, "S decreases", bad)
-    lo = max(0, ell - 1)
-    bad_eps = np.flatnonzero((eps[lo:] < 0) | (eps[lo:] > 1))
-    if bad_eps.size:
-        k = int(bad_eps[0]) + lo
-        return CheckResult(False, f"eps[{k}] = {int(eps[k])} outside {{0,1}}", k)
-    if lo and np.any(eps[:lo] != ell - n[:lo]):
-        k = int(np.flatnonzero(eps[:lo] != ell - n[:lo])[0])
-        return CheckResult(False, f"eps[{k}] != ell - n in the base region", k)
+    lo = ell - 1  # the base region is n < lo
     ok_d, ok_lam = _bound_verdicts(ell, S, lam)
-    if not ok_d.all():
-        k = int(np.flatnonzero(~ok_d)[0])
-        return CheckResult(False, f"discrepancy bound fails at n={k}", k)
-    if not ok_lam.all():
-        k = int(np.flatnonzero(~ok_lam)[0])
-        return CheckResult(False, f"|lam| <= sqrt(5) ell + 2 fails at n={k}", k)
-    return CheckResult(True, f"ell={ell}, all indices through {N}")
+    return _first_failure(
+        f"ell={ell}, all indices through {len(S) - 1}",
+        (S[: ell + 1] != 0, lambda k: (f"S must vanish through index {ell}", k)),
+        (S[ell + 1 : ell + 2] != 1,
+         lambda _: (f"S[{ell + 1}] = {S[ell + 1]}, expected 1", ell + 1)),
+        (np.diff(S) < 0, lambda k: ("S decreases", k)),
+        ((eps[lo:] < 0) | (eps[lo:] > 1),
+         lambda k: (f"eps[{k + lo}] = {eps[k + lo]} outside {{0,1}}", k + lo)),
+        (eps[:lo] != ell - np.arange(eps[:lo].size),
+         lambda k: (f"eps[{k}] != ell - n in the base region", k)),
+        (~ok_d, lambda k: (f"discrepancy bound fails at n={k}", k)),
+        (~ok_lam, lambda k: (f"|lam| <= sqrt(5) ell + 2 fails at n={k}", k)),
+    )
 
 
 def density_certificate(a_n: int, n: int, num: int, den: int) -> bool:
@@ -458,13 +452,14 @@ def morphic_coding_check(
                          f"{int(np.argmin(want)) + offset}; extend the list")
     word = np.asarray(fixed_point_prefix(m, 0, length))
     code = np.array([1 if o == "a" else 2 if o == "b" else 0 for o in c.outputs], np.int8)
-    bad = np.flatnonzero(code[word] != want)
-    if bad.size:
-        j = int(bad[0])
+
+    def report(j):
         got, said = c(word[j]), ("", "a", "b", "ab")[want[j]]
-        return CheckResult(False, f"value {j + offset}: word says {got!r}, "
-                           f"pairs say {said!r}", (j + offset, got, said))
-    return CheckResult(True, f"values {offset}..{horizon} all agree")
+        detail = f"value {j + offset}: word says {got!r}, pairs say {said!r}"
+        return detail, (j + offset, got, said)
+
+    return _first_failure(f"values {offset}..{horizon} all agree",
+                          (code[word] != want, report))
 
 
 def counting_check(pp: PposSequence, X: int) -> CheckResult:
@@ -483,24 +478,16 @@ def counting_check(pp: PposSequence, X: int) -> CheckResult:
     if a.size == 0 or a[-1] < X or b[-1] < X:
         raise ValueError(f"pair list horizon below X={X}")
     xs = np.arange(ell + 2, X + 1, dtype=np.int64)
-    piA = np.searchsorted(a, xs, side="left")
-    piB = np.searchsorted(b, xs, side="left")
-    bad = np.flatnonzero(piA + piB != xs - ell - 1)
-    if bad.size:
-        x = int(xs[bad[0]])
-        return CheckResult(
-            False,
-            f"pi_A({x}) + pi_B({x}) = {int(piA[bad[0]] + piB[bad[0]])} != {x - ell - 1}",
-            x,
-        )
+    pi = np.searchsorted(a, xs, side="left") + np.searchsorted(b, xs, side="left")
     sel = b <= X
     piAb = np.searchsorted(a, b[sel], side="left")
-    bad2 = np.flatnonzero(piAb != a[sel])
-    if bad2.size:
-        k = int(bad2[0])
-        return CheckResult(
-            False,
-            f"pi_A(b_{k}) = {int(piAb[k])} != a_{k} = {int(a[k])}",
-            k,
-        )
-    return CheckResult(True, f"identities hold through x={X}")
+
+    def sum_report(i):
+        x = int(xs[i])
+        return f"pi_A({x}) + pi_B({x}) = {pi[i]} != {x - ell - 1}", x
+
+    return _first_failure(
+        f"identities hold through x={X}",
+        (pi != xs - ell - 1, sum_report),
+        (piAb != a[sel], lambda k: (f"pi_A(b_{k}) = {piAb[k]} != a_{k} = {a[k]}", k)),
+    )

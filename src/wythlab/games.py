@@ -39,7 +39,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -275,6 +275,20 @@ class CheckResult:
         return self.ok
 
 
+def _first_failure(passed: str, *properties) -> CheckResult:
+    """Verdict of a check stated as an ordered list of properties.
+
+    A property is a pair (fails, report): a boolean array, True where the
+    property fails, and a function from its first failing index to the
+    (detail, counterexample) of the failure.  The first property that fails
+    decides; when none fails the check passes with detail passed.
+    """
+    for fails, report in properties:
+        if fails.any():
+            return CheckResult(False, *report(int(fails.argmax())))
+    return CheckResult(True, passed)
+
+
 def options(p: tuple[int, int]) -> list[tuple[int, int]]:
     """All Wythoff options of p: shrink one pile, or both by the same amount."""
     x, y = p
@@ -460,27 +474,28 @@ def check_stable(candidate, spec: GameSpec, bound: int) -> CheckResult:
     """
     table = _candidate_table(candidate, spec, bound)
     tx, ty = table.xs, table.ys
-    bad = np.flatnonzero(_option_counts(table, tx, ty) >= spec.need)
-    if not bad.size:
-        return CheckResult(True, f"stable on [0,{bound}]^2")
-    src = sx, sy = int(tx[bad[0]]), int(ty[bad[0]])
-    # the violator's member options: the candidate's cells on its three lines
-    # and the terminal cells, which lie nearest the origin, so they come first
-    # on the column and the row and last on the diagonal, walked by falling x
-    ell, before = _terminal_sum(spec, table.bound), tx < sx
-    lo = max(-((ell - sx - sy) // 2), 1)  # (sx - t, sy - t) is terminal for t >= lo
-    col = chain(range(min(sx, ell - sy + 1)), tx[before & (ty == sy)].tolist())
-    row = chain(range(min(sy, ell - sx + 1)), ty[(tx == sx) & (ty < sy)].tolist())
-    diag = chain(tx[before & (tx - ty == sx - sy)][::-1].tolist(),
-                 range(sx - lo, max(sx - sy, 0) - 1, -1))
-    members = chain(((c, sy) for c in col), ((sx, c) for c in row),
-                    ((c, c - sx + sy) for c in diag))
-    if spec.variant == "K":  # one option: a terminal range may hold O(bound) cells
-        option = next(members)
-        return CheckResult(False, f"member {src} moves to member {option}", (src, option))
-    members = list(members)
-    return CheckResult(False, f"member {src} has {len(members)} member options "
-                       f"(max {spec.k - 1})", (src, tuple(members[: spec.k])))
+    counts = _option_counts(table, tx, ty)
+
+    def report(i):
+        src = sx, sy = int(tx[i]), int(ty[i])
+        # its member options: the candidate's cells on its three lines and the
+        # terminal cells, which lie nearest the origin, so they come first on
+        # the column and the row and last on the diagonal, walked by falling x
+        ell, before = _terminal_sum(spec, table.bound), tx < sx
+        lo = max(-((ell - sx - sy) // 2), 1)  # (sx - t, sy - t) is terminal for t >= lo
+        col = chain(range(min(sx, ell - sy + 1)), tx[before & (ty == sy)].tolist())
+        row = chain(range(min(sy, ell - sx + 1)), ty[(tx == sx) & (ty < sy)].tolist())
+        diag = chain(tx[before & (tx - ty == sx - sy)][::-1].tolist(),
+                     range(sx - lo, max(sx - sy, 0) - 1, -1))
+        members = chain(((c, sy) for c in col), ((sx, c) for c in row),
+                        ((c, c - sx + sy) for c in diag))
+        first = tuple(islice(members, spec.need))  # a terminal range may be O(bound)
+        if spec.variant == "K":
+            return f"member {src} moves to member {first[0]}", (src, first[0])
+        detail = f"member {src} has {counts[i]} member options (max {spec.k - 1})"
+        return detail, (src, first)
+
+    return _first_failure(f"stable on [0,{bound}]^2", (counts >= spec.need, report))
 
 
 def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:

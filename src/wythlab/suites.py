@@ -19,6 +19,7 @@ from .games import (
     CheckResult,
     GameSpec,
     PNTable,
+    _first_failure,
     check_absorbing,
     check_stable,
     kspec,
@@ -143,7 +144,7 @@ def suite_mex(ell=None, k=None, bound=None) -> list[SuiteItem]:
     items = []
     for e in ells:
         spec = kspec(e)
-        count = B * 2 // 3 + 2 * e + 8
+        count = B * 2 // 3 + 2 * min(e, B) + 8  # for e >= B, pair 0 lies past the box
         pp = ch.mex_sequence(e, count)
 
         def equality():
@@ -156,18 +157,15 @@ def suite_mex(ell=None, k=None, bound=None) -> list[SuiteItem]:
             both = np.concatenate([a, b])
             both = np.sort(both[both <= horizon])
             want = np.arange(e + 1, horizon + 1)
-            if both.size == want.size and np.array_equal(both, want):
-                return CheckResult(True, f"values {e + 1}..{horizon} partitioned")
-            dup = np.flatnonzero(np.diff(both) == 0)
-            if dup.size:
-                v = int(both[dup[0]])
-                return CheckResult(False, f"value {v} appears in both sequences", v)
-            missing = np.setdiff1d(want, both)
-            if missing.size:
-                v = int(missing[0])
-                return CheckResult(False, f"value {v} in neither sequence", v)
-            v = int(np.setdiff1d(both, want)[0])
-            return CheckResult(False, f"value {v} outside {e + 1}..{horizon}", v)
+            return _first_failure(
+                f"values {e + 1}..{horizon} partitioned",
+                (np.diff(both) == 0,
+                 lambda i: (f"value {both[i]} appears in both sequences", int(both[i]))),
+                (~np.isin(want, both),
+                 lambda i: (f"value {want[i]} in neither sequence", int(want[i]))),
+                (both <= e,
+                 lambda i: (f"value {both[i]} outside {e + 1}..{horizon}", int(both[i]))),
+            )
 
         def counting():  # a refusal of the recursion's own pairs is its FAIL
             try:
@@ -273,12 +271,10 @@ def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
     if 2 in ells:
 
         def k2_oracles():
-            direct = k2_adjust_prefix(H)
-            rec = k2_adjust_prefix_by_recurrence(H)
-            if direct == rec:
-                return CheckResult(True, f"{H} values agree")
-            n = next(i for i, (x, y) in enumerate(zip(direct, rec)) if x != y)
-            return CheckResult(False, f"definitions disagree at n={n}", n)
+            disagree = np.not_equal(k2_adjust_prefix(H),
+                                    k2_adjust_prefix_by_recurrence(H))
+            return _first_failure(f"{H} values agree", (disagree, lambda n: (
+                f"definitions disagree at n={n}", n)))
 
         items.append(_timed("morphic/k2-adjust/definition-vs-recurrence",
                             kspec(2).label(), H, k2_oracles))
@@ -288,13 +284,8 @@ def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
         def dfao_vs_word():
             word = np.asarray(coding.map(fixed_point_prefix(morphism, 0, H)))
             got = eval_dfao_range(adjust_dfao(e), H - 1)
-            bad = np.flatnonzero(got != word)
-            if bad.size:
-                n = int(bad[0])
-                return CheckResult(
-                    False, f"automaton says {got[n]}, word says {word[n]} at n={n}", n
-                )
-            return CheckResult(True, f"{H} values agree")
+            return _first_failure(f"{H} values agree", (got != word, lambda n: (
+                f"automaton says {got[n]}, word says {word[n]} at n={n}", n)))
 
         items.append(_timed(f"morphic/k{e}-adjust/dfao-vs-word",
                             kspec(e).label(), H, dfao_vs_word))

@@ -73,6 +73,14 @@ def mex_reference(ell, count):
     return a, b
 
 
+def python_values(value):
+    """True when a counterexample holds only Python ints and strs, in tuples
+    at any depth: a numpy integer would print as np.int64(4)."""
+    if isinstance(value, tuple):
+        return all(map(python_values, value))
+    return type(value) in (int, str)
+
+
 def block_edges(ell, a, b):
     """Counts after which the block computation starts a new block: it takes
     every a up to the last known b, or the single next pair when there is none."""
@@ -98,6 +106,25 @@ class TestMexSequence:
     def test_long_blocks_match_the_definition(self, ell):
         for got, want in zip(_mex_arrays(ell, 2 * 10**5), mex_reference(ell, 2 * 10**5)):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ell", range(13))
+    def test_first_pairs_are_set_directly(self, ell):
+        # pairs 0..ell are (ell + 1 + n, 2 ell + 2 + 2n); the blocks follow
+        ref = mex_reference(ell, ell + 2)
+        for count in (ell, ell + 1, ell + 2):
+            for got, want in zip(_mex_arrays(ell, count), ref):
+                assert got.tobytes() == want[:count].tobytes(), count
+
+    def test_memory_does_not_grow_with_ell(self):
+        # values near 2 ell need no array of length ell
+        tracemalloc.start()
+        try:
+            pp = mex_sequence(10**8, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pp.pairs == tuple((10**8 + 1 + n, 2 * 10**8 + 2 + 2 * n) for n in range(5))
+        assert peak < 2**20
 
     def test_small_prefixes(self):
         assert mex_sequence(1, 4).pairs == ((2, 4), (3, 6), (5, 9), (7, 12))
@@ -387,6 +414,7 @@ class TestDiscrepancy:
     @pytest.mark.parametrize("field,at,delta,detail", [
         ("S", 1, 1, "S must vanish through index 3"),
         ("S", 4, 1, "S[4] = 2, expected 1"),
+        ("S", 100, 1, "S decreases"),  # S[101] = S[100]
         ("eps", 50, 2, "eps[50] = 3 outside {0,1}"),
         ("eps", 0, -1, "eps[0] != ell - n in the base region"),
         # the last S: S still never decreases, but runs 10 past n/phi
@@ -398,6 +426,20 @@ class TestDiscrepancy:
         doctored[at] += delta
         res = check_discrepancy(dataclasses.replace(prof, **{field: doctored}))
         assert (res.ok, res.detail, res.counterexample) == (False, detail, at)
+        assert python_values(res.counterexample)
+
+    def test_the_earlier_listed_failure_decides(self):
+        # lam fails at n=10 and eps at n=150: the defect is listed first
+        prof = discrepancy_profile(3, 200)
+        lam, eps = prof.lam.copy(), prof.eps.copy()
+        lam[10], eps[150] = 100, 3
+        res = check_discrepancy(dataclasses.replace(prof, lam=lam))
+        assert (res.detail, res.counterexample) == (
+            "|lam| <= sqrt(5) ell + 2 fails at n=10", 10)
+        res = check_discrepancy(dataclasses.replace(prof, lam=lam, eps=eps))
+        assert (res.ok, res.detail, res.counterexample) == (
+            False, "eps[150] = 3 outside {0,1}", 150)
+        assert python_values(res.counterexample)
 
     def test_sqrt5_certificate_overflow_raises(self):
         # 5 x^2 would wrap in int64 here; the exact answer is False
@@ -621,6 +663,7 @@ class TestPartitionWords:
         assert not res.ok
         assert res.counterexample == (6, "a", "ab")
         assert res.detail == "value 6: word says 'a', pairs say 'ab'"
+        assert python_values(res.counterexample)
 
 
 class TestCounting:
@@ -672,3 +715,15 @@ class TestCounting:
         res = counting_check(PposSequence(0, np.c_[a, b]), 40)
         assert (res.ok, res.detail, res.counterexample) == (
             False, "pi_A(b_1) = 2 != a_1 = 3", 1)
+        assert python_values(res.counterexample)
+
+    def test_the_sum_identity_is_listed_first(self):
+        # the swap fails the b identity at n=1; moving b_10 from 28 to 29
+        # leaves 28 in neither sequence, so the sum identity fails at x=29
+        a, b = (v.copy() for v in mex_sequence(0, 50).arrays())
+        a[2], b[1] = 5, 4
+        b[10] += 1
+        res = counting_check(PposSequence(0, np.c_[a, b]), 40)
+        assert (res.ok, res.detail, res.counterexample) == (
+            False, "pi_A(29) + pi_B(29) = 27 != 28", 29)
+        assert python_values(res.counterexample)

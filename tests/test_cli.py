@@ -474,6 +474,17 @@ class TestVerifyCommand:
         assert [it.result.ok for it in items] == [True] * 3
         assert peak < 4 * 2**20
 
+    def test_mex_memory_does_not_grow_with_ell(self):
+        # for ell >= bound the first pair already lies past the box
+        tracemalloc.start()
+        try:
+            items = suites.run_suite("mex", ell=10**8, bound=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [it.result.ok for it in items] == [True] * 3
+        assert peak < 2**20
+
     def test_bound_zero_is_checked_at_zero(self, capsys):
         code, out, _ = run(capsys, ["verify", "kernel", "--ell", "2",
                                     "--bound", "0"])
@@ -611,6 +622,39 @@ class TestVerifyCommand:
                                     "--bound", "50"])
         assert code == 1
         assert "automaton says 1, word says 0 at n=0" in out
+
+    def test_counterexamples_are_python_values(self, monkeypatch):
+        # the partition's three kinds and both morphic oracles, doctored as
+        # above: a numpy integer would print as np.int64(4)
+        def python_values(value):
+            if isinstance(value, tuple):
+                return all(map(python_values, value))
+            return type(value) in (int, str)
+
+        pairs = suites.ch.mex_sequence(2, 100).pairs  # (3, 6), (4, 8), ...
+        results = []
+        for doctored in ([(0, 10**6), (1, 10**6 + 1), *pairs],
+                         [pairs[0], *pairs[2:]],
+                         [pairs[0], (4, 6), *pairs[2:]]):
+            monkeypatch.setattr(suites.ch, "mex_sequence",
+                                lambda ell, count, p=doctored: PposSequence(ell, p))
+            results += [it.result for it in suites.run_suite("mex", ell=2, bound=40)
+                        if it.name == "mex/K2/partition"]
+        monkeypatch.undo()
+        real = suites.k2_adjust_prefix_by_recurrence
+        monkeypatch.setattr(suites, "k2_adjust_prefix_by_recurrence",
+                            lambda n: (1 - real(n)[0], *real(n)[1:]))
+        morphism, coding = ADJUST_SYSTEMS[2]
+        monkeypatch.setattr(suites, "ADJUST_SYSTEMS",
+                            {2: (morphism, Coding((0,) + coding.outputs[1:]))})
+        results += [it.result for it in suites.run_suite("morphic", ell=2, bound=50)
+                    if it.name.startswith("morphic/k2-adjust/")]
+        assert [r.detail for r in results] == [
+            "value 0 outside 3..163", "value 4 in neither sequence",
+            "value 6 appears in both sequences", "definitions disagree at n=0",
+            "automaton says 1, word says 0 at n=0"]
+        assert [r.counterexample for r in results] == [0, 4, 6, 0, 0]
+        assert all(python_values(r.counterexample) for r in results)
 
 
 class TestInferCommand:
