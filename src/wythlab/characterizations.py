@@ -133,6 +133,7 @@ CLOSED_FORMS = {
 
 def _closed_form_arrays(ell: int, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """The CLOSED_FORMS pairs of K^ell at Beatty indices first..stop-1."""
+    ell = _natural(ell, "ell", None)
     if ell not in CLOSED_FORMS:
         raise ValueError(f"no closed form for K^{ell}; closed forms cover ell "
                          f"{', '.join(map(str, CLOSED_FORMS))}")
@@ -241,6 +242,7 @@ def _adjust_from_mex(ell: int, count: int) -> tuple[int, ...]:
     - alpha.  For the lag-1 rows (ell 3 and 4) index 0 lies under no pair and
     takes the sequence's defined initial value 1.
     """
+    count = _natural(count, "count", None)
     if count <= 0:
         return ()
     _, lag, alpha = CLOSED_FORMS[ell]
@@ -440,6 +442,7 @@ def morphic_coding_check(
     the horizon unclaimed, which signals a truncated list rather than a
     mismatch.
     """
+    offset, horizon = _natural(offset, "offset"), _natural(horizon, "horizon")
     if horizon < offset:
         raise ValueError(f"horizon {horizon} below offset {offset}")
     length = horizon - offset + 1
@@ -469,6 +472,7 @@ def counting_check(pp: PposSequence, X: int) -> CheckResult:
     checked for every x with ell+1 < x <= X, the second for every pair with
     b_n <= X.
     """
+    X = _natural(X, "X")
     if pp.ell is None:
         raise ValueError("counting identity applies to K rule-sets only")
     ell = pp.ell

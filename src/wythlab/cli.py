@@ -264,6 +264,8 @@ def _cmd_infer(parser, args) -> int:
 
 def _cmd_eval_dfao(parser, args) -> int:
     flag, n = ("--n", args.n) if args.n is not None else ("--upto", args.upto)
+    if n < 0:  # before the automaton is opened or read
+        parser.error(f"{flag} must be a natural: {n}")
     builtin = builtin_dfaos()
     try:
         if args.automaton in builtin:
@@ -271,8 +273,6 @@ def _cmd_eval_dfao(parser, args) -> int:
         else:
             with open(args.automaton, encoding="utf-8") as fh:
                 d = from_walnut(fh.read())
-        if n < 0:
-            parser.error(f"{flag} must be a natural")
         values = [eval_dfao(d, n)] if flag == "--n" else eval_dfao_range(d, n).tolist()
     except ValueError as exc:  # malformed or undecodable file, stuck automaton
         print(f"error: {args.automaton}: {exc}", file=sys.stderr)

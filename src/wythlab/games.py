@@ -18,15 +18,15 @@ last member that the rule calls P.  It has two modes.  The solver takes
 each such cell as a member and gets the P-cells back.  The absorption
 check takes the members from a candidate's row-major cells, a PNTable, a
 boolean mask or integer pairs that list their whole set, and gets the first
-such cell that is not one.  A mask's cells come from one flat scan of its
-rows, never a 2-D nonzero.  Other sets enter a PNTable by from_cells, which
-never casts.  Exact counts, for stability (of
-the members alone), the witness search, option_member_counts and the
-absorption check's report, come from binary search in the line keys that a
-PNTable builds once and keeps.  The witness search takes a list of moves
-and solves once; it reads the row-major targets in growing chunks, counts
-each chunk's candidates of every move still open in one call, and drops a
-move at the first chunk with its witness.
+such cell that is not one, with its count of member options read off the
+planes.  A mask's cells come from one flat scan of its rows, never a 2-D
+nonzero.  Other sets enter a PNTable by from_cells, which never casts.
+Exact counts for given cells, for stability (of the members alone), the
+witness search and option_member_counts, come from binary search in the
+line keys that a PNTable builds once and keeps.  The witness search takes
+a list of moves and solves once; it reads the row-major targets in growing
+chunks, counts each chunk's candidates of every move still open in one
+call, and drops a move at the first chunk with its witness.
 A P-set is kept as its O(bound) row-major cells, never as a box mask, and a
 table cache file holds the same cells; the terminal triangle, P by the
 rule, stays the one integer spec.terminal_sum.
@@ -298,7 +298,7 @@ def options(p: tuple[int, int]) -> list[tuple[int, int]]:
     return out
 
 
-def _sweep(spec: GameSpec, bound: int, given: tuple[list[int], list[int]] | None = None):
+def _sweep(spec: GameSpec, bound: int, given: PNTable | None = None):
     """The one row-major counting sweep of [0,bound]^2 under spec's rule.
 
     Every option of (x, y) lies in an earlier row, or earlier in row x, so
@@ -314,9 +314,12 @@ def _sweep(spec: GameSpec, bound: int, given: tuple[list[int], list[int]] | None
 
     With given None that cell is the next member, and the sweep returns the
     P-cells outside the terminal triangle as lists xs, ys, row-major.  With
-    given (starts, ys), a candidate's row-major non-terminal cells, row x's
-    members are ys[starts[x]:starts[x + 1]], and the sweep returns the
-    row-major first non-member (x, y) that the rule calls P, or None.
+    given a candidate's PNTable on the box, the members are its row-major
+    cells, walked in order, and the sweep returns the row-major first
+    non-member that the rule calls P as (x, y, count), or None.  Its count of
+    member options is found plus bit y of every cols and diags plane: exact,
+    since an open cell's lines hold fewer than need members and the planes
+    saturate only at need.
 
     Updating the planes costs O(need) operations a row on ints no longer
     than the highest column or diagonal that holds a member; the diagonal
@@ -327,15 +330,14 @@ def _sweep(spec: GameSpec, bound: int, given: tuple[list[int], list[int]] | None
     ell, full = _terminal_sum(spec, bound), (1 << n) - 1
     cols, diags = [0] * need, [0] * need
     planes = range(need - 1, 0, -1)
-    starts, cells = given or ((), ())
+    if given:  # a last row past the box ends the walk
+        rows, cells, i = given.xs.tolist() + [n], given.ys.tolist(), 0
     xs: list[int] = []
     ys: list[int] = []
     for x in range(n):
         first = 0 if x > ell else min(ell - x + 1, n)  # the row's terminal cells are P
         members = (1 << first) - 1
         found = y = first
-        if given:
-            i, end = starts[x], starts[x + 1]
         while True:
             z = n
             if found < need:
@@ -346,9 +348,9 @@ def _sweep(spec: GameSpec, bound: int, given: tuple[list[int], list[int]] | None
                 used >>= y  # its lowest zero bit is the lowest open cell >= y
                 z = y + (used ^ (used + 1)).bit_length() - 1
             if given:
-                m = cells[i] if i < end else n
+                m = cells[i] if rows[i] == x else n
                 if z < m:
-                    return x, z
+                    return x, z, found + sum(p >> z & 1 for p in chain(cols, diags))
                 if m == n:
                     break
                 i += 1
@@ -505,21 +507,19 @@ def check_absorbing(candidate, spec: GameSpec, bound: int) -> CheckResult:
     cells are members by the rule, whatever the candidate holds there.
     W variant: every non-member needs at least k member options.  This reads
     every cell, so it runs the solver's counting sweep with the candidate's
-    row-major cells as the members, walking each row's cells by index; the
-    row's own member count is constant between them, so the sweep tests only
-    the lowest open cell before each one, and it stops at the first
-    non-member that the rule calls P: the row-major first violator.  The
-    report reads that cell's exact count from the candidate's line keys.
+    table as the members, walking its row-major cells in order; the row's
+    own member count is constant between them, so the sweep tests only the
+    lowest open cell before each one, and it stops at the first non-member
+    that the rule calls P: the row-major first violator.  The report's
+    count of its member options comes off the sweep's planes.
     """
     table = _candidate_table(candidate, spec, bound)
-    starts = np.r_[0, np.bincount(table.xs, minlength=table.bound + 1).cumsum()].tolist()
-    violator = _sweep(spec, table.bound, (starts, table.ys.tolist()))
+    violator = _sweep(spec, table.bound, table)
     if violator is None:
         return CheckResult(True, f"absorbing on [0,{bound}]^2")
-    x, y = violator
-    count = int(_option_counts(table, np.array([x]), np.array([y]))[0])
-    return CheckResult(False, f"non-member {violator} has {count} member options "
-                       f"(needs {spec.need})", violator)
+    x, y, count = violator
+    return CheckResult(False, f"non-member {(x, y)} has {count} member options "
+                       f"(needs {spec.need})", (x, y))
 
 
 def non_redundant_witnesses(

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fibnum import (_digit_columns, _fibs_through, _natural, fib, floor_phi_range,
-                     rep_F, shift_range, val_F)
+from .fibnum import (_digit_columns, _fibs_through, _is_int, _natural, fib,
+                     floor_phi_range, rep_F, shift_range, val_F)
 
 __all__ = [
     "Morphism",
@@ -62,8 +62,10 @@ class Morphism:
         for i, img in enumerate(self.images):
             if len(img) == 0:
                 raise ValueError(f"letter {i} has an empty image")
-            if any(c < 0 or c >= k for c in img):
-                raise ValueError(f"image of letter {i} leaves the alphabet: {img}")
+            for c in img:  # a letter is an int, not a bool or a float, below k
+                if not (_is_int(c) and 0 <= c < k):
+                    raise ValueError(f"image of letter {i} holds {c!r}, not a letter "
+                                     f"0..{k - 1}: {img}")
 
     @property
     def alphabet_size(self) -> int:
@@ -112,7 +114,9 @@ def fixed_point_prefix(m: Morphism, seed: int, length: int) -> Word:
     Requires m(seed) to start with seed and have length >= 2, which makes the
     iteration limit well defined.
     """
-    length = _natural(length, "length", 1)
+    length, seed = _natural(length, "length", 1), _natural(seed, "seed")
+    if seed >= m.alphabet_size:
+        raise ValueError(f"seed {seed} is not a letter 0..{m.alphabet_size - 1}")
     first = m.images[seed]
     if first[0] != seed or len(first) < 2:
         raise ValueError(f"letter {seed} is not prolongable: image {first}")
@@ -132,6 +136,9 @@ def promote(m: Morphism, c: Coding) -> DFAO:
     """
     if not m.is_golden():
         raise ValueError("image lengths must all be 1 or 2")
+    if len(c.outputs) < m.alphabet_size:
+        raise ValueError(f"coding {c.outputs} has {len(c.outputs)} outputs "
+                         f"for {m.alphabet_size} letters")
     trans = []
     for img in m.images:
         if len(img) == 2:

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from wythlab import characterizations as ch, fibnum as fb, games as g, morphisms as mo
-from wythlab.catalog import adjust_dfao
+from wythlab.catalog import PARTITION_SYSTEMS, adjust_dfao
 
 D2 = adjust_dfao(2)
 K2_PREFIX = mo.k2_adjust_prefix(800)
 FIB = mo.Morphism(((0, 1), (0,)))
+K2_PAIRS = ch.mex_sequence(2, 60)
+P2 = PARTITION_SYSTEMS[2]  # its word describes the values from offset 3
 
 NATURAL = (-1, True, 2.5, 2.0)
 INTEGER = (True, 2.5, 2.0)  # the argument may be negative
@@ -35,6 +37,7 @@ CASES = [
     ("is_floor_phi-m", lambda v: fb.is_floor_phi(10, v), 16, INTEGER),
     ("hofstadter_h", fb.hofstadter_h, 50, NATURAL),
     ("fixed_point_prefix", lambda v: mo.fixed_point_prefix(FIB, 0, v), 20, NATURAL),
+    ("fixed_point_prefix-seed", lambda v: mo.fixed_point_prefix(FIB, v, 20), 0, NATURAL),
     ("eval_dfao", lambda v: mo.eval_dfao(D2, v), 10**18, NATURAL),
     ("eval_dfao_range", lambda v: mo.eval_dfao_range(D2, v), 40, NATURAL),
     ("block_span-i", lambda v: mo.block_span(v, 5), 3, NATURAL),
@@ -50,6 +53,14 @@ CASES = [
     ("closed_form_K3", ch.closed_form_K3, 30, NATURAL),
     ("closed_form_K4", ch.closed_form_K4, 30, NATURAL),
     ("closed_form_pairs", lambda v: ch.closed_form_pairs(3, v), 30, NATURAL),
+    ("closed_form_pairs-ell", lambda v: ch.closed_form_pairs(v, 30), 3, NATURAL),
+    ("k3_adjust_prefix_bruteforce", ch.k3_adjust_prefix_bruteforce, 30, INTEGER),
+    ("k4_adjust_prefix_bruteforce", ch.k4_adjust_prefix_bruteforce, 30, INTEGER),
+    ("counting_check", lambda v: ch.counting_check(K2_PAIRS, v), 40, NATURAL),
+    ("morphic_coding_check-offset",
+     lambda v: ch.morphic_coding_check(P2.morphism, P2.coding, v, K2_PAIRS, 60), 3, NATURAL),
+    ("morphic_coding_check-horizon",
+     lambda v: ch.morphic_coding_check(P2.morphism, P2.coding, 3, K2_PAIRS, v), 60, NATURAL),
     ("closed_form_table", lambda v: ch.closed_form_table(g.wspec(2), v), 40, NATURAL),
     ("closed_form_K1-a", lambda v: ch.closed_form_K1(v, 7), 4, NATURAL),
     ("closed_form_K1-b", lambda v: ch.closed_form_K1(4, v), 7, NATURAL),
@@ -114,8 +125,15 @@ def test_every_entry_point_reads_the_one_rule(call, n, refused):
     (lambda: mo.eval_dfao(D2, 6.5), "argument 6.5 is not an integer"),
     (lambda: mo.k2_adjust(-1), "negative argument -1"),
     (lambda: fb.hofstadter_h(-2), "negative argument -2"),
+    (lambda: ch.counting_check(K2_PAIRS, -3), "negative X -3"),
+    (lambda: ch.morphic_coding_check(P2.morphism, P2.coding, 3, K2_PAIRS, 50.5),
+     "horizon 50.5 is not an integer"),
+    (lambda: ch.closed_form_pairs(2.0, 3), "ell 2.0 is not an integer"),
+    (lambda: ch.k4_adjust_prefix_bruteforce(3.5), "count 3.5 is not an integer"),
 ], ids=["K1-negative", "K1-negative-pair", "W3-floats", "W2-floats", "is_floor_phi-negative",
-        "rep_F-float", "eval_dfao-float", "k2_adjust-negative", "hofstadter_h-blame"])
+        "rep_F-float", "eval_dfao-float", "k2_adjust-negative", "hofstadter_h-blame",
+        "counting_check-negative", "morphic-float-horizon", "closed_form_pairs-float-ell",
+        "k4_adjust-float"])
 def test_inputs_that_got_an_answer_are_refused(call, message):
     # each of these once returned an answer (or raised for another value)
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -138,7 +156,8 @@ def test_the_rule_and_its_messages():
             fb._natural(value, "bound", least)
 
 
-@pytest.mark.parametrize("fn", [mo.k2_adjust_prefix, mo.k2_adjust_prefix_by_recurrence])
+@pytest.mark.parametrize("fn", [mo.k2_adjust_prefix, mo.k2_adjust_prefix_by_recurrence,
+                                ch.k3_adjust_prefix_bruteforce, ch.k4_adjust_prefix_bruteforce])
 def test_a_count_below_one_still_gives_no_values(fn):
     assert fn(-3) == fn(np.int64(0)) == ()
     assert fn(np.int64(7)) == fn(7)

@@ -774,10 +774,20 @@ class TestEvalDfaoCommand:
         want = " ".join(str(eval_dfao(builtin, n)) for n in range(31))
         assert out.strip() == want
 
-    def test_negative_index(self):
+    def test_negative_index(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as ei:
             main(["eval-dfao", "k2-adjust", "--n", "-1"])
         assert ei.value.code == 2
+        # the index is checked before the automaton is opened: a missing path
+        # exited 3 and a malformed file 1
+        bad = tmp_path / "bad.txt"
+        bad.write_text("not an automaton\n")
+        for path in (tmp_path / "absent.txt", bad):
+            for flag in ("--n", "--upto"):
+                with pytest.raises(SystemExit) as ei:
+                    main(["eval-dfao", str(path), flag, "-1"])
+                assert ei.value.code == 2
+                assert f"{flag} must be a natural: -1" in capsys.readouterr().err
 
     def test_requires_exactly_one_mode(self):
         with pytest.raises(SystemExit) as ei:

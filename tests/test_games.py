@@ -703,6 +703,67 @@ class TestKernelChecksAgainstOptions:
                 scan_mask, spec, bound, stable=True)
         assert not check_stable(flipped, spec, bound).ok
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_absorption_count_spans_row_column_and_diagonal(self, k):
+        # every cell is a member but the lines of v = (8, 20) and the cells
+        # after it; k - 1 members on those lines, the diagonal's first, then
+        # the row's and the column's, leave v the first violator, since each
+        # earlier non-member keeps at least 7 member options
+        spec, bound, (x0, y0) = wspec(k), 30, (8, 20)
+        mask = np.ones((bound + 1, bound + 1), bool)
+        mask[x0, :] = mask[x0 + 1 :, :] = mask[:x0, y0] = False
+        for t in range(1, x0 + 1):
+            mask[x0 - t, y0 - t] = False
+        for cell in [(x0 - 5, y0 - 5), (x0, 3), (2, y0), (x0, 11), (6, y0)][: k - 1]:
+            mask[cell] = True
+        want = CheckResult(False, f"non-member {(x0, y0)} has {k - 1} member options "
+                           f"(needs {k})", (x0, y0))
+        assert scan_over_options(mask, spec, bound, stable=False) == want
+        table = PNTable.from_cells(spec, bound, *np.nonzero(mask))
+        for candidate in (table, mask, np.argwhere(mask).tolist()):
+            assert check_absorbing(candidate, spec, bound) == want
+
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    def test_absorption_count_reads_a_terminal_row(self, ell):
+        # checked as W^k, a K^ell table's triangle cells are members like any
+        # other, so the first violator lies in a row x <= ell and its count
+        # holds triangle cells; checked as K^ell, every cell of such a row has
+        # the terminal (x, 0) as an option, so even the empty candidate is
+        # absorbed there and its first violator lies past row ell
+        bound = 30
+        table = solve(kspec(ell), bound)
+        for k in (2, 3, 4):
+            want = scan_over_options(table.ppos, wspec(k), bound, stable=False)
+            assert not want.ok and want.counterexample[0] <= ell
+            assert f" has {k - 1} member options" in want.detail
+            for candidate in (table, table.ppos, np.argwhere(table.ppos).tolist()):
+                assert check_absorbing(candidate, wspec(k), bound) == want
+        empty = np.zeros_like(table.ppos)
+        want = scan_over_options(empty, kspec(ell), bound, stable=False)
+        assert not want.ok and want.counterexample[0] > ell
+        for candidate in (empty, []):
+            assert check_absorbing(candidate, kspec(ell), bound) == want
+
+    @pytest.mark.parametrize("spec", [kspec(2), wspec(3)], ids=GameSpec.label)
+    def test_absorption_never_counts_by_line_keys(self, spec, monkeypatch):
+        # the sweep gives the violator's count; no _option_counts call, so no
+        # line keys of the candidate
+        bound = 40
+        table = solve(spec, bound)
+        flipped = table.ppos.copy()
+        flipped[table.xs[9], table.ys[9]] = False  # a removed member
+
+        def no_count(table, x, y):
+            raise AssertionError("check_absorbing counted by line keys")
+
+        monkeypatch.setattr("wythlab.games._option_counts", no_count)
+        for mask in (table.ppos, flipped):
+            want = scan_over_options(mask, spec, bound, stable=False)
+            for candidate in (PNTable.from_cells(spec, bound, *np.nonzero(mask)),
+                              mask, np.argwhere(mask).tolist()):
+                assert check_absorbing(candidate, spec, bound) == want
+        assert not check_absorbing(flipped, spec, bound).ok
+
     @pytest.mark.parametrize("bound", [20, 40])
     def test_terminal_cells_are_never_counted(self, bound, monkeypatch):
         # every cell of [0,20]^2 is terminal; at bound 40 the witness search

@@ -1,4 +1,5 @@
 """Substitution systems, automata, block structure, and inference."""
+import re
 import tracemalloc
 
 import numpy as np
@@ -88,6 +89,35 @@ class TestArgumentChecks:
     def test_rejected(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
+
+    @pytest.mark.parametrize("letter", [1.0, True, np.bool_(True), 2, -1, "1"])
+    def test_a_letter_is_an_integer_in_range(self, letter):
+        # 1.0 and True were taken as letter 1 and built a morphism
+        with pytest.raises(ValueError, match=re.escape(
+                f"image of letter 0 holds {letter!r}, not a letter 0..1: ")):
+            Morphism(((0, letter), (0,)))
+        assert Morphism(((0, np.int64(1)), (0,))).apply((0,)) == (0, 1)
+
+    @pytest.mark.parametrize("seed,message", [
+        (5, "seed 5 is not a letter 0..1"),  # raised IndexError
+        (2, "seed 2 is not a letter 0..1"),
+        (True, "seed True is not an integer"),  # was read as letter 1
+        (0.0, "seed 0.0 is not an integer"),
+        (-1, "negative seed -1"),
+    ])
+    def test_seed_is_a_letter(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fixed_point_prefix(FIBONACCI_MORPHISM, seed, 5)
+        assert fixed_point_prefix(FIBONACCI_MORPHISM, np.int64(0), 5) == (0, 1, 0, 0, 1)
+
+    def test_coding_covers_the_alphabet(self):
+        # a 1-output coding of the 2-letter Fibonacci morphism built a DFAO
+        # whose state 1 had no output, an IndexError at its first read
+        with pytest.raises(ValueError, match=re.escape(
+                "coding (0,) has 1 outputs for 2 letters")):
+            promote(FIBONACCI_MORPHISM, Coding((0,)))
+        d = promote(FIBONACCI_MORPHISM, FIBONACCI_AB)
+        assert [eval_dfao(d, n) for n in range(5)] == list("abaab")
 
 
 class TestFixedPoint:
