@@ -9,13 +9,15 @@ the offset is the smallest non-terminal value, ell + 1.
 
 All systems are fixed points seeded at letter 0, with letters numbered by
 first appearance in the fixed point, so inference on the matching sequence
-prefixes reproduces them verbatim.
+prefixes reproduces them verbatim.  The built-in automata (adjust_dfao,
+builtin_dfaos) are promoted from these rows each time they are asked for,
+so they follow the tables and nothing is memoised.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
+from .fibnum import _natural
 from .morphisms import DFAO, Coding, Morphism, promote
 
 __all__ = [
@@ -186,14 +188,13 @@ PARTITION_SYSTEMS: dict[int, MorphicPartition] = {
 }
 
 
-@lru_cache(maxsize=None)
 def adjust_dfao(ell: int) -> DFAO:
-    """Automaton computing the K^ell adjustment sequence, ell in {2,3,4}."""
-    try:
-        morphism, coding = ADJUST_SYSTEMS[ell]
-    except KeyError:
-        raise ValueError(f"no adjustment system for ell={ell}") from None
-    return promote(morphism, coding)
+    """Automaton computing the K^ell adjustment sequence, ell in {2,3,4},
+    promoted from its ADJUST_SYSTEMS row on each call."""
+    ell = _natural(ell, "ell", None)
+    if ell not in ADJUST_SYSTEMS:
+        raise ValueError(f"no adjustment system for ell={ell}")
+    return promote(*ADJUST_SYSTEMS[ell])
 
 
 def _partition_dfao(part: MorphicPartition) -> DFAO:

@@ -131,16 +131,16 @@ CLOSED_FORMS = {
 }
 
 
-def _closed_form_arrays(ell: int, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The CLOSED_FORMS pairs of K^ell at Beatty indices first..stop-1."""
+def _closed_form_arrays(ell: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The non-terminal CLOSED_FORMS pairs of K^ell, at Beatty indices 2..stop-1."""
     ell = _natural(ell, "ell", None)
     if ell not in CLOSED_FORMS:
         raise ValueError(f"no closed form for K^{ell}; closed forms cover ell "
                          f"{', '.join(map(str, CLOSED_FORMS))}")
     adjust, lag, alpha = CLOSED_FORMS[ell]
-    a = floor_phi_range(stop - 1)[first:] + alpha
-    a += eval_dfao_range(adjust, stop - lag - 1)[first - lag :]
-    return a, a + np.arange(first + ell - 1, stop + ell - 1)
+    a = floor_phi_range(stop - 1)[2:] + alpha
+    a += eval_dfao_range(adjust, stop - lag - 1)[2 - lag :]
+    return a, a + np.arange(ell + 1, stop + ell - 1)
 
 
 def _closed_form_pair(ell: int, n: int, shift: int) -> tuple[int, int]:
@@ -156,7 +156,7 @@ def _closed_form_pair(ell: int, n: int, shift: int) -> tuple[int, int]:
 def closed_form_pairs(ell: int, count: int) -> PposSequence:
     """First count non-terminal pairs of K^ell from its closed form."""
     count = _natural(count, "pair count")
-    return PposSequence(ell, np.column_stack(_closed_form_arrays(ell, 2, count + 2)))
+    return PposSequence(ell, np.column_stack(_closed_form_arrays(ell, count + 2)))
 
 
 def closed_form_table(spec: GameSpec, bound: int) -> PNTable:
@@ -169,7 +169,7 @@ def closed_form_table(spec: GameSpec, bound: int) -> PNTable:
     if spec.variant == "K":
         # adj >= 0 and alpha >= -1 give a > m phi - 2, so every pair with
         # a <= bound has m < (bound + 2) / phi, below this stop
-        a, b = _closed_form_arrays(spec.ell, 2, bound * 2 // 3 + 8)
+        a, b = _closed_form_arrays(spec.ell, bound * 2 // 3 + 8)
     elif spec.k in (2, 3):  # {n, 2n+1} plus, for W^2, the all-even pairs
         n = np.arange(bound // 2 + 2)
         fp = floor_phi_range(bound // 2 + 1)

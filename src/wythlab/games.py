@@ -232,12 +232,13 @@ def _int_pairs(pairs) -> np.ndarray:
 class PposSequence:
     """Sorted non-terminal P-pairs (a_n, b_n), a_n <= b_n, indexed from 0.
 
-    pairs, integer pairs or an (n, 2) integer array, is read by _int_pairs
-    into the read-only int64 arrays a and b; .pairs builds the tuples on each read.
+    ell, K^ell's natural threshold or None for W, is read by _natural.  pairs,
+    integer pairs or an (n, 2) integer array, is read by _int_pairs into the
+    read-only int64 arrays a and b; .pairs builds the tuples on each read.
     """
 
     def __init__(self, ell: int | None, pairs) -> None:
-        self.ell = ell
+        self.ell = None if ell is None else _natural(ell, "ell")
         self.a, self.b = _int_pairs(pairs).T.copy()
         self.a.flags.writeable = self.b.flags.writeable = False
 

@@ -84,6 +84,8 @@ CASES = [
     ("non_redundant_witnesses",
      lambda v: g.non_redundant_witnesses(g.kspec(2), [(1, 1), (0, 2)], v), 60, NATURAL),
     ("PposSequence", lambda v: g.PposSequence(1, [(v, 2 * v + 1)]), 3, INTEGER),
+    ("PposSequence-ell", lambda v: g.PposSequence(v, K2_PAIRS.pairs), 2, NATURAL),
+    ("adjust_dfao", adjust_dfao, 2, INTEGER + (-1,)),
 ]
 
 
@@ -94,7 +96,7 @@ def fingerprint(x):
     if isinstance(x, np.ndarray):
         return ("array", x.dtype.str, x.tolist())
     if isinstance(x, g.PposSequence):
-        return ("pairs", x.ell, x.pairs)
+        return ("pairs", fingerprint(x.ell), x.pairs)
     if dataclasses.is_dataclass(x):
         return (type(x), tuple(fingerprint(v) for v in vars(x).values()))
     if isinstance(x, (tuple, list)):
@@ -130,10 +132,12 @@ def test_every_entry_point_reads_the_one_rule(call, n, refused):
      "horizon 50.5 is not an integer"),
     (lambda: ch.closed_form_pairs(2.0, 3), "ell 2.0 is not an integer"),
     (lambda: ch.k4_adjust_prefix_bruteforce(3.5), "count 3.5 is not an integer"),
+    (lambda: ch.counting_check(g.PposSequence(2.5, K2_PAIRS.pairs), 40),
+     "ell 2.5 is not an integer"),
 ], ids=["K1-negative", "K1-negative-pair", "W3-floats", "W2-floats", "is_floor_phi-negative",
         "rep_F-float", "eval_dfao-float", "k2_adjust-negative", "hofstadter_h-blame",
         "counting_check-negative", "morphic-float-horizon", "closed_form_pairs-float-ell",
-        "k4_adjust-float"])
+        "k4_adjust-float", "counting_check-float-ell"])
 def test_inputs_that_got_an_answer_are_refused(call, message):
     # each of these once returned an answer (or raised for another value)
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -444,6 +444,14 @@ class TestCatalog:
         assert list(dfaos)[-2:] == ["k3-partition", "k4-partition"]
         assert dfaos["k4-partition"] == dfaos["k1-partition"]
 
+    def test_adjust_automata_follow_the_table(self, monkeypatch):
+        k2, k3 = adjust_dfao(2), adjust_dfao(3)
+        assert (k2.state_count, k3.state_count) == (6, 12)
+        # a row replaced after a first call is followed by both entry points
+        monkeypatch.setitem(ADJUST_SYSTEMS, 2, ADJUST_SYSTEMS[3])
+        assert adjust_dfao(2) == k3
+        assert builtin_dfaos()["k2-adjust"] == k3
+
     def test_adjust_dfao_unknown_ell(self):
         with pytest.raises(ValueError):
             adjust_dfao(7)
