@@ -111,11 +111,11 @@ def zeckendorf_digits(n_max: int) -> np.ndarray:
 def val_F(word: str | Sequence[int]) -> int:
     """Value of a 0/1 word under the Fibonacci weights (canonicity not required)."""
     total = 0
-    for i, d in enumerate(reversed(word)):
+    for i, d in enumerate(reversed(word)):  # True and 1.0 equal 1 but are no digit
+        if not (isinstance(d, str) or _is_int(d)) or d not in ("0", "1", 0, 1):
+            raise ValueError(f"non-binary symbol {d!r} in word")
         if d in ("1", 1):
             total += fib(i)
-        elif d not in ("0", 0):
-            raise ValueError(f"non-binary symbol {d!r} in word")
     return total
 
 

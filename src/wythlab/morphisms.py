@@ -103,6 +103,19 @@ class DFAO:
     transitions: tuple[tuple[int | None, int | None], ...]
     outputs: tuple
 
+    def __post_init__(self) -> None:
+        n = len(self.transitions)
+        if n == 0:
+            raise ValueError("an automaton needs at least one state")
+        if len(self.outputs) < n:
+            raise ValueError(f"{n} states but {len(self.outputs)} outputs "
+                             f"{self.outputs!r}; each state needs one")
+        for s, row in enumerate(self.transitions):  # a target is an int, not a bool
+            if len(row) != 2 or not all(t is None or _is_int(t) and 0 <= t < n
+                                        for t in row):
+                raise ValueError(f"state {s} has transitions {row!r}, not two "
+                                 f"entries each None or a state 0..{n - 1}")
+
     @property
     def state_count(self) -> int:
         return len(self.transitions)

@@ -1,12 +1,15 @@
 """Named verification suites shared by the command line and the tests.
 
-Each suite runs a family of bounded checks and returns items carrying the
-check name, the rule-set label, the bound, the verdict with any
-counterexample, and the wall time.  run_suite orders the items by name, so
-reports are deterministic.
+Each suite yields rows (name, rule-set, bound, check) of a family of
+bounded checks, where check takes no arguments.  Drawing a row runs its
+setup (the solve, mask or profile); one runner then times the row's check
+into an item carrying the check name, the rule-set label, the bound, the
+verdict with any counterexample, and the check's wall time.  run_suite
+orders the items by name, so reports are deterministic.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from math import isqrt
@@ -94,54 +97,63 @@ def _select(suite: str, ell, k, ells=(), ks=()) -> tuple[list[int], list[int]]:
     return [ell] if ell is not None else [], [k] if k is not None else []
 
 
-def _kernel_items(name: str, table: PNTable, spec: GameSpec, B: int) -> list[SuiteItem]:
-    """Stability and absorption of a candidate P-set, one item each."""
-    checks = (("stable", check_stable), ("absorbing", check_absorbing))
-    return [_timed(f"{name}/{what}", spec.label(), B, lambda: check(table, spec, B))
-            for what, check in checks]
+def _suite(rows):
+    """Run a generator of rows (name, spec, bound, check) as a suite that
+    returns SuiteItems.  Drawing a row runs its setup; its check is timed
+    before the next row is drawn, since a check may read the generator's
+    loop variables."""
+
+    @functools.wraps(rows)
+    def suite(ell=None, k=None, bound=None) -> list[SuiteItem]:
+        return [_timed(name, spec.label(), B, check)
+                for name, spec, B, check in rows(ell, k, bound)]
+
+    return suite
 
 
-def _closed_form_items(name: str, spec: GameSpec, what: str, B: int) -> list[SuiteItem]:
+def _kernel_rows(name: str, table: PNTable, spec: GameSpec, B: int):
+    """Stability and absorption of a candidate P-set, one row each."""
+    yield f"{name}/stable", spec, B, lambda: check_stable(table, spec, B)
+    yield f"{name}/absorbing", spec, B, lambda: check_absorbing(table, spec, B)
+
+
+def _closed_form_rows(name: str, spec: GameSpec, what: str, B: int):
     """Set equality with the solver, stability and absorption of a closed form."""
     cells, table = ch.closed_form_table(spec, B), solve(spec, B)
-    equality = _timed(f"{name}/set-equality", spec.label(), B,
-                      lambda: _set_equality(cells, table, what,
-                                            ("closed form", "solver")))
-    return [equality] + _kernel_items(name, cells, spec, B)
+    yield (f"{name}/set-equality", spec, B,
+           lambda: _set_equality(cells, table, what, ("closed form", "solver")))
+    yield from _kernel_rows(name, cells, spec, B)
 
 
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
-def suite_kernel(ell=None, k=None, bound=None) -> list[SuiteItem]:
+@_suite
+def suite_kernel(ell=None, k=None, bound=None):
     """Stability and absorption of the solver's own output."""
     ells, ks = _select("kernel", ell, k, ells=range(5), ks=range(1, 4))
-    specs = ([(kspec(e), K_BOUND_DEFAULT) for e in ells]
-             + [(wspec(kk), W_BOUND_DEFAULT) for kk in ks])
-    items = []
-    for spec, B in specs:
+    for spec, B in ([(kspec(e), K_BOUND_DEFAULT) for e in ells]
+                    + [(wspec(kk), W_BOUND_DEFAULT) for kk in ks]):
         B = B if bound is None else bound
         tag = spec.label().replace(" ", "-")
-        items += _kernel_items(f"kernel/{tag}", solve(spec, B), spec, B)
-    return items
+        yield from _kernel_rows(f"kernel/{tag}", solve(spec, B), spec, B)
 
 
-def suite_closed_forms(ell=None, k=None, bound=None) -> list[SuiteItem]:
+@_suite
+def suite_closed_forms(ell=None, k=None, bound=None):
     """Closed-form sets versus solver ground truth, plus their kernel checks."""
     ells, _ = _select("closed-forms", ell, k, ells=ch.CLOSED_FORMS)
     B = K_BOUND_DEFAULT if bound is None else bound
-    items = []
     for e in ells:
-        items += _closed_form_items(f"closed-forms/K{e}", kspec(e), f"K^{e}", B)
-    return items
+        yield from _closed_form_rows(f"closed-forms/K{e}", kspec(e), f"K^{e}", B)
 
 
-def suite_mex(ell=None, k=None, bound=None) -> list[SuiteItem]:
+@_suite
+def suite_mex(ell=None, k=None, bound=None):
     """The mex recursion versus the solver, partition, and counting."""
     ells, _ = _select("mex", ell, k, ells=range(7))
     B = K_BOUND_DEFAULT if bound is None else bound
-    items = []
     for e in ells:
         spec = kspec(e)
         count = B * 2 // 3 + 2 * min(e, B) + 8  # for e >= B, pair 0 lies past the box
@@ -173,31 +185,29 @@ def suite_mex(ell=None, k=None, bound=None) -> list[SuiteItem]:
             except ValueError as exc:
                 return CheckResult(False, f"pairs refused: {exc}")
 
-        for what, check in (("solver-equality", equality), ("partition", partition),
-                            ("counting", counting)):
-            items.append(_timed(f"mex/K{e}/{what}", spec.label(), B, check))
-    return items
+        yield f"mex/K{e}/solver-equality", spec, B, equality
+        yield f"mex/K{e}/partition", spec, B, partition
+        yield f"mex/K{e}/counting", spec, B, counting
 
 
-def suite_blocking(ell=None, k=None, bound=None) -> list[SuiteItem]:
+@_suite
+def suite_blocking(ell=None, k=None, bound=None):
     """Explicit W^2/W^3 families versus the solver; W^1 equals K^0."""
     _, ks = _select("blocking", ell, k, ks=(1, 2, 3))
     B = W_BOUND_DEFAULT if bound is None else bound
-    items = []
     for kk in ks:
         if kk == 1:
             def w1_equals_k0():  # K^0's table leaves out its terminal (0, 0)
                 k0 = solve(kspec(0), B)
                 k0 = PNTable.from_cells(wspec(1), B, np.r_[0, k0.xs], np.r_[0, k0.ys])
                 return _set_equality(solve(wspec(1), B), k0, "W^1 vs K^0", ("W^1", "K^0"))
-            items.append(_timed("blocking/W1-equals-K0", wspec(1).label(), B,
-                                w1_equals_k0))
+            yield "blocking/W1-equals-K0", wspec(1), B, w1_equals_k0
         else:
-            items += _closed_form_items(f"blocking/W{kk}", wspec(kk), f"W^{kk}", B)
-    return items
+            yield from _closed_form_rows(f"blocking/W{kk}", wspec(kk), f"W^{kk}", B)
 
 
-def suite_discrepancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
+@_suite
+def suite_discrepancy(ell=None, k=None, bound=None):
     """Certified discrepancy bounds and density along the a-sequence."""
     ells, _ = _select("discrepancy", ell, k, ells=range(1, 9))
     N = DISCREPANCY_HORIZON_DEFAULT if bound is None else bound
@@ -211,13 +221,8 @@ def suite_discrepancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
     if N < least:
         raise ValueError(f"suite 'discrepancy' needs --bound >= {least} for ell "
                          f"{max(ells)}, where the density is within 1/100, not {N}")
-    items = []
     for e in ells:
         profile = ch.discrepancy_profile(e, N)
-        items.append(
-            _timed(f"discrepancy/K{e}/profile", kspec(e).label(), N,
-                   lambda: ch.check_discrepancy(profile))
-        )
 
         def density():
             a_N = int(profile.a[N])
@@ -225,11 +230,13 @@ def suite_discrepancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
             detail = f"|a_n/n - phi| {'<=' if ok else '>'} 1/100 at n={N} (a_n={a_N})"
             return CheckResult(ok, detail, None if ok else (N, a_N))
 
-        items.append(_timed(f"discrepancy/K{e}/density", kspec(e).label(), N, density))
-    return items
+        yield (f"discrepancy/K{e}/profile", kspec(e), N,
+               lambda: ch.check_discrepancy(profile))
+        yield f"discrepancy/K{e}/density", kspec(e), N, density
 
 
-def suite_redundancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
+@_suite
+def suite_redundancy(ell=None, k=None, bound=None):
     """Every elementary move admits a witness position that needs it: one
     non_redundant_witnesses call a rule-set, whose first move without a
     witness in the box is a usage error (inconclusive, never a FAIL)."""
@@ -238,12 +245,9 @@ def suite_redundancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
         raise ValueError(f"suite 'redundancy' needs --bound >= {REDUNDANCY_MAX_DELTA}, "
                          f"the longest move checked, not {B}")
     ells, ks = _select("redundancy", ell, k, ells=(1, 2, 3, 4), ks=(2, 3))
-    specs = [kspec(e) for e in ells] + [wspec(kk) for kk in ks]
     moves = [m for i in range(1, REDUNDANCY_MAX_DELTA + 1)
              for m in ((i, 0), (0, i), (i, i))]
-    items = []
-    for spec in specs:
-        tag = spec.label().replace(" ", "-")
+    for spec in [kspec(e) for e in ells] + [wspec(kk) for kk in ks]:
 
         def all_moves():
             witnesses = non_redundant_witnesses(spec, moves, B)
@@ -254,20 +258,21 @@ def suite_redundancy(ell=None, k=None, bound=None) -> list[SuiteItem]:
                                  "small, raise --bound")
             return CheckResult(True, f"witnesses for all {len(moves)} moves")
 
-        items.append(_timed(f"redundancy/{tag}", spec.label(), B, all_moves))
-    return items
+        yield f"redundancy/{spec.label().replace(' ', '-')}", spec, B, all_moves
 
 
-def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
+@_suite
+def suite_morphic(ell=None, k=None, bound=None):
     """Automatic-sequence machinery: oracles, automata, partition words."""
-    ells, _ = _select("morphic", ell, k,
-                      ells={*ADJUST_SYSTEMS, *PARTITION_SYSTEMS})
+    known = {*ADJUST_SYSTEMS, *PARTITION_SYSTEMS}
+    ells, _ = _select("morphic", ell, k, ells=known)
     H = MORPHIC_HORIZON_DEFAULT if bound is None else bound
     least = max([1] + [p.offset for e, p in PARTITION_SYSTEMS.items() if e in ells])
     if H < least:
         raise ValueError(f"suite 'morphic' needs --bound >= {least}, a horizon with "
                          f"a value in every selected word, not {H}")
-    items = []
+    if not known.intersection(ells):
+        raise ValueError(f"suite 'morphic' has no checks for --ell {ell}")
     if 2 in ells:
 
         def k2_oracles():
@@ -276,8 +281,7 @@ def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
             return _first_failure(f"{H} values agree", (disagree, lambda n: (
                 f"definitions disagree at n={n}", n)))
 
-        items.append(_timed("morphic/k2-adjust/definition-vs-recurrence",
-                            kspec(2).label(), H, k2_oracles))
+        yield "morphic/k2-adjust/definition-vs-recurrence", kspec(2), H, k2_oracles
     for e in (e for e in ADJUST_SYSTEMS if e in ells):
         morphism, coding = ADJUST_SYSTEMS[e]
 
@@ -287,8 +291,7 @@ def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
             return _first_failure(f"{H} values agree", (got != word, lambda n: (
                 f"automaton says {got[n]}, word says {word[n]} at n={n}", n)))
 
-        items.append(_timed(f"morphic/k{e}-adjust/dfao-vs-word",
-                            kspec(e).label(), H, dfao_vs_word))
+        yield f"morphic/k{e}-adjust/dfao-vs-word", kspec(e), H, dfao_vs_word
     for e in (e for e in PARTITION_SYSTEMS if e in ells):
         part = PARTITION_SYSTEMS[e]
 
@@ -297,11 +300,7 @@ def suite_morphic(ell=None, k=None, bound=None) -> list[SuiteItem]:
             return ch.morphic_coding_check(part.morphism, part.coding,
                                            part.offset, pp, H)
 
-        items.append(_timed(f"morphic/partition-word/K{e}",
-                            kspec(e).label(), H, word_vs_pairs))
-    if not items:
-        raise ValueError(f"suite 'morphic' has no checks for --ell {ell}")
-    return items
+        yield f"morphic/partition-word/K{e}", kspec(e), H, word_vs_pairs
 
 
 SUITES = {

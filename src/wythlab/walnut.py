@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 
+from .fibnum import _is_int
 from .morphisms import DFAO
 
 __all__ = ["to_walnut", "from_walnut", "WalnutFormatError"]
@@ -37,9 +38,9 @@ def to_walnut(d: DFAO) -> str:
     """
     lines = [_HEADER]
     for state, (out, edges) in enumerate(zip(d.outputs, d.transitions)):
-        if not isinstance(out, int) or isinstance(out, bool):
+        if not _is_int(out):  # numpy integers too; a bool, a float or a str is refused
             raise ValueError(f"state {state} output {out!r} is not an integer")
-        lines.append(f"{state} {out}")
+        lines.append(f"{state} {int(out)}")
         for digit, target in enumerate(edges):
             if target is not None:
                 lines.append(f"{digit} -> {target}")

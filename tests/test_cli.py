@@ -656,6 +656,36 @@ class TestVerifyCommand:
         assert [r.counterexample for r in results] == [0, 4, 6, 0, 0]
         assert all(python_values(r.counterexample) for r in results)
 
+    def test_a_doctored_ell_fails_only_its_own_items(self, monkeypatch):
+        # every ell runs in one suite call, so a check that read another
+        # ell's pairs would move the failures off K3
+        real = suites.ch.mex_sequence
+
+        def doctored(ell, count):
+            pairs = list(real(ell, count).pairs)
+            if ell == 3:
+                assert pairs[1] == (5, 10)
+                del pairs[1]
+            return PposSequence(ell, pairs)
+
+        monkeypatch.setattr(suites.ch, "mex_sequence", doctored)
+        items = suites.run_suite("mex")
+        assert len(items) == 21
+        assert [it.name for it in items if not it.result.ok] == [
+            "mex/K3/counting", "mex/K3/partition", "mex/K3/solver-equality"]
+
+    def test_every_item_is_timed_once(self, monkeypatch):
+        real, timed = suites._timed, []
+
+        def spy(name, spec_label, bound, fn):
+            timed.append(real(name, spec_label, bound, fn))
+            return timed[-1]
+
+        monkeypatch.setattr(suites, "_timed", spy)
+        items = suites.run_suite("all")
+        assert len(timed) == len(items) == len(VERIFY_ALL_ITEMS) == 86
+        assert sorted(map(id, timed)) == sorted(map(id, items))  # seconds included
+
 
 class TestInferCommand:
     def write_prefix(self, tmp_path, values):

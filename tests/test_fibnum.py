@@ -1,5 +1,6 @@
 """Zeckendorf arithmetic: representations, exact floors, certificates."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,19 @@ class TestRepresentation:
             val_F("102")
         with pytest.raises(ValueError):
             val_F([2])
+
+    @pytest.mark.parametrize("word,digit", [
+        ([True, False], False), ([1.0, 0.0], 0.0), ([1, 0.0], 0.0),
+        ([np.bool_(True), 0], np.bool_(True)),
+    ])
+    def test_val_reads_only_str_and_integer_digits(self, word, digit):
+        # [True, False] and [1.0, 0.0] were read as 2, yet is_canonical
+        # calls both non-canonical
+        assert not is_canonical(word)
+        with pytest.raises(ValueError, match=re.escape(
+                f"non-binary symbol {digit!r} in word")):
+            val_F(word)
+        assert val_F([np.int64(1), np.uint8(0)]) == 2 == val_F(["1", 0])
 
     def test_rep_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -110,6 +110,32 @@ class TestArgumentChecks:
             fixed_point_prefix(FIBONACCI_MORPHISM, seed, 5)
         assert fixed_point_prefix(FIBONACCI_MORPHISM, np.int64(0), 5) == (0, 1, 0, 0, 1)
 
+    @pytest.mark.parametrize("transitions,outputs,message", [
+        ((), (), "an automaton needs at least one state"),
+        (((0, 0), (1, 1)), (7,), "2 states but 1 outputs (7,); each state needs one"),
+        # raised IndexError in both evaluators, and to_walnut wrote `1 -> 5`
+        (((0, 5),), (1,), "state 0 has transitions (0, 5), not two entries "
+                          "each None or a state 0..0"),
+        # to_walnut wrote `1 -> True`
+        (((0, True),), (1,), "state 0 has transitions (0, True), not two "
+                             "entries each None or a state 0..0"),
+        # eval_dfao raised TypeError while eval_dfao_range answered
+        (((0, 1.0), (0, 0)), (1, 2), "state 0 has transitions (0, 1.0), not two "
+                                     "entries each None or a state 0..1"),
+        (((0, -1),), (1,), "state 0 has transitions (0, -1), not two entries "
+                           "each None or a state 0..0"),
+        (((0,),), (1,), "state 0 has transitions (0,), not two entries "
+                        "each None or a state 0..0"),
+        (((0, 0, 0),), (1,), "state 0 has transitions (0, 0, 0), not two "
+                             "entries each None or a state 0..0"),
+    ], ids=["no-state", "too-few-outputs", "missing-state", "bool", "float",
+            "negative", "one-entry", "three-entries"])
+    def test_an_automaton_is_checked_when_built(self, transitions, outputs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DFAO(transitions, outputs)
+        d = DFAO(((None, np.int64(1)), (0, None)), (5, 6, 7))  # promote may give more
+        assert eval_dfao_range(d, 2).tolist() == [eval_dfao(d, n) for n in range(3)]
+
     def test_coding_covers_the_alphabet(self):
         # a 1-output coding of the 2-letter Fibonacci morphism built a DFAO
         # whose state 1 had no output, an IndexError at its first read

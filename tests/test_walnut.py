@@ -1,8 +1,11 @@
 """Word-automaton text format: canonical emission and strict parsing."""
+import re
+
+import numpy as np
 import pytest
 
 from wythlab.catalog import adjust_dfao, builtin_dfaos
-from wythlab.morphisms import DFAO, eval_dfao
+from wythlab.morphisms import DFAO, eval_dfao, infer_morphism, k2_adjust_prefix, promote
 from wythlab.walnut import WalnutFormatError, from_walnut, to_walnut
 
 
@@ -83,3 +86,17 @@ class TestErrors:
         d = DFAO(transitions=((0, 0),), outputs=("a",))
         with pytest.raises(ValueError):
             to_walnut(d)
+
+    def test_to_walnut_writes_numpy_integer_outputs(self):
+        # an inferred coding holds numpy integers; they were refused as
+        # "output np.int64(1) is not an integer"
+        r = infer_morphism(np.array(k2_adjust_prefix(400)), 3)
+        d = promote(r.morphism, r.coding)
+        assert isinstance(d.outputs[0], np.integer)
+        back = from_walnut(to_walnut(d))
+        assert back.transitions == d.transitions and back.outputs == d.outputs
+        assert to_walnut(DFAO(((0, None),), (np.int64(-3),))) == "msd_fib\n0 -3\n0 -> 0\n"
+        for out in (True, np.bool_(True), 1.0, "1"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"state 0 output {out!r} is not an integer")):
+                to_walnut(DFAO(((0, None),), (out,)))
