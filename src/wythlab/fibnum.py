@@ -108,25 +108,34 @@ def zeckendorf_digits(n_max: int) -> np.ndarray:
     return np.array(cols, dtype=np.uint8).reshape(len(cols), n_max + 1).T
 
 
+def _bit(d) -> int | None:
+    """The digit d, "0", "1", 0 or 1, as 0 or 1; None for any other symbol.
+    True and 1.0 equal 1 but are no digit, and "10" is no digit either."""
+    if (isinstance(d, str) or _is_int(d)) and d in ("0", "1", 0, 1):
+        return int(d)
+    return None
+
+
 def val_F(word: str | Sequence[int]) -> int:
     """Value of a 0/1 word under the Fibonacci weights (canonicity not required)."""
     total = 0
-    for i, d in enumerate(reversed(word)):  # True and 1.0 equal 1 but are no digit
-        if not (isinstance(d, str) or _is_int(d)) or d not in ("0", "1", 0, 1):
+    for i, d in enumerate(reversed(word)):
+        bit = _bit(d)
+        if bit is None:
             raise ValueError(f"non-binary symbol {d!r} in word")
-        if d in ("1", 1):
+        if bit:
             total += fib(i)
     return total
 
 
 def is_canonical(word: str | Sequence[int]) -> bool:
-    """True iff the word is a valid greedy representation (of its own value)."""
-    s = "".join(str(d) for d in word)
-    if s == "":
-        return True
-    if s[0] != "1" or set(s) - {"0", "1"}:
+    """True iff the word is a valid greedy representation (of its own value):
+    digits as val_F reads them, no leading 0 and no two adjacent 1s."""
+    bits = [_bit(d) for d in word]
+    if None in bits:
         return False
-    return "11" not in s
+    s = "".join(map(str, bits))
+    return s == "" or s[0] == "1" and "11" not in s
 
 
 def shift(n: int) -> int:

@@ -92,6 +92,15 @@ class TestRepresentation:
             val_F(word)
         assert val_F([np.int64(1), np.uint8(0)]) == 2 == val_F(["1", 0])
 
+    @pytest.mark.parametrize("word", [[10, 0], ["10", "0"]])
+    def test_canonical_reads_digits_as_val_does(self, word):
+        # the digits were joined into the string "100" and called canonical
+        assert not is_canonical(word)
+        with pytest.raises(ValueError, match=re.escape(
+                f"non-binary symbol {word[0]!r} in word")):
+            val_F(word)
+        assert is_canonical([1, "0", np.int64(1)]) and not is_canonical([1, 1])
+
     def test_rep_rejects_negative(self):
         with pytest.raises(ValueError):
             rep_F(-1)

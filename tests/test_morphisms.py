@@ -1,4 +1,5 @@
 """Substitution systems, automata, block structure, and inference."""
+import pickle
 import re
 import tracemalloc
 
@@ -20,7 +21,8 @@ from wythlab.catalog import (
     adjust_dfao,
     builtin_dfaos,
 )
-from wythlab.fibnum import hofstadter_h, rep_F
+from wythlab.characterizations import CLOSED_FORMS
+from wythlab.fibnum import fib, hofstadter_h, rep_F
 from wythlab.morphisms import (
     DFAO,
     Coding,
@@ -37,6 +39,7 @@ from wythlab.morphisms import (
     k2_adjust_prefix_by_recurrence,
     promote,
 )
+from wythlab.walnut import from_walnut, to_walnut
 
 TABLE1_G = (1, 0, 1, 1, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1)
 
@@ -49,6 +52,14 @@ def dfaos(draw):
     outputs = draw(st.lists(st.one_of(st.integers(), st.text(max_size=2), st.none()),
                             min_size=k, max_size=k))
     return DFAO(tuple(transitions), tuple(outputs))
+
+
+def answer(d, n):
+    """eval_dfao(d, n), or the text of the ValueError it raises."""
+    try:
+        return eval_dfao(d, n)
+    except ValueError as e:
+        return str(e)
 
 
 def walk_rep_F(d, n):
@@ -251,17 +262,16 @@ class TestPromoteAndEval:
         assert d.outputs[state] == eval_dfao(d, 4)
 
     @settings(max_examples=300, deadline=None)
-    @given(dfaos(), st.integers(0, 10**30))
+    # n near the block table too: fib(w) is at most 28657 for these automata
+    @given(dfaos(), st.one_of(st.integers(0, 10**30), st.integers(0, 10**5)))
     def test_eval_matches_the_rep_F_walk(self, d, n):
-        try:
-            got = eval_dfao(d, n)
-        except ValueError as e:
-            got = str(e)
-        assert got == walk_rep_F(d, n)
+        assert answer(d, n) == walk_rep_F(d, n)
 
     def test_eval_takes_numpy_integers(self):
         d = adjust_dfao(3)
-        assert eval_dfao(d, np.int64(10**18)) == walk_rep_F(d, 10**18)
+        w = d._blocks[0]  # one n read from top, two through the walk and low
+        for n in (np.int64(10**18), np.int32(fib(w) - 1), np.uint64(fib(w) + 2)):
+            assert eval_dfao(d, n) == walk_rep_F(d, int(n)), n
         for n in (-1, np.int64(-5)):
             with pytest.raises(ValueError, match="negative argument"):
                 eval_dfao(d, n)
@@ -273,6 +283,114 @@ class TestPromoteAndEval:
         for name, d in builtin_dfaos().items():
             want = eval_dfao_range(d, 3000).tolist()
             assert [eval_dfao(d, n) for n in range(3001)] == want, name
+
+
+class TestBlockTable:
+    """eval_dfao ends in a lookup in the automaton's block table (w, top, low)."""
+
+    @staticmethod
+    def edges(d):
+        w = d._blocks[0]
+        return [*range(fib(w) - 3, fib(w) + 4), 10**18]
+
+    def test_edges_match_the_walk(self):
+        cases = {**builtin_dfaos(), "K1 closed form": CLOSED_FORMS[1][0]}
+        for name, d in cases.items():
+            w, top, low = d._blocks
+            entries = len(top) + sum(map(len, low))
+            # the widest block within 2**16 entries, low and top together
+            assert len(top) == fib(w) and entries == (d.state_count + 1) * fib(w), name
+            assert entries <= 2**16 < (d.state_count + 1) * fib(w + 1), name
+            for n in self.edges(d):
+                assert eval_dfao(d, n) == walk_rep_F(d, n), (name, n)
+
+    def test_leading_zeros_matter(self):
+        # state 0 leaves on a 0, so a fed leading zero would show: the padded
+        # rows may be read only after the leading 1.  In the second automaton
+        # state 0 ends in 1 or 3 on a padded word that starts with 0, and in 0
+        # or 2 on rep_F(n), so low[0] and top differ at every n < fib(w - 1).
+        for d in (DFAO(((1, 1), (0, 1)), (5, 6)),
+                  DFAO(((1, 2), (1, 3), (2, 2), (3, 3)), (0, 1, 2, 3))):
+            for n in [*range(300), *self.edges(d)]:
+                assert eval_dfao(d, n) == walk_rep_F(d, n), n
+        w, top, low = d._blocks
+        assert sum(a != b for a, b in zip(low[0], top)) == fib(w - 1)
+
+    def test_missing_transitions_give_the_walk_error(self):
+        # state 2, reached on 10, has no 1-edge: a second 1 is missing, met in
+        # top below fib(w), in low at fib(w) + 1, and in the walk above both
+        d = DFAO(((0, 1), (2, 0), (2, None)), (7, 8, 9))
+        w = d._blocks[0]
+        far = fib(w + 3) + fib(w + 1)
+        for n in (4, fib(w) - 1, fib(w) + 1, far):
+            assert answer(d, n).startswith("undefined transition"), n
+        for n in [*range(300), *self.edges(d), far]:
+            assert answer(d, n) == walk_rep_F(d, n), n
+        d = DFAO(((0, None),), (7,))  # every 1 is missing, the leading one first
+        for n in [*range(30), *self.edges(d)]:
+            assert answer(d, n) == walk_rep_F(d, n), n
+
+    def test_many_states_build_no_table(self):
+        many = 2**15 + 1
+        d = DFAO(tuple(((s + 1) % many, (s + 2) % many) for s in range(many)),
+                 tuple(range(many)))
+        assert d._blocks is None
+        for n in (0, 1, 5, 10**5, 10**18):
+            assert eval_dfao(d, n) == walk_rep_F(d, n), n
+        fewer = 2**15 - 1  # (fewer + 1) * fib(1) entries fit
+        d = DFAO(tuple(((s + 1) % fewer, (s + 2) % fewer) for s in range(fewer)),
+                 tuple(range(fewer)))
+        assert d._blocks[0] == 1
+        for n in (0, 1, 2, 3, 10**5):
+            assert eval_dfao(d, n) == walk_rep_F(d, n), n
+
+    @pytest.mark.parametrize("make", [lambda: DFAO(((0, 0),), (0,)),
+                                      lambda: adjust_dfao(4)], ids=["one-state", "k4"])
+    def test_the_table_is_a_cache_not_state(self, make):
+        d, twin = make(), make()
+        def looks():
+            text = to_walnut(d)
+            return d == twin, hash(d), repr(d), pickle.dumps(d), text, from_walnut(text)
+        before = looks()
+        assert "_blocks" not in vars(d)
+        eval_dfao(d, 10**6)
+        assert "_blocks" in vars(d) and "_blocks" not in vars(twin)
+        assert looks() == before
+        back = pickle.loads(pickle.dumps(d))
+        assert back == d and eval_dfao(back, 10**6) == eval_dfao(d, 10**6)
+
+    @pytest.mark.parametrize("make", [lambda: DFAO(((0, 0),), (0,)),
+                                      lambda: adjust_dfao(4)], ids=["one-state", "k4"])
+    def test_the_first_call_stays_small(self, make):
+        d = make()
+        fib(100)  # the weights of the call, outside the measurement
+        tracemalloc.start()
+        try:
+            eval_dfao(d, 10**18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
+    def test_eval_needs_no_range_code(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eval_dfao read the range code")
+        for where in ("wythlab.fibnum._digit_columns", "wythlab.morphisms._digit_columns",
+                      "wythlab.morphisms.eval_dfao_range"):
+            monkeypatch.setattr(where, refuse)
+        for name, d in builtin_dfaos().items():
+            for n in [*range(200), *self.edges(d)]:
+                assert eval_dfao(d, n) == walk_rep_F(d, n), (name, n)
+
+    def test_range_needs_no_table(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("eval_dfao_range read the block table")
+        monkeypatch.setattr(DFAO, "_blocks", property(refuse))
+        for ell, (morphism, coding) in ADJUST_SYSTEMS.items():
+            word = coding.map(fixed_point_prefix(morphism, 0, 7000))
+            assert tuple(eval_dfao_range(adjust_dfao(ell), 6999).tolist()) == word, ell
+        with pytest.raises(AssertionError, match="block table"):
+            eval_dfao(adjust_dfao(2), 1)
 
 
 class TestK2Adjust:
