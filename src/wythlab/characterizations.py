@@ -172,8 +172,11 @@ def closed_form_table(spec: GameSpec, bound: int) -> PNTable:
         a, b = _closed_form_arrays(spec.ell, bound * 2 // 3 + 8)
     elif spec.k in (2, 3):  # {n, 2n+1} plus, for W^2, the all-even pairs
         n = np.arange(bound // 2 + 2)
-        fp = floor_phi_range(bound // 2 + 1)
-        a, b = (2 * fp + 2, 2 * (fp + n) + 2) if spec.k == 2 else (n, 2 * n + 2)
+        if spec.k == 2:
+            fp = floor_phi_range(bound // 2 + 1)
+            a, b = 2 * fp + 2, 2 * (fp + n) + 2
+        else:
+            a, b = n, 2 * n + 2
         a, b = np.r_[0, n, a], np.r_[0, 2 * n + 1, b]
     else:
         raise ValueError(f"no closed form for W^{spec.k}")

@@ -7,10 +7,10 @@ DFAO.  The inference heuristic runs the other way, recovering a candidate
 substitution and coding from a sequence prefix by grouping positions whose
 iterated image blocks agree.
 
-`eval_dfao` reads n's greedy digits off the integer, msd first, with no
-string, and ends in one lookup: an automaton's lazily built block table holds
-the state reached on every padded word of its w low digits, and the state
-reached from the start on every n < fib(w), at most 2**16 entries in all.
+`eval_dfao` answers n < fib(22) = 46,368, the widest weight within 2**16
+entries, with one lookup in an automaton's lazily built start table, the
+state reached from state 0 on each such rep_F(n), whatever the state count;
+a larger n is walked greedily off the integer, msd first, with no string.
 `eval_dfao_range` steps all of 0..N at once on the greedy digit columns of
 `fibnum`, each column only on the rows that have started.  They share no
 code, so one checks the other; neither reads the substitution.
@@ -52,8 +52,10 @@ __all__ = [
 
 Word = tuple[int, ...]
 
-# Most entries one automaton's block table (DFAO._blocks) may hold, low and top together.
-_BLOCK_ENTRIES = 1 << 16
+# An automaton's start table (DFAO._starts) covers n < fib(w), the widest
+# weight within 2**16 entries, whatever the automaton's state count.
+_START_DIGITS = bisect_right(_fibs_through(1 << 16), 1 << 16) - 1  # w = 22
+_STARTS = fib(_START_DIGITS)  # 46,368
 
 
 @dataclass(frozen=True)
@@ -127,35 +129,30 @@ class DFAO:
     def state_count(self) -> int:
         return len(self.transitions)
 
-    def __getstate__(self) -> dict:  # the block table is a cache, not state
+    def __getstate__(self) -> dict:  # the start table is a cache, not state
         return {"transitions": self.transitions, "outputs": self.outputs}
 
     @cached_property
-    def _blocks(self) -> tuple[int, list, list[list]] | None:
-        """(w, top, low) for eval_dfao, or None when w would be 0.
+    def _starts(self) -> list[int]:
+        """The state 0 reaches on rep_F(r), for every r < _STARTS; the sink,
+        state_count, marks a walk past a missing transition.
 
-        For r < fib(w), low[s][r] is the state s reaches on rep_F(r) zero-padded
-        to w digits and top[r] the state 0 reaches on rep_F(r); None marks a
-        missing transition.  w is the widest block whose low and top hold at
-        most _BLOCK_ENTRIES entries.  A padded word of j + 1 digits is a 0 and
-        one of j, or 10 and one of j - 1, so each weight is one concatenation
-        of slices per state; rep_F(r) for fib(j) <= r < fib(j + 1) is a 1 and
-        the padded word of r - fib(j), which is below fib(j - 1)."""
-        fs = _fibs_through(_BLOCK_ENTRIES)
-        sink = len(self.transitions)  # the row of a walk past a missing transition
-        w = bisect_right(fs, _BLOCK_ENTRIES // (sink + 1)) - 1
-        if w < 1:
-            return None
-        zero = [sink if t is None else t for t, _ in self.transitions] + [sink]
-        one = [sink if t is None else t for _, t in self.transitions] + [sink]
-        older = [[s] for s in range(sink)] + [[None]]  # padded words of 0 digits
-        old = [list(edges) for edges in self.transitions] + [[None, None]]  # of 1
-        top = [0] + older[one[0]]
-        for j in range(1, w):
-            top += old[one[0]][: fs[j - 1]]
-            older, old = old, [old[zero[s]] + older[zero[one[s]]]
-                               for s in range(sink + 1)]
-        return w, top, old[:sink]
+        rep_F(shift(p) + e) is rep_F(p) followed by the digit e, and e = 1 only
+        where rep_F(p) ends in 0, where shift(p + 1) - shift(p) is 2: the states
+        on the words of j + 1 digits are two scatters off those on j digits."""
+        sink = len(self.transitions)
+        zero, one = (np.array([sink if t is None else t for t in col] + [sink])
+                     for col in zip(*self.transitions))
+        starts = np.zeros(_STARTS, dtype=int)  # rep_F(0) is empty
+        starts[1] = one[0]
+        pos = shift_range(fib(_START_DIGITS - 1))
+        for j in range(1, _START_DIGITS):
+            lo, hi = fib(j - 1), fib(j)  # the words of j digits
+            at, state = pos[lo:hi], starts[lo:hi]
+            starts[at] = zero[state]
+            free = pos[lo + 1 : hi + 1] - at == 2
+            starts[at[free] + 1] = one[state[free]]
+        return starts.tolist()
 
 
 def fixed_point_prefix(m: Morphism, seed: int, length: int) -> Word:
@@ -201,35 +198,27 @@ def promote(m: Morphism, c: Coding) -> DFAO:
 def eval_dfao(d: DFAO, n: int):
     """Output of d on input rep_F(n), msd first, read off n with no string.
 
-    n < fib(w) is one lookup in d's block table; a larger n is walked greedily
-    down to the digit of weight fib(w), and the state reached reads the padded
-    word of the w digits left in one more.  The table holds at most 2**16
-    entries; where it holds None, a missing transition, the whole walk runs
-    and raises the error that names it.  It shares no code with the
-    eval_dfao_range it checks."""
+    n < 46,368 = fib(22), the widest weight within 2**16 entries, is one
+    lookup in d's start table, which the first such call builds; a larger n,
+    or one whose entry is the sink of a missing transition, is walked greedily
+    digit by digit, and that walk raises the error naming the transition.  It
+    shares no code with the eval_dfao_range it checks."""
     if type(n) is not int or n < 0:
         n = _natural(n, "argument")
-    blocks = d._blocks
-    if blocks is not None:
-        w, top, low = blocks
-        if n < len(top):
-            state = top[n]
-        else:
-            state, rest = _walk(d, n, w)
-            state = low[state][rest]
-        if state is not None:
+    if n < _STARTS:
+        state = d._starts[n]
+        if state < len(d.transitions):
             return d.outputs[state]
-    return d.outputs[_walk(d, n, 0)[0]]
+    return d.outputs[_walk(d, n)]
 
 
-def _walk(d: DFAO, n: int, stop: int) -> tuple[int, int]:
-    """State d reaches from state 0 on n's greedy digits of weight fib(stop) and
-    up, msd first, and the value of the digits below them."""
+def _walk(d: DFAO, n: int) -> int:
+    """State d reaches from state 0 on n's greedy digits, msd first."""
     transitions = d.transitions
     fs = _fibs_through(n)
     rest = n
     state = 0
-    for j in range(bisect_right(fs, n) - 1, stop - 1, -1):
+    for j in range(bisect_right(fs, n) - 1, -1, -1):
         if fs[j] <= rest:
             rest -= fs[j]
             digit = 1
@@ -241,7 +230,7 @@ def _walk(d: DFAO, n: int, stop: int) -> tuple[int, int]:
                 f"undefined transition from state {state} on {digit} at n={n}"
             )
         state = nxt
-    return state, rest
+    return state
 
 
 def eval_dfao_range(d: DFAO, n_max: int) -> np.ndarray:

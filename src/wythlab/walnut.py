@@ -22,8 +22,9 @@ from .morphisms import DFAO
 __all__ = ["to_walnut", "from_walnut", "WalnutFormatError"]
 
 _HEADER = "msd_fib"
-_STATE_RE = re.compile(r"^(\d+)\s+(-?\d+)$")
-_EDGE_RE = re.compile(r"^([01])\s*->\s*(\d+)$")
+# ASCII: int() would read any Unicode decimal digit that \d matches
+_STATE_RE = re.compile(r"^(\d+)\s+(-?\d+)$", re.ASCII)
+_EDGE_RE = re.compile(r"^([01])\s*->\s*(\d+)$", re.ASCII)
 
 
 class WalnutFormatError(ValueError):
@@ -78,16 +79,7 @@ def from_walnut(text: str) -> DFAO:
             raise WalnutFormatError(f"duplicate digit {key} transition")
         else:
             current[key] = value
-    if not outputs:
-        raise WalnutFormatError("automaton has no states")
-    n = len(outputs)
-    for state, edges in enumerate(transitions):
-        for target in edges:
-            if target is not None and target >= n:
-                raise WalnutFormatError(
-                    f"state {state} references missing state {target}"
-                )
-    return DFAO(
-        transitions=tuple((e[0], e[1]) for e in transitions),
-        outputs=tuple(outputs),
-    )
+    try:  # DFAO refuses an automaton with no state or a target past the last
+        return DFAO(tuple(map(tuple, transitions)), tuple(outputs))
+    except ValueError as exc:
+        raise WalnutFormatError(str(exc)) from None

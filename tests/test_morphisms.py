@@ -42,6 +42,7 @@ from wythlab.morphisms import (
 from wythlab.walnut import from_walnut, to_walnut
 
 TABLE1_G = (1, 0, 1, 1, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1)
+STARTS = 46_368  # fib(22), the n an automaton's start table covers
 
 
 @st.composite
@@ -262,15 +263,15 @@ class TestPromoteAndEval:
         assert d.outputs[state] == eval_dfao(d, 4)
 
     @settings(max_examples=300, deadline=None)
-    # n near the block table too: fib(w) is at most 28657 for these automata
+    # n within the start table too: it covers n < STARTS
     @given(dfaos(), st.one_of(st.integers(0, 10**30), st.integers(0, 10**5)))
     def test_eval_matches_the_rep_F_walk(self, d, n):
         assert answer(d, n) == walk_rep_F(d, n)
 
     def test_eval_takes_numpy_integers(self):
         d = adjust_dfao(3)
-        w = d._blocks[0]  # one n read from top, two through the walk and low
-        for n in (np.int64(10**18), np.int32(fib(w) - 1), np.uint64(fib(w) + 2)):
+        # one n read from the start table, two walked
+        for n in (np.int64(10**18), np.int32(STARTS - 1), np.uint64(STARTS + 2)):
             assert eval_dfao(d, n) == walk_rep_F(d, int(n)), n
         for n in (-1, np.int64(-5)):
             with pytest.raises(ValueError, match="negative argument"):
@@ -285,64 +286,63 @@ class TestPromoteAndEval:
             assert [eval_dfao(d, n) for n in range(3001)] == want, name
 
 
-class TestBlockTable:
-    """eval_dfao ends in a lookup in the automaton's block table (w, top, low)."""
+class TestStartTable:
+    """eval_dfao answers n < STARTS with one lookup in the automaton's start
+    table, the state reached from state 0 on rep_F(n), and walks a larger n."""
 
-    @staticmethod
-    def edges(d):
-        w = d._blocks[0]
-        return [*range(fib(w) - 3, fib(w) + 4), 10**18]
+    EDGES = [*range(STARTS - 3, STARTS + 4), 10**18]
 
     def test_edges_match_the_walk(self):
         cases = {**builtin_dfaos(), "K1 closed form": CLOSED_FORMS[1][0]}
         for name, d in cases.items():
-            w, top, low = d._blocks
-            entries = len(top) + sum(map(len, low))
-            # the widest block within 2**16 entries, low and top together
-            assert len(top) == fib(w) and entries == (d.state_count + 1) * fib(w), name
-            assert entries <= 2**16 < (d.state_count + 1) * fib(w + 1), name
-            for n in self.edges(d):
+            for n in self.EDGES:
                 assert eval_dfao(d, n) == walk_rep_F(d, n), (name, n)
+            # one entry per n below the widest weight within 2**16 entries
+            assert fib(22) == len(d._starts) <= 2**16 < fib(23), name
+            want = eval_dfao_range(d, STARTS - 1).tolist()
+            assert [d.outputs[s] for s in d._starts] == want, name
 
     def test_leading_zeros_matter(self):
-        # state 0 leaves on a 0, so a fed leading zero would show: the padded
-        # rows may be read only after the leading 1.  In the second automaton
-        # state 0 ends in 1 or 3 on a padded word that starts with 0, and in 0
-        # or 2 on rep_F(n), so low[0] and top differ at every n < fib(w - 1).
+        # state 0 leaves on a 0, so a fed leading zero would show.  In the
+        # second automaton state 0 ends in 1 or 3 on a word that starts with 0,
+        # and in 0 or 2 on rep_F(n), so every n > 0 would read wrong.
         for d in (DFAO(((1, 1), (0, 1)), (5, 6)),
                   DFAO(((1, 2), (1, 3), (2, 2), (3, 3)), (0, 1, 2, 3))):
-            for n in [*range(300), *self.edges(d)]:
+            for n in [*range(300), *self.EDGES]:
                 assert eval_dfao(d, n) == walk_rep_F(d, n), n
-        w, top, low = d._blocks
-        assert sum(a != b for a, b in zip(low[0], top)) == fib(w - 1)
+            assert [d.outputs[s] for s in d._starts] == \
+                eval_dfao_range(d, STARTS - 1).tolist()
 
     def test_missing_transitions_give_the_walk_error(self):
         # state 2, reached on 10, has no 1-edge: a second 1 is missing, met in
-        # top below fib(w), in low at fib(w) + 1, and in the walk above both
+        # the table below STARTS and in the walk above it
         d = DFAO(((0, 1), (2, 0), (2, None)), (7, 8, 9))
-        w = d._blocks[0]
-        far = fib(w + 3) + fib(w + 1)
-        for n in (4, fib(w) - 1, fib(w) + 1, far):
+        far = fib(25) + fib(23)
+        for n in (4, STARTS - 1, STARTS + 1, far):
             assert answer(d, n).startswith("undefined transition"), n
-        for n in [*range(300), *self.edges(d), far]:
+        # the table holds the sink, state_count, where the walk raises
+        assert d._starts[4] == d._starts[STARTS - 1] == d.state_count
+        for n in [*range(300), *self.EDGES, far]:
             assert answer(d, n) == walk_rep_F(d, n), n
         d = DFAO(((0, None),), (7,))  # every 1 is missing, the leading one first
-        for n in [*range(30), *self.edges(d)]:
+        for n in [*range(30), *self.EDGES]:
             assert answer(d, n) == walk_rep_F(d, n), n
 
-    def test_many_states_build_no_table(self):
+    def test_many_states_get_the_same_table(self):
         many = 2**15 + 1
         d = DFAO(tuple(((s + 1) % many, (s + 2) % many) for s in range(many)),
                  tuple(range(many)))
-        assert d._blocks is None
-        for n in (0, 1, 5, 10**5, 10**18):
+        for n in (0, 1, 5, 10**4, *self.EDGES):
             assert eval_dfao(d, n) == walk_rep_F(d, n), n
-        fewer = 2**15 - 1  # (fewer + 1) * fib(1) entries fit
-        d = DFAO(tuple(((s + 1) % fewer, (s + 2) % fewer) for s in range(fewer)),
-                 tuple(range(fewer)))
-        assert d._blocks[0] == 1
-        for n in (0, 1, 2, 3, 10**5):
+        assert len(d._starts) == STARTS  # its width does not follow the state count
+
+    def test_large_n_builds_no_table(self):
+        d = adjust_dfao(4)
+        for n in (STARTS, 10**18):
             assert eval_dfao(d, n) == walk_rep_F(d, n), n
+            assert "_starts" not in vars(d), n
+        eval_dfao(d, STARTS - 1)
+        assert "_starts" in vars(d)
 
     @pytest.mark.parametrize("make", [lambda: DFAO(((0, 0),), (0,)),
                                       lambda: adjust_dfao(4)], ids=["one-state", "k4"])
@@ -352,25 +352,28 @@ class TestBlockTable:
             text = to_walnut(d)
             return d == twin, hash(d), repr(d), pickle.dumps(d), text, from_walnut(text)
         before = looks()
-        assert "_blocks" not in vars(d)
-        eval_dfao(d, 10**6)
-        assert "_blocks" in vars(d) and "_blocks" not in vars(twin)
+        assert "_starts" not in vars(d)
+        eval_dfao(d, 1000)
+        assert "_starts" in vars(d) and "_starts" not in vars(twin)
         assert looks() == before
         back = pickle.loads(pickle.dumps(d))
-        assert back == d and eval_dfao(back, 10**6) == eval_dfao(d, 10**6)
+        assert "_starts" not in vars(back)
+        for n in (1000, 10**6):
+            assert back == d and eval_dfao(back, n) == eval_dfao(d, n)
 
     @pytest.mark.parametrize("make", [lambda: DFAO(((0, 0),), (0,)),
                                       lambda: adjust_dfao(4)], ids=["one-state", "k4"])
     def test_the_first_call_stays_small(self, make):
         d = make()
-        fib(100)  # the weights of the call, outside the measurement
+        fib(100)  # the weights of the calls, outside the measurement
         tracemalloc.start()
         try:
             eval_dfao(d, 10**18)
+            eval_dfao(d, STARTS - 1)  # builds the table
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 2**20
+        assert "_starts" in vars(d) and peak < 1.5 * 2**20
 
     def test_eval_needs_no_range_code(self, monkeypatch):
         def refuse(*args):
@@ -379,17 +382,17 @@ class TestBlockTable:
                       "wythlab.morphisms.eval_dfao_range"):
             monkeypatch.setattr(where, refuse)
         for name, d in builtin_dfaos().items():
-            for n in [*range(200), *self.edges(d)]:
+            for n in [*range(200), *self.EDGES]:
                 assert eval_dfao(d, n) == walk_rep_F(d, n), (name, n)
 
     def test_range_needs_no_table(self, monkeypatch):
         def refuse(self):
-            raise AssertionError("eval_dfao_range read the block table")
-        monkeypatch.setattr(DFAO, "_blocks", property(refuse))
+            raise AssertionError("eval_dfao_range read the start table")
+        monkeypatch.setattr(DFAO, "_starts", property(refuse))
         for ell, (morphism, coding) in ADJUST_SYSTEMS.items():
             word = coding.map(fixed_point_prefix(morphism, 0, 7000))
             assert tuple(eval_dfao_range(adjust_dfao(ell), 6999).tolist()) == word, ell
-        with pytest.raises(AssertionError, match="block table"):
+        with pytest.raises(AssertionError, match="start table"):
             eval_dfao(adjust_dfao(2), 1)
 
 

@@ -66,7 +66,9 @@ class TestErrors:
             from_walnut("msd_fib\n0 1\n0 -> 0\n0 -> 0\n")
 
     def test_dangling_target(self):
-        with pytest.raises(WalnutFormatError):
+        with pytest.raises(WalnutFormatError, match=re.escape(
+                "state 0 has transitions (3, None), not two entries each None "
+                "or a state 0..0")):
             from_walnut("msd_fib\n0 1\n0 -> 3\n")
 
     def test_transition_before_state(self):
@@ -77,9 +79,14 @@ class TestErrors:
     def test_garbage_line(self):
         with pytest.raises(WalnutFormatError):
             from_walnut("msd_fib\n0 1\nbanana\n")
+        # only ASCII digits: int() would read these Arabic-Indic ones as 0 and 1
+        with pytest.raises(WalnutFormatError, match="^unparseable line: '\u0660 \u0661'$"):
+            from_walnut("msd_fib\n\u0660 \u0661\n0 -> \u0660\n")
+        with pytest.raises(WalnutFormatError, match="^unparseable line: '0 -> \u0660'$"):
+            from_walnut("msd_fib\n0 1\n0 -> \u0660\n")
 
     def test_empty_automaton(self):
-        with pytest.raises(WalnutFormatError):
+        with pytest.raises(WalnutFormatError, match="^an automaton needs at least one state$"):
             from_walnut("msd_fib\n")
 
     def test_to_walnut_needs_integer_outputs(self):
