@@ -212,8 +212,10 @@ def sqrt5_times_leq(x: int, z: int) -> bool:
     """Exact decision of sqrt(5)*x <= z for integers x, z.
 
     Equality sqrt(5)*x == z only happens at x == z == 0, so signs plus one
-    squared comparison settle every case without rounding.
+    squared comparison settle every case without rounding.  Both are read by
+    _natural as any int, so a numpy integer's square cannot wrap.
     """
+    x, z = _natural(x, "x", None), _natural(z, "z", None)
     if x >= 0:
         return z >= 0 and 5 * x * x <= z * z
     return z >= 0 or z * z <= 5 * x * x
@@ -221,4 +223,4 @@ def sqrt5_times_leq(x: int, z: int) -> bool:
 
 def sqrt5_times_geq(x: int, z: int) -> bool:
     """Exact decision of sqrt(5)*x >= z for integers x, z."""
-    return sqrt5_times_leq(-x, -z)
+    return sqrt5_times_leq(-_natural(x, "x", None), -_natural(z, "z", None))

@@ -547,7 +547,10 @@ def non_redundant_witnesses(
     bound = _natural(bound, "bound")
     keys = []
     for move in moves:
-        dx, dy = move
+        try:
+            dx, dy = move
+        except (TypeError, ValueError):  # not a pair
+            dx = dy = None
         if not (_is_int(dx) and _is_int(dy) and (dx > 0 and dy in (0, dx) or dx == 0 < dy)):
             raise ValueError(f"move {move} is not of Wythoff shape")
         keys.append((int(dx), int(dy)))

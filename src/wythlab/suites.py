@@ -1,11 +1,13 @@
 """Named verification suites shared by the command line and the tests.
 
 Each suite yields rows (name, rule-set, bound, check) of a family of
-bounded checks, where check takes no arguments.  Drawing a row runs its
-setup (the solve, mask or profile); one runner then times the row's check
-into an item carrying the check name, the rule-set label, the bound, the
-verdict with any counterexample, and the check's wall time.  run_suite
-orders the items by name, so reports are deterministic.
+bounded checks, where check takes no arguments.  Its _suite declaration
+names it once with its default ells, ks and bound, and enters it in SUITES;
+the one runner reads every given ell, k and bound by fibnum._natural.
+Drawing a row runs its setup (the solve, mask or profile); the runner then
+times the row's check into an item carrying the check name, the rule-set
+label, the bound, the verdict with any counterexample, and the check's wall
+time.  run_suite orders the items by name, so reports are deterministic.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import numpy as np
 
 from . import characterizations as ch
 from .catalog import ADJUST_SYSTEMS, PARTITION_SYSTEMS, adjust_dfao
+from .fibnum import _natural
 from .games import (
     CheckResult,
     GameSpec,
@@ -54,6 +57,8 @@ MORPHIC_HORIZON_DEFAULT = 10**4
 REDUNDANCY_BOUND_DEFAULT = 400
 REDUNDANCY_MAX_DELTA = 30
 
+SUITES = {}  # each suite's key to its runner, in declaration order; see _suite
+
 
 @dataclass(frozen=True)
 class SuiteItem:
@@ -86,29 +91,40 @@ def _set_equality(got: PNTable, want: PNTable, what: str, sides) -> CheckResult:
 
 
 def _select(suite: str, ell, k, ells=(), ks=()) -> tuple[list[int], list[int]]:
-    """The ell and k values named by --ell and --k, or the suite's defaults
-    ells and ks when neither is given.  A flag without defaults is refused:
-    the suite does not read it, so its PASS would not cover it."""
+    """The ell and k values named by --ell and --k, each read by _natural, or
+    the suite's defaults ells and ks when neither is given.  A flag without
+    defaults is refused: the suite does not read it, so its PASS would not
+    cover it."""
     for flag, value, defaults in (("ell", ell, ells), ("k", k, ks)):
         if value is not None and not defaults:
             raise ValueError(f"suite {suite!r} does not read --{flag}")
     if ell is None and k is None:
         return list(ells), list(ks)
-    return [ell] if ell is not None else [], [k] if k is not None else []
+    return ([] if ell is None else [_natural(ell, "ell")],
+            [] if k is None else [_natural(k, "k")])
 
 
-def _suite(rows):
-    """Run a generator of rows (name, spec, bound, check) as a suite that
-    returns SuiteItems.  Drawing a row runs its setup; its check is timed
-    before the next row is drawn, since a check may read the generator's
-    loop variables."""
+def _suite(key: str, default_bound: int | None, ells=(), ks=()):
+    """Register a generator rows(ells, ks, bound) of rows (name, spec, bound,
+    check) in SUITES as the suite key.  Its runner reads ell and k by _select
+    from the declared defaults ells and ks, and a given bound by _natural,
+    else takes default_bound.  Drawing a row runs its setup; its check is
+    timed before the next row is drawn, since a check may read the
+    generator's loop variables."""
 
-    @functools.wraps(rows)
-    def suite(ell=None, k=None, bound=None) -> list[SuiteItem]:
-        return [_timed(name, spec.label(), B, check)
-                for name, spec, B, check in rows(ell, k, bound)]
+    def register(rows):
+        @functools.wraps(rows)
+        def suite(ell=None, k=None, bound=None) -> list[SuiteItem]:
+            selected = _select(key, ell, k, ells, ks)
+            bound = default_bound if bound is None else _natural(bound, "bound")
+            return [_timed(name, spec.label(), B, check)
+                    for name, spec, B, check in rows(*selected, bound)]
 
-    return suite
+        del suite.__wrapped__  # so inspect.signature reports the runner's arguments
+        SUITES[key] = suite
+        return suite
+
+    return register
 
 
 def _kernel_rows(name: str, table: PNTable, spec: GameSpec, B: int):
@@ -129,10 +145,9 @@ def _closed_form_rows(name: str, spec: GameSpec, what: str, B: int):
 # Suites
 # ---------------------------------------------------------------------------
 
-@_suite
-def suite_kernel(ell=None, k=None, bound=None):
+@_suite("kernel", None, ells=range(5), ks=range(1, 4))
+def suite_kernel(ells, ks, bound):
     """Stability and absorption of the solver's own output."""
-    ells, ks = _select("kernel", ell, k, ells=range(5), ks=range(1, 4))
     for spec, B in ([(kspec(e), K_BOUND_DEFAULT) for e in ells]
                     + [(wspec(kk), W_BOUND_DEFAULT) for kk in ks]):
         B = B if bound is None else bound
@@ -140,20 +155,16 @@ def suite_kernel(ell=None, k=None, bound=None):
         yield from _kernel_rows(f"kernel/{tag}", solve(spec, B), spec, B)
 
 
-@_suite
-def suite_closed_forms(ell=None, k=None, bound=None):
+@_suite("closed-forms", K_BOUND_DEFAULT, ells=ch.CLOSED_FORMS)
+def suite_closed_forms(ells, _, B):
     """Closed-form sets versus solver ground truth, plus their kernel checks."""
-    ells, _ = _select("closed-forms", ell, k, ells=ch.CLOSED_FORMS)
-    B = K_BOUND_DEFAULT if bound is None else bound
     for e in ells:
         yield from _closed_form_rows(f"closed-forms/K{e}", kspec(e), f"K^{e}", B)
 
 
-@_suite
-def suite_mex(ell=None, k=None, bound=None):
+@_suite("mex", K_BOUND_DEFAULT, ells=range(7))
+def suite_mex(ells, _, B):
     """The mex recursion versus the solver, partition, and counting."""
-    ells, _ = _select("mex", ell, k, ells=range(7))
-    B = K_BOUND_DEFAULT if bound is None else bound
     for e in ells:
         spec = kspec(e)
         count = B * 2 // 3 + 2 * min(e, B) + 8  # for e >= B, pair 0 lies past the box
@@ -190,11 +201,9 @@ def suite_mex(ell=None, k=None, bound=None):
         yield f"mex/K{e}/counting", spec, B, counting
 
 
-@_suite
-def suite_blocking(ell=None, k=None, bound=None):
+@_suite("blocking", W_BOUND_DEFAULT, ks=(1, 2, 3))
+def suite_blocking(_, ks, B):
     """Explicit W^2/W^3 families versus the solver; W^1 equals K^0."""
-    _, ks = _select("blocking", ell, k, ks=(1, 2, 3))
-    B = W_BOUND_DEFAULT if bound is None else bound
     for kk in ks:
         if kk == 1:
             def w1_equals_k0():  # K^0's table leaves out its terminal (0, 0)
@@ -206,13 +215,11 @@ def suite_blocking(ell=None, k=None, bound=None):
             yield from _closed_form_rows(f"blocking/W{kk}", wspec(kk), f"W^{kk}", B)
 
 
-@_suite
-def suite_discrepancy(ell=None, k=None, bound=None):
+@_suite("discrepancy", DISCREPANCY_HORIZON_DEFAULT, ells=range(1, 9))
+def suite_discrepancy(ells, _, N):
     """Certified discrepancy bounds and density along the a-sequence."""
-    ells, _ = _select("discrepancy", ell, k, ells=range(1, 9))
-    N = DISCREPANCY_HORIZON_DEFAULT if bound is None else bound
-    if ell is not None and ell < 1:
-        raise ValueError(f"the discrepancy bound is stated for ell >= 1, not {ell}")
+    if min(ells) < 1:  # only a selected ell: the defaults start at 1
+        raise ValueError(f"the discrepancy bound is stated for ell >= 1, not {min(ells)}")
     # The profile item certifies |a_N - floor((N + ell) phi)| <= sqrt5 ell + 2,
     # so |a_N - N phi| <= ell (sqrt5 + phi) + 2, which is <= N/100 once
     # N >= 150 sqrt5 ell + 50 ell + 200.  Below that a density FAIL is not a
@@ -235,16 +242,14 @@ def suite_discrepancy(ell=None, k=None, bound=None):
         yield f"discrepancy/K{e}/density", kspec(e), N, density
 
 
-@_suite
-def suite_redundancy(ell=None, k=None, bound=None):
+@_suite("redundancy", REDUNDANCY_BOUND_DEFAULT, ells=(1, 2, 3, 4), ks=(2, 3))
+def suite_redundancy(ells, ks, B):
     """Every elementary move admits a witness position that needs it: one
     non_redundant_witnesses call a rule-set, whose first move without a
     witness in the box is a usage error (inconclusive, never a FAIL)."""
-    B = REDUNDANCY_BOUND_DEFAULT if bound is None else bound
     if B < REDUNDANCY_MAX_DELTA:  # a move longer than the box has no witness in it
         raise ValueError(f"suite 'redundancy' needs --bound >= {REDUNDANCY_MAX_DELTA}, "
                          f"the longest move checked, not {B}")
-    ells, ks = _select("redundancy", ell, k, ells=(1, 2, 3, 4), ks=(2, 3))
     moves = [m for i in range(1, REDUNDANCY_MAX_DELTA + 1)
              for m in ((i, 0), (0, i), (i, i))]
     for spec in [kspec(e) for e in ells] + [wspec(kk) for kk in ks]:
@@ -261,18 +266,15 @@ def suite_redundancy(ell=None, k=None, bound=None):
         yield f"redundancy/{spec.label().replace(' ', '-')}", spec, B, all_moves
 
 
-@_suite
-def suite_morphic(ell=None, k=None, bound=None):
+@_suite("morphic", MORPHIC_HORIZON_DEFAULT, ells={*ADJUST_SYSTEMS, *PARTITION_SYSTEMS})
+def suite_morphic(ells, _, H):
     """Automatic-sequence machinery: oracles, automata, partition words."""
-    known = {*ADJUST_SYSTEMS, *PARTITION_SYSTEMS}
-    ells, _ = _select("morphic", ell, k, ells=known)
-    H = MORPHIC_HORIZON_DEFAULT if bound is None else bound
     least = max([1] + [p.offset for e, p in PARTITION_SYSTEMS.items() if e in ells])
     if H < least:
         raise ValueError(f"suite 'morphic' needs --bound >= {least}, a horizon with "
                          f"a value in every selected word, not {H}")
-    if not known.intersection(ells):
-        raise ValueError(f"suite 'morphic' has no checks for --ell {ell}")
+    if not any(e in ADJUST_SYSTEMS or e in PARTITION_SYSTEMS for e in ells):
+        raise ValueError(f"suite 'morphic' has no checks for --ell {ells[0]}")
     if 2 in ells:
 
         def k2_oracles():
@@ -301,17 +303,6 @@ def suite_morphic(ell=None, k=None, bound=None):
                                            part.offset, pp, H)
 
         yield f"morphic/partition-word/K{e}", kspec(e), H, word_vs_pairs
-
-
-SUITES = {
-    "kernel": suite_kernel,
-    "closed-forms": suite_closed_forms,
-    "mex": suite_mex,
-    "blocking": suite_blocking,
-    "discrepancy": suite_discrepancy,
-    "redundancy": suite_redundancy,
-    "morphic": suite_morphic,
-}
 
 
 def run_suite(name: str, ell=None, k=None, bound=None) -> list[SuiteItem]:

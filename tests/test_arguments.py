@@ -12,6 +12,7 @@ import pytest
 
 from wythlab import characterizations as ch, fibnum as fb, games as g, morphisms as mo
 from wythlab.catalog import PARTITION_SYSTEMS, adjust_dfao
+from wythlab.suites import SUITES, run_suite
 
 D2 = adjust_dfao(2)
 K2_PREFIX = mo.k2_adjust_prefix(800)
@@ -21,6 +22,15 @@ P2 = PARTITION_SYSTEMS[2]  # its word describes the values from offset 3
 
 NATURAL = (-1, True, 2.5, 2.0)
 INTEGER = (True, 2.5, 2.0)  # the argument may be negative
+# a small bound each suite runs at, for the rows of the suite runner
+SUITE_BOUNDS = {"kernel": 40, "closed-forms": 40, "mex": 40, "blocking": 40,
+                "discrepancy": 3284, "redundancy": 60, "morphic": 100}
+
+
+def suite_rows(items):
+    """A suite's items less their seconds."""
+    return [(it.name, it.spec, it.bound, it.result) for it in items]
+
 
 # (id, call of the one argument under test, a valid value, the refused values)
 CASES = [
@@ -36,6 +46,11 @@ CASES = [
     ("is_floor_phi-n", lambda v: fb.is_floor_phi(v, 16), 10, NATURAL),
     ("is_floor_phi-m", lambda v: fb.is_floor_phi(10, v), 16, INTEGER),
     ("hofstadter_h", fb.hofstadter_h, 50, NATURAL),
+    # 5 x^2 and z^2 overflow int64 near 2**40
+    ("sqrt5_times_leq-x", lambda v: fb.sqrt5_times_leq(v, 2**41), 2**40, INTEGER),
+    ("sqrt5_times_leq-z", lambda v: fb.sqrt5_times_leq(2**40, v), 3 * 2**40, INTEGER),
+    ("sqrt5_times_geq-x", lambda v: fb.sqrt5_times_geq(v, 2**41), 2**40, INTEGER),
+    ("sqrt5_times_geq-z", lambda v: fb.sqrt5_times_geq(2**40, v), 3 * 2**40, INTEGER),
     ("fixed_point_prefix", lambda v: mo.fixed_point_prefix(FIB, 0, v), 20, NATURAL),
     ("fixed_point_prefix-seed", lambda v: mo.fixed_point_prefix(FIB, v, 20), 0, NATURAL),
     ("eval_dfao", lambda v: mo.eval_dfao(D2, v), 10**18, NATURAL),
@@ -86,7 +101,10 @@ CASES = [
     ("PposSequence", lambda v: g.PposSequence(1, [(v, 2 * v + 1)]), 3, INTEGER),
     ("PposSequence-ell", lambda v: g.PposSequence(v, K2_PAIRS.pairs), 2, NATURAL),
     ("adjust_dfao", adjust_dfao, 2, INTEGER + (-1,)),
-]
+    ("run_suite-ell", lambda v: suite_rows(run_suite("morphic", ell=v, bound=100)), 2, NATURAL),
+    ("run_suite-k", lambda v: suite_rows(run_suite("blocking", k=v, bound=40)), 2, NATURAL),
+] + [(f"run_suite-{key}-bound", lambda v, key=key: suite_rows(run_suite(key, bound=v)),
+      SUITE_BOUNDS[key], NATURAL) for key in SUITES]
 
 
 def fingerprint(x):
@@ -134,10 +152,14 @@ def test_every_entry_point_reads_the_one_rule(call, n, refused):
     (lambda: ch.k4_adjust_prefix_bruteforce(3.5), "count 3.5 is not an integer"),
     (lambda: ch.counting_check(g.PposSequence(2.5, K2_PAIRS.pairs), 40),
      "ell 2.5 is not an integer"),
+    (lambda: run_suite("morphic", ell=2.0, bound=100), "ell 2.0 is not an integer"),
+    (lambda: run_suite("discrepancy", ell=2.0), "ell 2.0 is not an integer"),
+    (lambda: fb.sqrt5_times_geq(True, 3), "x True is not an integer"),
 ], ids=["K1-negative", "K1-negative-pair", "W3-floats", "W2-floats", "is_floor_phi-negative",
         "rep_F-float", "eval_dfao-float", "k2_adjust-negative", "hofstadter_h-blame",
         "counting_check-negative", "morphic-float-horizon", "closed_form_pairs-float-ell",
-        "k4_adjust-float", "counting_check-float-ell"])
+        "k4_adjust-float", "counting_check-float-ell", "run_suite-morphic-float-ell",
+        "run_suite-discrepancy-float-ell", "sqrt5_times_geq-bool"])
 def test_inputs_that_got_an_answer_are_refused(call, message):
     # each of these once returned an answer (or raised for another value)
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -2,6 +2,7 @@
 import errno
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wythlab import suites
 from wythlab.catalog import ADJUST_SYSTEMS, adjust_dfao, builtin_dfaos
-from wythlab.cli import main, pairs_to_json, read_pairs_csv, write_pairs_csv
+from wythlab.cli import build_parser, main, pairs_to_json, read_pairs_csv, write_pairs_csv
 from wythlab.fibnum import sqrt5_times_leq
 from wythlab.games import (
     PNTable,
@@ -346,6 +347,25 @@ class TestVerifyCommand:
         assert code == 0
         assert [ln.split()[0] for ln in out.splitlines()[:-1]] == names
         assert out.splitlines()[-1] == f"{len(names)}/{len(names)} checks passed"
+
+    def test_each_suite_is_registered_by_its_declaration(self):
+        verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+        choices = next(a.choices for a in verify._actions if a.dest == "suite")
+        assert list(suites.SUITES) == ["kernel", "closed-forms", "mex", "blocking",
+                                       "discrepancy", "redundancy", "morphic"]
+        assert set(suites.SUITES) == set(choices) - {"all"}
+        for key, suite in suites.SUITES.items():
+            assert suite.__name__ == "suite_" + key.replace("-", "_")
+            assert getattr(suites, suite.__name__) is suite
+            assert str(inspect.signature(suite)) == "(ell=None, k=None, bound=None)"
+        assert suites.SUITES["mex"].__doc__ == (
+            "The mex recursion versus the solver, partition, and counting.")
+        assert len({suite.__doc__ for suite in suites.SUITES.values()}) == 7
+
+    @pytest.mark.parametrize("suite", [*suites.SUITES, "all"])
+    def test_a_negative_bound_has_the_one_message(self, suite):
+        code, err = exit_code(["verify", suite, "--bound", "-5"])
+        assert code == 2 and err.endswith("error: negative bound -5\n")
 
     def test_unknown_suite(self):
         with pytest.raises(SystemExit) as ei:

@@ -893,8 +893,10 @@ def assert_90_witnesses_match_brute_force(spec):
 
 class TestWitnesses:
     def test_move_validation(self):
-        for bad in ((0, 0), (1, 2), (-1, 0), (0, -2), (2, 3), (1.5, 0), (True, 0), (2, 2.0)):
-            with pytest.raises(ValueError):
+        for bad in ((0, 0), (1, 2), (-1, 0), (0, -2), (2, 3), (1.5, 0), (True, 0), (2, 2.0),
+                    5, None, (1, 0, 0)):  # a move that is not a pair is named too
+            with pytest.raises(ValueError,
+                               match=f"^move {re.escape(str(bad))} is not of Wythoff shape$"):
                 non_redundant_witness(kspec(1), bad, 50)
 
     @pytest.mark.parametrize("spec,want", [(kspec(1), 1), (wspec(2), 2)])
