@@ -15,6 +15,10 @@ first failure: the first failing index of the first property that fails.
 
 Comparisons against irrational thresholds (multiples of phi and sqrt(5))
 are decided exactly by Beatty floors floor(n phi), never by floating point.
+A discrepancy profile counts the b-values below each a_n as the mex
+partition's a_n - n - ell - 1 wherever the neighbouring b-values prove that
+count, and by binary search wherever they do not, so the count is exact
+whatever the recursion gives.
 """
 from __future__ import annotations
 
@@ -28,14 +32,7 @@ from .catalog import adjust_dfao
 from .fibnum import _is_int, _natural, floor_phi, floor_phi_range, rep_F
 from .games import (CheckResult, GameSpec, PNTable, PposSequence, _first_failure, kspec,
                     wspec)
-from .morphisms import (
-    DFAO,
-    Coding,
-    Morphism,
-    eval_dfao,
-    eval_dfao_range,
-    fixed_point_prefix,
-)
+from .morphisms import DFAO, Coding, Morphism, _fixed_point, eval_dfao, eval_dfao_range
 
 __all__ = [
     "mex_sequence",
@@ -335,11 +332,33 @@ def discrepancy_profile(ell: int, horizon: int) -> DiscrepancyProfile:
         raise ValueError(f"ell and horizon must be naturals: {ell}, {horizon}")
     count = horizon + 1
     a, b = _mex_arrays(ell, count)
-    S = np.searchsorted(b, a, side="left").astype(np.int64)
-    eps = S + S[S] - np.arange(count) + ell
-    fp = floor_phi_range(horizon + ell)
-    lam = a - fp[ell : horizon + ell + 1]
+    S = _count_below(a, b, ell)
+    eps = S[S]
+    eps += S
+    eps -= np.arange(-ell, count - ell)  # S_n + S_{S_n} - (n - ell)
+    lam = a - floor_phi_range(horizon + ell)[ell:]
     return DiscrepancyProfile(ell=ell, a=a, b=b, S=S, eps=eps, lam=lam)
+
+
+def _count_below(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
+    """S_n = #{k : b_k < a_n} for every n, for a strictly increasing b.
+
+    The mex partition puts a_n - n - ell - 1 b-values below a_n.  That
+    candidate is kept only where b[S - 1] < a_n <= b[S] proves it; every
+    other index is counted by binary search.  A candidate outside
+    1..len(b) - 1 reads both ends at one clipped index, so it never passes.
+    So S is the exact count even if the recursion is not a partition, and
+    the check it feeds does not rest on what it checks.
+    """
+    if not b.size:
+        return b.searchsorted(a)
+    S = np.arange(-ell - 1, -ell - 1 - a.size, -1)
+    S += a
+    bad = b.take(S - 1, mode="clip") >= a
+    bad |= b.take(S, mode="clip") < a
+    bad = np.flatnonzero(bad)
+    S[bad] = b.searchsorted(a[bad])
+    return S
 
 
 def _bound_verdicts(ell: int, S, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -356,10 +375,18 @@ def _bound_verdicts(ell: int, S, lam) -> tuple[np.ndarray, np.ndarray]:
     m = min(ell, N) + 1  # the indices n <= ell
     lo = np.empty(N + 1, np.int64)
     lo[:m] = -n[:m] - fp[ell::-1][:m]
-    lo[m:] = fp[1 : N + 2 - m] - n[m:] + 1
-    hi = fp[ell : N + ell + 1] - n
+    np.subtract(fp[1 : N + 2 - m], n[m:], out=lo[m:])
+    lo[m:] += 1
+    hi = fp[ell:]  # read last, so it may overwrite fp in place
+    hi -= n
+    del n  # each temporary goes before the next: a profile check peaks here
+    ok_d = lo <= S
+    del lo
+    ok_d &= S <= hi
     c = isqrt(5 * ell * ell) + 2
-    return (lo <= S) & (S <= hi), (-c <= lam) & (lam <= c)
+    ok_lam = lam >= -c
+    ok_lam &= lam <= c
+    return ok_d, ok_lam
 
 
 def check_discrepancy(profile: DiscrepancyProfile) -> CheckResult:
@@ -456,7 +483,7 @@ def morphic_coding_check(
     if not want.all():
         raise ValueError(f"pair list does not classify value "
                          f"{int(np.argmin(want)) + offset}; extend the list")
-    word = np.asarray(fixed_point_prefix(m, 0, length))
+    word = _fixed_point(m, 0, length)
     code = np.array([1 if o == "a" else 2 if o == "b" else 0 for o in c.outputs], np.int8)
 
     def report(j):

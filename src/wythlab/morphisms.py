@@ -15,6 +15,11 @@ a larger n is walked greedily off the integer, msd first, with no string.
 `fibnum`, each column only on the rows that have started.  They share no
 code, so one checks the other; neither reads the substitution.
 
+A fixed point is built as an int array by iterating the substitution
+alone: each round appends the images of all pending letters at once
+through a flat table of the images, and while few letters are pending the
+word grows as a list.  It reads no digits, so it checks the automata.
+
 Positions and image blocks are connected through the numeration system:
 appending i zeros to rep_F(n) gives the first position of the i-th iterated
 image of the letter at position n, and rep_F(n+1) followed by i zeros is one
@@ -26,6 +31,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -161,18 +167,55 @@ def fixed_point_prefix(m: Morphism, seed: int, length: int) -> Word:
     Requires m(seed) to start with seed and have length >= 2, which makes the
     iteration limit well defined.
     """
+    return tuple(_fixed_point(m, seed, length).tolist())
+
+
+# While fewer letters than this are pending, the word grows as a list, this
+# many letters at a time: a morphism whose word grows by one letter a round,
+# such as 0 -> 01, 1 -> 1, would otherwise pay a numpy round per letter.
+_LIST_BLOCK = 256
+
+
+def _fixed_point(m: Morphism, seed: int, length: int) -> np.ndarray:
+    """fixed_point_prefix as an int array, built by iterating m alone.
+
+    The word is m applied to its first `done` letters.  A round appends the
+    images of all the pending letters after those at once, through a flat
+    table of m's images, so the word grows by m's growth factor a round.
+    """
     length, seed = _natural(length, "length", 1), _natural(seed, "seed")
     if seed >= m.alphabet_size:
         raise ValueError(f"seed {seed} is not a letter 0..{m.alphabet_size - 1}")
-    first = m.images[seed]
+    images = m.images
+    first = images[seed]
     if first[0] != seed or len(first) < 2:
         raise ValueError(f"letter {seed} is not prolongable: image {first}")
-    w = list(first)
-    i = 1
-    while len(w) < length:
-        w.extend(m.images[w[i]])
-        i += 1
-    return tuple(w[:length])
+    w, done = list(first), 1
+    reader = iter(w)  # also reads the letters appended while it runs
+    next(reader)
+    while len(w) < length and len(w) - done < _LIST_BLOCK:
+        for c in islice(reader, _LIST_BLOCK):
+            w.extend(images[c])
+        done += _LIST_BLOCK
+    if len(w) >= length:
+        return np.array(w[:length], np.intp)
+    sizes = np.array([len(img) for img in images], np.intp)
+    flat = np.array([c for img in images for c in img], np.intp)
+    ends = np.cumsum(sizes)  # letter i's image is flat[ends[i] - sizes[i] : ends[i]]
+    word = np.empty(length, np.intp)
+    word[: len(w)] = w
+    filled = len(w)
+    while filled < length:  # each pending letter gives at least one letter
+        letters = word[done : min(filled, done + length - filled)]
+        done += letters.size
+        size = sizes[letters]
+        stop = np.cumsum(size)  # one past each image's place in the round
+        take = np.repeat(ends[letters] - stop, size)
+        take += np.arange(stop[-1])
+        new = flat[take[: length - filled]]
+        word[filled : filled + new.size] = new
+        filled += new.size
+    return word
 
 
 def promote(m: Morphism, c: Coding) -> DFAO:
@@ -251,8 +294,14 @@ def eval_dfao_range(d: DFAO, n_max: int) -> np.ndarray:
     stuck = np.flatnonzero(state == sink)
     if stuck.size:
         eval_dfao(d, int(stuck[0]))  # raises the scalar error for that n
-    mixed = len(set(map(type, d.outputs))) > 1  # numpy would cast them to one type
-    return np.array(d.outputs, object if mixed else None)[state]
+    return _output_table(d.outputs)[state]
+
+
+def _output_table(outputs) -> np.ndarray:
+    """outputs as an array to index by state or letter; outputs of mixed
+    types stay objects, which numpy would cast to one type."""
+    mixed = len(set(map(type, outputs))) > 1
+    return np.array(outputs, object if mixed else None)
 
 
 def block_span(i: int, n: int) -> tuple[int, int]:

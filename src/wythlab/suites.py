@@ -2,8 +2,10 @@
 
 Each suite yields rows (name, rule-set, bound, check) of a family of
 bounded checks, where check takes no arguments.  Its _suite declaration
-names it once with its default ells, ks and bound, and enters it in SUITES;
-the one runner reads every given ell, k and bound by fibnum._natural.
+names it once with its default ells, ks and bound and the arguments it
+refuses, and enters it in SUITES; the one runner reads every given ell, k
+and bound by fibnum._natural.  run_suite refuses the arguments of every
+suite it runs before any suite draws a row.
 Drawing a row runs its setup (the solve, mask or profile); the runner then
 times the row's check into an item carrying the check name, the rule-set
 label, the bound, the verdict with any counterexample, and the check's wall
@@ -34,8 +36,9 @@ from .games import (
     wspec,
 )
 from .morphisms import (
+    _fixed_point,
+    _output_table,
     eval_dfao_range,
-    fixed_point_prefix,
     k2_adjust_prefix,
     k2_adjust_prefix_by_recurrence,
 )
@@ -58,6 +61,7 @@ REDUNDANCY_BOUND_DEFAULT = 400
 REDUNDANCY_MAX_DELTA = 30
 
 SUITES = {}  # each suite's key to its runner, in declaration order; see _suite
+_ARGUMENTS = {}  # each suite's key to its argument reader; see _suite
 
 
 @dataclass(frozen=True)
@@ -104,24 +108,32 @@ def _select(suite: str, ell, k, ells=(), ks=()) -> tuple[list[int], list[int]]:
             [] if k is None else [_natural(k, "k")])
 
 
-def _suite(key: str, default_bound: int | None, ells=(), ks=()):
+def _suite(key: str, default_bound: int | None, ells=(), ks=(), refuse=None):
     """Register a generator rows(ells, ks, bound) of rows (name, spec, bound,
     check) in SUITES as the suite key.  Its runner reads ell and k by _select
     from the declared defaults ells and ks, and a given bound by _natural,
-    else takes default_bound.  Drawing a row runs its setup; its check is
-    timed before the next row is drawn, since a check may read the
-    generator's loop variables."""
+    else takes default_bound; refuse(ells, ks, bound), if given, raises for
+    arguments the suite cannot check.  That reader is also entered in
+    _ARGUMENTS, so run_suite can refuse before any suite draws a row.
+    Drawing a row runs its setup; its check is timed before the next row is
+    drawn, since a check may read the generator's loop variables."""
 
     def register(rows):
-        @functools.wraps(rows)
-        def suite(ell=None, k=None, bound=None) -> list[SuiteItem]:
+        def arguments(ell, k, bound) -> tuple:
             selected = _select(key, ell, k, ells, ks)
             bound = default_bound if bound is None else _natural(bound, "bound")
+            if refuse is not None:
+                refuse(*selected, bound)
+            return (*selected, bound)
+
+        @functools.wraps(rows)
+        def suite(ell=None, k=None, bound=None) -> list[SuiteItem]:
             return [_timed(name, spec.label(), B, check)
-                    for name, spec, B, check in rows(*selected, bound)]
+                    for name, spec, B, check in rows(*arguments(ell, k, bound))]
 
         del suite.__wrapped__  # so inspect.signature reports the runner's arguments
         SUITES[key] = suite
+        _ARGUMENTS[key] = arguments
         return suite
 
     return register
@@ -215,9 +227,9 @@ def suite_blocking(_, ks, B):
             yield from _closed_form_rows(f"blocking/W{kk}", wspec(kk), f"W^{kk}", B)
 
 
-@_suite("discrepancy", DISCREPANCY_HORIZON_DEFAULT, ells=range(1, 9))
-def suite_discrepancy(ells, _, N):
-    """Certified discrepancy bounds and density along the a-sequence."""
+def _discrepancy_domain(ells, _, N):
+    """Refuse an ell the bound is not stated for, or a horizon too short for
+    the density check."""
     if min(ells) < 1:  # only a selected ell: the defaults start at 1
         raise ValueError(f"the discrepancy bound is stated for ell >= 1, not {min(ells)}")
     # The profile item certifies |a_N - floor((N + ell) phi)| <= sqrt5 ell + 2,
@@ -228,6 +240,12 @@ def suite_discrepancy(ells, _, N):
     if N < least:
         raise ValueError(f"suite 'discrepancy' needs --bound >= {least} for ell "
                          f"{max(ells)}, where the density is within 1/100, not {N}")
+
+
+@_suite("discrepancy", DISCREPANCY_HORIZON_DEFAULT, ells=range(1, 9),
+        refuse=_discrepancy_domain)
+def suite_discrepancy(ells, _, N):
+    """Certified discrepancy bounds and density along the a-sequence."""
     for e in ells:
         profile = ch.discrepancy_profile(e, N)
 
@@ -242,14 +260,19 @@ def suite_discrepancy(ells, _, N):
         yield f"discrepancy/K{e}/density", kspec(e), N, density
 
 
-@_suite("redundancy", REDUNDANCY_BOUND_DEFAULT, ells=(1, 2, 3, 4), ks=(2, 3))
+def _redundancy_domain(_, __, B):
+    """Refuse a box too small for the longest move checked."""
+    if B < REDUNDANCY_MAX_DELTA:  # a move longer than the box has no witness in it
+        raise ValueError(f"suite 'redundancy' needs --bound >= {REDUNDANCY_MAX_DELTA}, "
+                         f"the longest move checked, not {B}")
+
+
+@_suite("redundancy", REDUNDANCY_BOUND_DEFAULT, ells=(1, 2, 3, 4), ks=(2, 3),
+        refuse=_redundancy_domain)
 def suite_redundancy(ells, ks, B):
     """Every elementary move admits a witness position that needs it: one
     non_redundant_witnesses call a rule-set, whose first move without a
     witness in the box is a usage error (inconclusive, never a FAIL)."""
-    if B < REDUNDANCY_MAX_DELTA:  # a move longer than the box has no witness in it
-        raise ValueError(f"suite 'redundancy' needs --bound >= {REDUNDANCY_MAX_DELTA}, "
-                         f"the longest move checked, not {B}")
     moves = [m for i in range(1, REDUNDANCY_MAX_DELTA + 1)
              for m in ((i, 0), (0, i), (i, i))]
     for spec in [kspec(e) for e in ells] + [wspec(kk) for kk in ks]:
@@ -266,15 +289,21 @@ def suite_redundancy(ells, ks, B):
         yield f"redundancy/{spec.label().replace(' ', '-')}", spec, B, all_moves
 
 
-@_suite("morphic", MORPHIC_HORIZON_DEFAULT, ells={*ADJUST_SYSTEMS, *PARTITION_SYSTEMS})
-def suite_morphic(ells, _, H):
-    """Automatic-sequence machinery: oracles, automata, partition words."""
+def _morphic_domain(ells, _, H):
+    """Refuse a horizon below a selected word's offset, or an ell with no
+    morphic checks."""
     least = max([1] + [p.offset for e, p in PARTITION_SYSTEMS.items() if e in ells])
     if H < least:
         raise ValueError(f"suite 'morphic' needs --bound >= {least}, a horizon with "
                          f"a value in every selected word, not {H}")
     if not any(e in ADJUST_SYSTEMS or e in PARTITION_SYSTEMS for e in ells):
         raise ValueError(f"suite 'morphic' has no checks for --ell {ells[0]}")
+
+
+@_suite("morphic", MORPHIC_HORIZON_DEFAULT, ells={*ADJUST_SYSTEMS, *PARTITION_SYSTEMS},
+        refuse=_morphic_domain)
+def suite_morphic(ells, _, H):
+    """Automatic-sequence machinery: oracles, automata, partition words."""
     if 2 in ells:
 
         def k2_oracles():
@@ -288,7 +317,7 @@ def suite_morphic(ells, _, H):
         morphism, coding = ADJUST_SYSTEMS[e]
 
         def dfao_vs_word():
-            word = np.asarray(coding.map(fixed_point_prefix(morphism, 0, H)))
+            word = _output_table(coding.outputs)[_fixed_point(morphism, 0, H)]
             got = eval_dfao_range(adjust_dfao(e), H - 1)
             return _first_failure(f"{H} values agree", (got != word, lambda n: (
                 f"automaton says {got[n]}, word says {word[n]} at n={n}", n)))
@@ -315,5 +344,7 @@ def run_suite(name: str, ell=None, k=None, bound=None) -> list[SuiteItem]:
         names = [name]
     else:
         raise KeyError(f"unknown suite {name!r}")
+    for key in names:  # refuse before any suite's setup runs
+        _ARGUMENTS[key](ell, k, bound)
     items = [it for key in names for it in SUITES[key](ell=ell, k=k, bound=bound)]
     return sorted(items, key=lambda it: it.name)

@@ -13,6 +13,7 @@ from wythlab.characterizations import (
     DiscrepancyProfile,
     _closed_form_arrays,
     _bound_verdicts,
+    _count_below,
     _mex_arrays,
     check_discrepancy,
     closed_form_K1,
@@ -388,6 +389,60 @@ class TestDiscrepancy:
             prof = discrepancy_profile(ell, 200)
             n = np.arange(201)
             assert np.array_equal(prof.S, prof.a - n - ell - 1)
+
+    @pytest.mark.parametrize("ell", range(9))
+    def test_s_is_the_binary_search_count(self, ell):
+        for horizon in (0, 1, 2, 5, 100, 10**4):
+            prof = discrepancy_profile(ell, horizon)
+            want = np.searchsorted(prof.b, prof.a)
+            assert prof.S.dtype == np.int64 and prof.S.tolist() == want.tolist()
+
+    def test_count_certificate_on_arbitrary_arrays(self):
+        # candidates below 0, past len(b) and wrong by a few all fall back
+        rng = np.random.default_rng(5)
+        for size in (0, 1, 2, 3, 50):
+            b = np.cumsum(rng.integers(1, 4, size))
+            for ell in (0, 3):
+                a = rng.integers(-5, 3 * size + 10, 200)
+                assert _count_below(a, b, ell).tolist() == np.searchsorted(b, a).tolist()
+
+    @pytest.mark.parametrize("ell,detail,at", [
+        (1, "eps[18] = -1 outside {0,1}", 18),
+        (3, "eps[19] = -1 outside {0,1}", 19),
+        (8, "eps[21] = -1 outside {0,1}", 21),
+    ])
+    def test_count_does_not_rest_on_the_recursion(self, monkeypatch, ell, detail, at):
+        # b_10 moved up by one onto an a-value: the partition's count at that
+        # a is one too many, so the certificate fails there and the binary
+        # search answers; the check reports the FAIL a searched S gives
+        real = _mex_arrays
+
+        def moved(ell, count):
+            a, b = real(ell, count)
+            b[10] += 1
+            return a, b
+
+        monkeypatch.setattr("wythlab.characterizations._mex_arrays", moved)
+        prof = discrepancy_profile(ell, 1000)
+        candidate = prof.a - np.arange(1001) - ell - 1
+        assert np.flatnonzero(prof.S != candidate).tolist() == [at]
+        assert prof.S.tolist() == np.searchsorted(prof.b, prof.a).tolist()
+        res = check_discrepancy(prof)
+        assert (res.ok, res.detail, res.counterexample) == (False, detail, at)
+
+    def test_profile_and_check_memory(self):
+        # tracemalloc peaks of the searchsorted profile: 11.45 MiB for the
+        # profile alone, 18.12 MiB with its check
+        tracemalloc.start()
+        try:
+            prof = discrepancy_profile(3, 250_000)
+            _, alone = tracemalloc.get_traced_memory()
+            res = check_discrepancy(prof)
+            _, both = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.ok, res.detail
+        assert alone <= 11.45 * 2**20 and both <= 18.12 * 2**20
 
     @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
     def test_check_passes(self, ell):

@@ -484,6 +484,23 @@ class TestVerifyCommand:
         assert code == 0
         assert out.splitlines()[-1] == "2/2 checks passed"
 
+    def test_all_refuses_a_bound_before_any_suite_solves(self, capsys, monkeypatch):
+        # blocking and closed-forms come first by name; at 3000 they used to
+        # solve and check every box before discrepancy refused the bound
+        calls = []
+        real = suites.solve
+        monkeypatch.setattr(suites, "solve", lambda *a: calls.append(a) or real(*a))
+        message = ("suite 'discrepancy' needs --bound >= 3284 for ell 8, where the "
+                   "density is within 1/100, not 3000")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            suites.run_suite("all", bound=3000)
+        assert calls == []
+        with pytest.raises(SystemExit) as ei:
+            main(["verify", "all", "--bound", "3000"])
+        captured = capsys.readouterr()
+        assert ei.value.code == 2 and calls == []
+        assert captured.err.rstrip().endswith(message) and captured.out == ""
+
     def test_closed_forms_stay_linear_in_memory(self):
         tracemalloc.start()
         try:

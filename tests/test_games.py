@@ -411,6 +411,30 @@ class TestOptionCounts:
         assert stable.ok  # W^2 allows each member one member option
         assert peak < 2**20
 
+    @pytest.mark.parametrize("ell", range(5))
+    def test_terminal_term_skip_keeps_counts(self, ell):
+        # a batch whose cells all lie more than ell from both axes and the
+        # diagonal skips K's terminal term; counts match the options either way
+        B = 60
+        table = solve(kspec(ell), B)
+        mask = table.ppos
+        rng = np.random.default_rng(ell)
+        x, y = rng.integers(0, B + 1, (2, 20_000))
+        axis, diagonal = np.minimum(x, y), abs(x - y)
+        gap = np.minimum(axis, diagonal)
+        batches = {"far": gap > ell + 5, "near": (gap > ell) & (gap <= ell + 2),
+                   "axis-edge": (axis == ell) & (diagonal > ell),
+                   "diagonal-edge": (diagonal == ell) & (axis > ell),
+                   "across": gap >= 0}
+        for name, pick in batches.items():
+            bx, by = x[pick][:64], y[pick][:64]
+            assert bx.size >= 32, name
+            want = [sum(1 for q in options((i, j)) if mask[q])
+                    for i, j in zip(bx.tolist(), by.tolist())]
+            assert _option_counts(table, bx, by).tolist() == want, name
+        empty = np.array([], np.int64)
+        assert _option_counts(table, empty, empty).tolist() == []
+
     @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4,), (2, 2, 2)])
     def test_non_square_mask_is_refused(self, shape):
         # a 3x5 mask holding (0, 0) once gave 0 at (0, 3) and (0, 4)

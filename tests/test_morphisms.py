@@ -28,6 +28,7 @@ from wythlab.morphisms import (
     Coding,
     InferenceError,
     Morphism,
+    _fixed_point,
     block_span,
     eval_dfao,
     eval_dfao_range,
@@ -158,7 +159,30 @@ class TestArgumentChecks:
         assert [eval_dfao(d, n) for n in range(5)] == list("abaab")
 
 
+def fixed_point_by_list(m, seed, length):
+    """The fixed point letter by letter: the i-th letter's image is appended."""
+    w, i = list(m.images[seed]), 1
+    while len(w) < length:
+        w.extend(m.images[w[i]])
+        i += 1
+    return w[:length]
+
+
 class TestFixedPoint:
+    @pytest.mark.parametrize("morphism,length", [
+        *[(m, 20_000) for m, _ in ADJUST_SYSTEMS.values()],
+        *[(p.morphism, 20_000) for p in PARTITION_SYSTEMS.values()],
+        (FIBONACCI_MORPHISM, 20_000),
+        (Morphism(((0, 1, 2), (1,), (2, 0))), 10**5),  # an image of length 3
+        (Morphism(((0, 1), (1,))), 10**4),  # grows by one letter a round
+    ])
+    def test_array_builder_matches_list_loop(self, morphism, length):
+        want = fixed_point_by_list(morphism, 0, length)
+        word = _fixed_point(morphism, 0, length)
+        assert word.dtype.kind == "i" and word.tolist() == want
+        for n in (1, 2, 3, 255, 256, 257, 1000, length - 1):
+            assert fixed_point_prefix(morphism, 0, n) == tuple(want[:n])
+
     def test_fibonacci_word(self):
         word = fixed_point_prefix(FIBONACCI_MORPHISM, 0, 13)
         assert FIBONACCI_AB.map(word) == tuple("abaababaabaab")
