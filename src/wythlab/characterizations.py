@@ -375,18 +375,10 @@ def _bound_verdicts(ell: int, S, lam) -> tuple[np.ndarray, np.ndarray]:
     m = min(ell, N) + 1  # the indices n <= ell
     lo = np.empty(N + 1, np.int64)
     lo[:m] = -n[:m] - fp[ell::-1][:m]
-    np.subtract(fp[1 : N + 2 - m], n[m:], out=lo[m:])
-    lo[m:] += 1
-    hi = fp[ell:]  # read last, so it may overwrite fp in place
-    hi -= n
-    del n  # each temporary goes before the next: a profile check peaks here
-    ok_d = lo <= S
-    del lo
-    ok_d &= S <= hi
+    lo[m:] = fp[1 : N + 2 - m] - n[m:] + 1
+    hi = fp[ell : N + ell + 1] - n
     c = isqrt(5 * ell * ell) + 2
-    ok_lam = lam >= -c
-    ok_lam &= lam <= c
-    return ok_d, ok_lam
+    return (lo <= S) & (S <= hi), (-c <= lam) & (lam <= c)
 
 
 def check_discrepancy(profile: DiscrepancyProfile) -> CheckResult:

@@ -453,9 +453,7 @@ def _option_counts(table: PNTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     n, ell = table.bound + 1, _terminal_sum(table.spec, table.bound)
     d = x - y
     count = 0
-    # the terminal cells; W has none, and neither has a batch whose every cell
-    # lies more than ell from both axes and from the diagonal
-    if ell >= 0 and x.size and (np.minimum(x, y).min() <= ell or abs(d).min() <= ell):
+    if ell >= 0:  # the terminal cells; W has none
         count = (np.maximum(ell + 1 - x, 0) + np.maximum(ell + 1 - y, 0)
                  + np.maximum((ell + 2 - abs(d)) // 2, 0))
     for keys, line, at in zip(table._line_keys, (x, y, d + table.bound), (y, x, x)):

@@ -61,7 +61,6 @@ REDUNDANCY_BOUND_DEFAULT = 400
 REDUNDANCY_MAX_DELTA = 30
 
 SUITES = {}  # each suite's key to its runner, in declaration order; see _suite
-_ARGUMENTS = {}  # each suite's key to its argument reader; see _suite
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,8 @@ def _suite(key: str, default_bound: int | None, ells=(), ks=(), refuse=None):
     check) in SUITES as the suite key.  Its runner reads ell and k by _select
     from the declared defaults ells and ks, and a given bound by _natural,
     else takes default_bound; refuse(ells, ks, bound), if given, raises for
-    arguments the suite cannot check.  That reader is also entered in
-    _ARGUMENTS, so run_suite can refuse before any suite draws a row.
+    arguments the suite cannot check.  The runner carries that reader as
+    its .arguments, so run_suite can refuse before any suite draws a row.
     Drawing a row runs its setup; its check is timed before the next row is
     drawn, since a check may read the generator's loop variables."""
 
@@ -132,8 +131,8 @@ def _suite(key: str, default_bound: int | None, ells=(), ks=(), refuse=None):
                     for name, spec, B, check in rows(*arguments(ell, k, bound))]
 
         del suite.__wrapped__  # so inspect.signature reports the runner's arguments
+        suite.arguments = arguments
         SUITES[key] = suite
-        _ARGUMENTS[key] = arguments
         return suite
 
     return register
@@ -345,6 +344,6 @@ def run_suite(name: str, ell=None, k=None, bound=None) -> list[SuiteItem]:
     else:
         raise KeyError(f"unknown suite {name!r}")
     for key in names:  # refuse before any suite's setup runs
-        _ARGUMENTS[key](ell, k, bound)
+        SUITES[key].arguments(ell, k, bound)
     items = [it for key in names for it in SUITES[key](ell=ell, k=k, bound=bound)]
     return sorted(items, key=lambda it: it.name)

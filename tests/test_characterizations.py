@@ -431,8 +431,8 @@ class TestDiscrepancy:
         assert (res.ok, res.detail, res.counterexample) == (False, detail, at)
 
     def test_profile_and_check_memory(self):
-        # tracemalloc peaks of the searchsorted profile: 11.45 MiB for the
-        # profile alone, 18.12 MiB with its check
+        # tracemalloc peaks of the searchsorted profile: 11.446 MiB for the
+        # profile alone, 18.123 MiB with its check; each bound rounds up
         tracemalloc.start()
         try:
             prof = discrepancy_profile(3, 250_000)
@@ -442,7 +442,7 @@ class TestDiscrepancy:
         finally:
             tracemalloc.stop()
         assert res.ok, res.detail
-        assert alone <= 11.45 * 2**20 and both <= 18.12 * 2**20
+        assert alone <= 11.45 * 2**20 and both <= 18.13 * 2**20
 
     @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
     def test_check_passes(self, ell):

@@ -412,9 +412,10 @@ class TestOptionCounts:
         assert peak < 2**20
 
     @pytest.mark.parametrize("ell", range(5))
-    def test_terminal_term_skip_keeps_counts(self, ell):
-        # a batch whose cells all lie more than ell from both axes and the
-        # diagonal skips K's terminal term; counts match the options either way
+    def test_counts_match_options_near_and_far_from_the_triangle(self, ell):
+        # K's terminal term is 0 on a cell more than ell from both axes and
+        # the diagonal; counts match the options far from, near, on the edge
+        # of and across the triangle, and on an empty batch
         B = 60
         table = solve(kspec(ell), B)
         mask = table.ppos
