@@ -122,7 +122,11 @@ def read_pairs_csv(fh, ell=None) -> PposSequence:
     for row in reader:
         if not row:
             continue
-        n, a, b = (int(v) for v in row)
+        try:
+            n, a, b = map(int, row)
+        except ValueError:
+            raise ValueError(f"CSV row {len(pairs)} {','.join(row)!r} is not "
+                             "three integers n,a_n,b_n") from None
         if n != len(pairs):
             raise ValueError(f"row index {n} out of order")
         pairs.append((a, b))

@@ -9,18 +9,19 @@ option is P" losing test into "at least k options are P".
 
 Every option of a position lies in an earlier row of the box, or earlier
 in its own row, so solving the positions in row-major order is exact on the
-full box with no truncation at the boundary.  One counting sweep, a single
-loop with the rule inline, visits the rows in that order.  It keeps each
-column's and each diagonal's member count as "used" bit-planes in Python
-ints, bit y of plane c set when the line through cell y of the current row
-holds more than c members, and in each row finds the lowest cell after the
-last member that the rule calls P.  It has two modes.  The solver takes
-each such cell as a member and gets the P-cells back.  The absorption
-check takes the members from a candidate's row-major cells, a PNTable, a
-boolean mask or integer pairs that list their whole set, and gets the first
-such cell that is not one, with its count of member options read off the
-planes.  A mask's cells come from one flat scan of its rows, never a 2-D
-nonzero.  Other sets enter a PNTable by from_cells, which never casts.
+full box with no truncation at the boundary.  One counting sweep with the
+rule inline visits the rows in that order.  It keeps each column's and each
+diagonal's member count as "used" bit-planes in Python ints, bit y of plane
+c set when the line through cell y of the current row holds more than c
+members (two plain ints for need 1, plane lists for need >= 2), and in each
+row finds the lowest cell after the last member that the rule calls P.  It
+has two modes, which share that kernel.  The solver takes each such cell as
+a member and gets the P-cells back.  The absorption check takes the members
+from a candidate's row-major cells, a PNTable, a boolean mask or integer
+pairs that list their whole set, and gets the first such cell that is not
+one, with its count of member options read off the planes.  A mask's cells
+come from one flat scan of its rows, never a 2-D nonzero.  Other sets enter
+a PNTable by from_cells, which never casts.
 Exact counts for given cells, for stability (of the members alone), the
 witness search and option_member_counts, come from binary search in the
 line keys that a PNTable builds once and keeps.  The witness search takes
@@ -73,10 +74,10 @@ _WITNESS_CHUNK = 64  # candidates in the witness search's first chunk
 
 class ResourceLimitError(RuntimeError):
     """Raised instead of attempting a solve past the bound cap.  The sweep
-    keeps min(k, 3B + 1) "used" bit-planes, each no longer than the box's B + 1
-    bits plus the 64 rows between the cuts of the diagonal planes, so the cap
-    bounds its time: O(B^2 / word) for a sparse P-set, growing with each
-    row's members for large k."""
+    keeps one "used" bit-plane a line kind for need 1, min(k, 3B + 1) for W^k,
+    each no longer than the box's B + 1 bits plus the 64 rows between the cuts
+    of the diagonal planes, so the cap bounds its time: O(B^2 / word) for a
+    sparse P-set, growing with each row's members for large k."""
 
 
 class CacheError(ValueError):
@@ -300,32 +301,67 @@ def options(p: tuple[int, int]) -> list[tuple[int, int]]:
 
 
 def _sweep(spec: GameSpec, bound: int, given: PNTable | None = None):
-    """The one row-major counting sweep of [0,bound]^2 under spec's rule.
+    """The row-major counting sweep of [0,bound]^2, bound a Python int >= 0.
 
     Every option of (x, y) lies in an earlier row, or earlier in row x, so
-    row-major order is exact.  A cell has at most 3 * bound options, so the
-    sweep keeps need = min(spec.need, 3 * bound + 1) "used" bit-planes in
-    Python ints: bit y of cols[c] is set when column y holds more than c
-    members of the earlier rows, and bit y of diags[c] when the difference
-    y - x of the current row x does.  The rule calls a cell P when its lines
-    hold fewer than t = need - found members, found counting the row's
-    members before it, terminal ones included: a zero bit of the AND over
-    a < t of cols[a] | diags[t - 1 - a].  Each row's lowest such cell after
-    its last member costs O(t) big-int operations.
+    row-major order is exact.  With given None each row's lowest cell after
+    its last member that the rule calls P, an open cell, is the next member,
+    and the sweep returns the P-cells outside the terminal triangle as lists
+    xs, ys, row-major.  With given a candidate's PNTable on the box, the
+    members are its row-major cells, and the sweep returns the first open
+    non-member and its exact count of member options as (x, y, count), or None.
 
-    With given None that cell is the next member, and the sweep returns the
-    P-cells outside the terminal triangle as lists xs, ys, row-major.  With
-    given a candidate's PNTable on the box, the members are its row-major
-    cells, walked in order, and the sweep returns the row-major first
-    non-member that the rule calls P as (x, y, count), or None.  Its count of
-    member options is found plus bit y of every cols and diags plane: exact,
-    since an open cell's lines hold fewer than need members and the planes
-    saturate only at need.
+    Need >= 2 runs _sweep_planes.  Need 1 (K^ell, W^1) keeps two plain ints:
+    bit y of cols is set when column y holds a member of the earlier rows,
+    and bit y of diags when the difference y - x of row x does.  Past the
+    triangle a row's one open cell is the lowest zero bit of cols | diags.
+    """
+    if spec.need > 1:
+        return _sweep_planes(spec, bound, given)
+    n, ell = bound + 1, _terminal_sum(spec, bound)
+    full, cols, diags = (1 << n) - 1, 0, 0
+    if given:  # a last row past the box ends the walk
+        rows, cells, i = given.xs.tolist() + [n], given.ys.tolist(), 0
+    xs: list[int] = []
+    ys: list[int] = []
+    for x in range(n):
+        if x > ell:
+            members, used = 0, cols | diags
+            z = (used ^ (used + 1)).bit_length() - 1
+        else:  # the row's terminal cells are P
+            members, z = (1 << min(ell - x + 1, n)) - 1, n
+        if given:
+            if z < (cells[i] if rows[i] == x else n):
+                return x, z, 0
+            while rows[i] == x:
+                members |= 1 << cells[i]
+                i += 1
+        elif z < n:
+            xs.append(x)
+            ys.append(z)
+            members |= 1 << z
+        cols |= members
+        diags = (diags | members) << 1  # row x + 1 reads difference y - x - 1 at bit y
+        if x & 63 == 63:
+            diags &= full
+    return None if given else (xs, ys)
 
-    Updating the planes costs O(need) operations a row on ints no longer
-    than the highest column or diagonal that holds a member; the diagonal
-    planes shift one bit a row and are cut to the box every 64 rows.  bound
-    is a Python int >= 0.
+
+def _sweep_planes(spec: GameSpec, bound: int, given: PNTable | None = None):
+    """_sweep for any need on saturating plane lists; the need >= 2 path.
+
+    A cell has at most 3 * bound options, so the sweep keeps
+    need = min(spec.need, 3 * bound + 1) "used" bit-planes in Python ints:
+    bit y of cols[c] is set when column y holds more than c members of the
+    earlier rows, and bit y of diags[c] when the difference y - x of row x
+    does.  A cell is open when its lines hold fewer than t = need - found
+    members, found counting the row's members before it, terminal ones
+    included: a zero bit of the AND over a < t of cols[a] | diags[t - 1 - a],
+    at O(t) big-int operations.  A violator's count is found plus bit y of
+    every plane: exact, since the planes saturate only at need.  Updating
+    them costs O(need) operations a row on ints no longer than the highest
+    line that holds a member; the diagonal planes shift one bit a row and
+    are cut to the box every 64 rows.
     """
     need, n = min(spec.need, 3 * bound + 1), bound + 1
     ell, full = _terminal_sum(spec, bound), (1 << n) - 1

@@ -207,6 +207,12 @@ class TestPairSerialization:
         with pytest.raises(ValueError):
             read_pairs_csv(io.StringIO("n,a_n,b_n\n1,3,6\n"))
 
+    @pytest.mark.parametrize("row", ["0,2", "0,2,4,9", "0,2,x"])
+    def test_csv_refuses_a_row_that_is_not_three_integers(self, row):
+        with pytest.raises(ValueError, match=re.escape(
+                f"CSV row 1 '{row}' is not three integers n,a_n,b_n")):
+            read_pairs_csv(io.StringIO(f"n,a_n,b_n\n0,2,4\n\n{row}\n"))
+
     def test_csv_refuses_values_past_int64(self):
         with pytest.raises(ValueError, match="outside the int64 range"):
             read_pairs_csv(io.StringIO(

@@ -12,8 +12,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from wythlab.games import (
     _WITNESS_CHUNK,
     _cache_header,
+    _candidate_table,
     _option_counts,
     _solve_cached,
+    _sweep,
+    _sweep_planes,
     _triangle,
     CacheError,
     CheckResult,
@@ -875,6 +878,58 @@ class TestKernelChecksAgainstOptions:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+
+class TestNeedOneSweep:
+    """_sweep runs two plain-int planes for need 1; the plane lists, which
+    handle need 1 too, are the reference."""
+
+    @pytest.mark.parametrize("spec", [kspec(e) for e in range(9)]
+                             + [kspec(50), kspec(400), wspec(1)], ids=GameSpec.label)
+    def test_matches_the_plane_lists(self, spec):
+        # kspec(400)'s triangle covers every box here; the flips reach triangle
+        # rows and the rows around the diagonal plane's cuts every 64 rows
+        rng = np.random.default_rng(spec.terminal_sum + 2)
+        others = [solve(s, 200) for s in [kspec(e) for e in range(9)] + [kspec(50), wspec(2)]]
+        for bound in (0, 1, 2, 63, 64, 65, 129, 200):
+            assert _sweep(spec, bound) == _sweep_planes(spec, bound)
+            mask = solve(spec, bound).ppos
+            rows = [x for x in (0, 1, spec.terminal_sum, spec.terminal_sum + 1,
+                                63, 64, 65, 128, 129, bound) if 0 <= x <= bound]
+            candidates = [mask, np.zeros_like(mask)]
+            for flips in (1, 2) * 6:
+                flipped = mask.copy()
+                for _ in range(flips):
+                    x, y = rng.choice(rows), rng.integers(0, bound + 1)
+                    flipped[x, y] = not flipped[x, y]
+                candidates.append(flipped)
+            candidates += [rng.random(mask.shape) < d for d in (0.01, 0.05, 0.3, 1.0)]
+            # checked as spec, a larger triangle enters as members
+            candidates += [t.ppos[: bound + 1, : bound + 1] for t in others]
+            for candidate in candidates:
+                table = _candidate_table(candidate, spec, bound)
+                assert _sweep(spec, bound, table) == _sweep_planes(spec, bound, table)
+
+    def test_need_one_never_runs_the_plane_lists(self, monkeypatch):
+        specs, bound = [kspec(e) for e in range(5)] + [wspec(1)], 40
+        moves = [(1, 0), (0, 2), (3, 3), (5, 0)]
+        want = [brute_force(spec, bound) for spec in specs]
+        witnesses = non_redundant_witnesses(kspec(2), moves, bound)
+
+        def no_planes(spec, bound, given=None):
+            raise AssertionError(f"{spec.label()} ran the plane lists")
+
+        monkeypatch.setattr("wythlab.games._sweep_planes", no_planes)
+        _solve_cached.cache_clear()
+        for spec, mask in zip(specs, want):
+            table = solve(spec, bound)
+            assert np.array_equal(table.ppos, mask)
+            assert check_absorbing(table, spec, bound).ok
+            assert not check_absorbing(np.zeros_like(mask), spec, bound).ok
+        _solve_cached.cache_clear()
+        assert non_redundant_witnesses(kspec(2), moves, bound) == witnesses
+        with pytest.raises(AssertionError, match="W k=2 ran the plane lists"):
+            solve(wspec(2), bound)
 
 
 WITNESS_SPECS = [kspec(e) for e in range(5)] + [wspec(k) for k in (1, 2, 3)]
